@@ -23,11 +23,11 @@ from .fock import (
     coherent_ket,
     convergence_report,
     displaced_parity,
+    evolve,
     expect,
     mean_power,
     moment_x3,
     moment_y3,
-    squeeze_unitary,
 )
 from .gaussian import (
     GaussianState,
@@ -94,6 +94,7 @@ __all__ = [
     "coupling_matrix",
     "displaced_parity",
     "double_factorial",
+    "evolve",
     "expect",
     "expm_series",
     "fig1_scan",
@@ -112,7 +113,6 @@ __all__ = [
     "moment_y3",
     "normal_order_coefficients",
     "pk",
-    "squeeze_unitary",
     "two_mode_baseline_variance",
     "wigner",
     "wigner_normalization",

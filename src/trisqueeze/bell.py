@@ -12,7 +12,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import InvalidParameterError
-from .fock import build_arena, coherent_ket, displaced_parity, squeeze_unitary, KetVector
+from .fock import build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import GaussianState, make_state, wigner
 
 __all__ = [
@@ -120,8 +120,7 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
     analytic = b3(state, setting)
 
     arena = build_arena(cutoff)
-    unitary = squeeze_unitary(arena, strength)
-    ket = KetVector(unitary @ coherent_ket(arena, alpha).amplitudes)
+    ket = evolve(arena, strength, coherent_ket(arena, alpha))
     b1, b2, b3_ = setting.beta
     p1, p2, p3 = setting.beta_prime
     oracle = (

@@ -152,27 +152,21 @@ def _cmd_oracle_check(args, stream):
     lam = args.lam
     alpha = _parse_complex_triple(args.alpha)
 
-    if args.quantity == "var-x3":
-        def quantity(cut):
-            arena = fock.build_arena(cut)
-            unitary = fock.squeeze_unitary(arena, lam)
-            ket = fock.KetVector(unitary @ fock.coherent_ket(arena, alpha).amplitudes)
-            return fock.moment_x3(arena, ket, 2)
-    elif args.quantity == "vacuum-amp":
-        def quantity(cut):
-            arena = fock.build_arena(cut)
-            unitary = fock.squeeze_unitary(arena, lam)
-            return unitary[0, 0].real
-    elif args.quantity == "parity":
-        def quantity(cut):
-            arena = fock.build_arena(cut)
-            unitary = fock.squeeze_unitary(arena, lam)
-            ket = fock.KetVector(unitary @ fock.coherent_ket(arena, alpha).amplitudes)
-            return fock.displaced_parity(arena, ket, (0, 0, 0))
-    else:  # b3
+    if args.quantity == "b3":
         def quantity(cut):
             setting = bell.fig2_setting(args.b)
             return bell.b3_oracle_check(lam, alpha, setting, cut)[1]
+    else:
+        start = (0, 0, 0) if args.quantity == "vacuum-amp" else alpha
+
+        def quantity(cut):
+            arena = fock.build_arena(cut)
+            ket = fock.evolve(arena, lam, fock.coherent_ket(arena, start))
+            if args.quantity == "var-x3":
+                return fock.moment_x3(arena, ket, 2)
+            if args.quantity == "parity":
+                return fock.displaced_parity(arena, ket, (0, 0, 0))
+            return ket.amplitudes[0].real  # vacuum-amp: <0|U|0>
 
     rows = [
         (row["cutoff"], row["value"],

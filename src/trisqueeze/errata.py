@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .fock import KetVector, build_arena, coherent_ket, displaced_parity, squeeze_unitary
+from .fock import KetVector, build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import make_state, wigner
 from .matrices import build_squeeze_matrices
 from .photon import gm_pair, mean_power_exact
@@ -39,8 +39,7 @@ def _wigner_entry() -> dict:
     )
 
     arena = build_arena(_PROBE_CUTOFF)
-    unitary = squeeze_unitary(arena, strength)
-    ket = KetVector(unitary @ coherent_ket(arena, _PROBE_ALPHA).amplitudes)
+    ket = evolve(arena, strength, coherent_ket(arena, _PROBE_ALPHA))
     oracle = displaced_parity(arena, ket, betas)
 
     return {
@@ -111,11 +110,11 @@ def _collective_transform_entry() -> dict:
     strength = _PROBE_STRENGTH
     alpha = (0.4, -0.2 + 0.3j, 0.1)
     arena = build_arena(_PROBE_CUTOFF)
-    unitary = squeeze_unitary(arena, strength)
     coll = (arena.a_ops[0] + arena.a_ops[1] + arena.a_ops[2]) / math.sqrt(3)
     ket = coherent_ket(arena, alpha)
-    moved = unitary.conj().T @ (coll @ (unitary @ ket.amplitudes))
-    oracle = complex(np.vdot(ket.amplitudes, moved))
+    # U^dag A U |ket>, with U^dag = e^{-K} of the same truncated generator
+    moved = evolve(arena, -strength, KetVector(coll @ evolve(arena, strength, ket).amplitudes))
+    oracle = complex(np.vdot(ket.amplitudes, moved.amplitudes))
 
     amp = sum(alpha) / math.sqrt(3)
     coll_sum = math.exp(-2 * strength) + math.exp(2 * strength)

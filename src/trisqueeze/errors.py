@@ -25,7 +25,8 @@ class NumericError(RuntimeError):
 
 class TruncationError(NumericError):
     """A truncated Fock-space computation is untrustworthy at the current
-    cutoff (tail mass or unitarity residual above the guard)."""
+    cutoff (an amplitude too large for it, or too much evolved probability on
+    the outermost occupation shell)."""
 
 
 class FormulaInconsistencyError(NumericError):

@@ -142,11 +142,21 @@ def hos_x(strength: float, m: int) -> float:
     Equals (1/4)^m (2m-1)!! e^{-4 m strength}; independent of the coherent
     amplitudes.
     """
+    if not math.isfinite(strength):
+        raise InvalidParameterError("strength must be finite")
     if m < 1:
         raise InvalidParameterError("moment half-order m must be >= 1")
     if 2 * m > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}")
-    return 0.25**m * double_factorial(2 * m - 1) * math.exp(-4 * m * strength)
+    try:
+        value = 0.25**m * double_factorial(2 * m - 1) * math.exp(-4 * m * strength)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise NumericError(
+            f"moment of order {2 * m} overflows double precision at |strength| = {abs(strength):g}"
+        )
+    return value
 
 
 def hos_y(strength: float, m: int) -> float:

@@ -254,6 +254,8 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     strength is nonzero); ``path`` selects which one ``value`` reports.  A
     vanishing mean photon number on the chosen path raises DomainError.
     """
+    if not math.isfinite(strength):
+        raise InvalidParameterError("strength must be finite")
     if k < 2:
         raise InvalidParameterError(f"P_k needs k >= 2, got {k}")
     if path not in ("paper", "exact"):

@@ -1,29 +1,17 @@
 """Shared fixtures.
 
-The cutoff-14 arena and its squeeze unitaries dominate the suite's runtime
-(about 13 s per exponential), so they are built once per session and shared.
+Building the cutoff-14 arena's sparse operators is the costliest part of
+most oracle tests, so the arenas are built once per session and shared.
 """
 
 import pytest
 
-from trisqueeze import build_arena, squeeze_unitary
+from trisqueeze import build_arena
 
 
 @pytest.fixture(scope="session")
 def arena14():
     return build_arena(14)
-
-
-@pytest.fixture(scope="session")
-def unitary14(arena14):
-    cache = {}
-
-    def get(strength):
-        if strength not in cache:
-            cache[strength] = squeeze_unitary(arena14, strength)
-        return cache[strength]
-
-    return get
 
 
 @pytest.fixture(scope="session")

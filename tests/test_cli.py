@@ -116,10 +116,29 @@ def test_invalid_arguments_exit_code(capsys):
 
 
 def test_numeric_failure_exit_code(capsys):
-    # coherent amplitude far beyond the truncation guard
-    assert run(["oracle-check", "--quantity", "parity", "--lambda", "0.1",
-                "--alpha", "2,0,0", "--cutoffs", "4,6"]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    for argv in (
+        # coherent amplitude far beyond the truncation guard
+        ["oracle-check", "--quantity", "parity", "--lambda", "0.1", "--alpha", "2,0,0",
+         "--cutoffs", "4,6"],
+        # squeezed weight piles up on the outermost Fock shell
+        ["oracle-check", "--quantity", "vacuum-amp", "--lambda", "3", "--cutoffs", "4,6"],
+    ):
+        assert run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric failure") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["moments", "--lambda", "1000"], 3),
+    (["pk", "--lambda", "nan"], 2),
+    (["moments", "--lambda", "inf"], 2),
+])
+def test_non_finite_results_exit_with_message(argv, code, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -6,17 +6,16 @@ from numpy.testing import assert_allclose
 
 from trisqueeze import (
     InvalidParameterError,
-    KetVector,
     TruncationError,
     build_arena,
     coherent_ket,
     convergence_report,
     displaced_parity,
+    evolve,
     expect,
     mean_power,
     moment_x3,
     normal_order_coefficients,
-    squeeze_unitary,
 )
 from trisqueeze.fock import moment_y3
 
@@ -65,38 +64,42 @@ def test_quadratures_hermitian():
 
 
 def test_zero_strength_unitary_is_identity(arena8):
-    unitary = squeeze_unitary(arena8, 0.0)
-    assert_allclose(unitary, np.eye(arena8.dim), atol=1e-14)
+    ket = coherent_ket(arena8, [0.3, -0.2j, 0.1])
+    assert_allclose(evolve(arena8, 0.0, ket).amplitudes, ket.amplitudes, atol=1e-14)
 
 
-def test_unitary_even_when_truncated():
-    # the truncated generator is still exactly anti-Hermitian, so the
-    # residual stays at rounding level for any cutoff/strength; the guard
-    # protects against exponential-accuracy failures only
-    arena = build_arena(3)
-    unitary = squeeze_unitary(arena, 2.5)
-    assert_allclose(unitary.conj().T @ unitary, np.eye(arena.dim), atol=1e-12)
-
-
-def test_unitarity_guard_trips_on_bad_exponential(arena8, monkeypatch):
+def test_unitary_even_when_truncated(monkeypatch):
+    # the truncated generator is still exactly anti-Hermitian, so the norm
+    # is kept for any cutoff/strength; the norm cannot reveal truncation,
+    # hence the boundary-mass guard (lifted here)
     from trisqueeze import fock as fock_module
 
-    monkeypatch.setattr(
-        fock_module, "_expm_scale_square", lambda gen: 0.999 * np.eye(gen.shape[0], dtype=complex)
-    )
-    with pytest.raises(TruncationError):
-        squeeze_unitary(arena8, 0.2)
+    monkeypatch.setattr(fock_module, "BOUNDARY_MASS_LIMIT", 1.0)
+    arena = build_arena(3)
+    ket = coherent_ket(arena, [0.2, 0, 0])
+    assert evolve(arena, 2.5, ket).norm == pytest.approx(ket.norm, abs=1e-12)
 
 
-def test_expm_helper_term_budget():
-    from scipy import sparse
+def test_evolve_guards():
+    arena = build_arena(4)
+    vac = coherent_ket(arena, [0, 0, 0])
+    with pytest.raises(InvalidParameterError):
+        evolve(arena, math.nan, vac)
+    with pytest.raises(TruncationError, match="outermost Fock shell"):
+        evolve(arena, 3.0, vac)
+    evolve(arena, 0.2, vac)  # boundary mass 1.1e-3: below the limit
 
-    from trisqueeze import NumericError
-    from trisqueeze.fock import _expm_scale_square
 
-    gen = sparse.identity(4, format="csr", dtype=complex)
-    with pytest.raises(NumericError):
-        _expm_scale_square(gen, max_terms=1)
+def test_evolve_matches_dense_exponential():
+    from scipy.linalg import expm
+
+    arena = build_arena(6)
+    q1, q2, q3 = arena.q_ops
+    p1, p2, p3 = arena.p_ops
+    gen = -0.2j * (q1 @ (p2 + p3) + q2 @ (p1 + p3) + q3 @ (p1 + p2))
+    ket = coherent_ket(arena, [0.3, 0.2 + 0.1j, -0.25])
+    assert_allclose(evolve(arena, -0.2, ket).amplitudes, expm(gen.toarray()) @ ket.amplitudes,
+                    atol=1e-13)
 
 
 def test_coherent_ket_basics(arena14):
@@ -131,24 +134,24 @@ def test_vacuum_quadrature_variance(arena8):
         moment_x3(arena8, vac, 3)
 
 
-def test_squeezed_variances_match_closed_form(arena14, unitary14):
+def test_squeezed_variances_match_closed_form(arena14):
     strength = 0.2
-    ket = KetVector(unitary14(strength) @ coherent_ket(arena14, [0, 0, 0]).amplitudes)
+    ket = evolve(arena14, strength, coherent_ket(arena14, [0, 0, 0]))
     assert moment_x3(arena14, ket, 2) == pytest.approx(math.exp(-0.8) / 4, abs=1e-5)
     assert moment_y3(arena14, ket, 2) == pytest.approx(math.exp(0.8) / 4, abs=1e-5)
     assert moment_x3(arena14, ket, 4) == pytest.approx(3 / 16 * math.exp(-1.6), abs=1e-4)
 
 
-def test_vacuum_amplitude_matches_normal_ordered_form(arena14, unitary14):
+def test_vacuum_amplitude_matches_normal_ordered_form(arena14):
+    vac = coherent_ket(arena14, [0, 0, 0])
     for strength in (0.1, 0.2):
-        unitary = unitary14(strength)
         prefactor, pair = normal_order_coefficients(strength)
-        vacuum_amp = unitary[0, 0]
+        vacuum_amp = evolve(arena14, strength, vac).amplitudes[0]
         assert vacuum_amp.real == pytest.approx(prefactor, abs=1e-6)
         assert abs(vacuum_amp.imag) < 1e-9
 
 
-def test_parity_identities(arena14, unitary14):
+def test_parity_identities(arena14):
     vac = coherent_ket(arena14, [0, 0, 0])
     assert displaced_parity(arena14, vac, [0, 0, 0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -157,7 +160,7 @@ def test_parity_identities(arena14, unitary14):
         math.exp(-2 * 0.25), abs=1e-9
     )
 
-    ket = KetVector(unitary14(0.2) @ coherent_ket(arena14, [0.2, 0.1j, 0]).amplitudes)
+    ket = evolve(arena14, 0.2, coherent_ket(arena14, [0.2, 0.1j, 0]))
     value = displaced_parity(arena14, ket, [0.3, -0.2 + 0.1j, 0.15])
     assert -1 <= value <= 1
 
@@ -180,7 +183,7 @@ def test_convergence_report_variance():
 
     def variance(cutoff):
         arena = build_arena(cutoff)
-        ket = KetVector(squeeze_unitary(arena, strength) @ coherent_ket(arena, [0, 0, 0]).amplitudes)
+        ket = evolve(arena, strength, coherent_ket(arena, [0, 0, 0]))
         return moment_x3(arena, ket, 2)
 
     rows = convergence_report(variance, [6, 8, 10, 12])
@@ -203,7 +206,8 @@ def test_convergence_report_vacuum_amplitude():
     strength = 0.3
 
     def amplitude(cutoff):
-        return squeeze_unitary(build_arena(cutoff), strength)[0, 0].real
+        arena = build_arena(cutoff)
+        return evolve(arena, strength, coherent_ket(arena, [0, 0, 0])).amplitudes[0].real
 
     rows = convergence_report(amplitude, [10, 12, 14])
     assert abs(rows[-1]["delta"]) < 1e-5
@@ -218,7 +222,7 @@ def test_convergence_report_validation():
         convergence_report(lambda c: 0.0, [8, 8])
 
 
-def test_oracle_against_analytic_modules_sweep(arena14, unitary14):
+def test_oracle_against_analytic_modules_sweep(arena14):
     # consolidated cross-validation: every analytic quantity against the
     # brute-force engine at small parameters
     from trisqueeze import (
@@ -234,7 +238,7 @@ def test_oracle_against_analytic_modules_sweep(arena14, unitary14):
 
     alpha = [0.0, 0.3, 0.5 * (1 + 1j) / math.sqrt(2)]
     for strength in (0.1, 0.2, 0.3):
-        ket = KetVector(unitary14(strength) @ coherent_ket(arena14, alpha).amplitudes)
+        ket = evolve(arena14, strength, coherent_ket(arena14, alpha))
         state = make_state(strength, alpha)
 
         pairs = [
@@ -245,7 +249,7 @@ def test_oracle_against_analytic_modules_sweep(arena14, unitary14):
             (mean_power(arena14, ket, 1), mean_power_exact(1, alpha, strength)),
             (mean_power(arena14, ket, 2), mean_power_exact(2, alpha, strength)),
             (
-                unitary14(strength)[0, 0].real,
+                evolve(arena14, strength, coherent_ket(arena14, [0, 0, 0])).amplitudes[0].real,
                 normal_order_coefficients(strength)[0],
             ),
             (

@@ -159,12 +159,12 @@ def test_exact_routes_consistent_at_high_powers(k):
     assert brute == pytest.approx(symbolic, rel=1e-8)
 
 
-def test_exact_route_against_three_mode_oracle(arena14, unitary14):
-    from trisqueeze import KetVector, coherent_ket, mean_power
+def test_exact_route_against_three_mode_oracle(arena14):
+    from trisqueeze import coherent_ket, evolve, mean_power
 
     strength = 0.2
     alpha = [0.3, 0.3, 0.3]
-    ket = KetVector(unitary14(strength) @ coherent_ket(arena14, alpha).amplitudes)
+    ket = evolve(arena14, strength, coherent_ket(arena14, alpha))
     for k in (1, 2):
         assert mean_power(arena14, ket, k) == pytest.approx(
             mean_power_exact(k, alpha, strength), abs=1e-5, rel=1e-5
