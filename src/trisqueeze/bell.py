@@ -36,30 +36,45 @@ class BellSetting:
     beta_prime: tuple
 
 
-def fig2_setting(b: float) -> BellSetting:
-    """The published scan pattern: beta = (0, 0, -b), beta' = (b, b, 0), b > 0."""
-    if not b > 0:
-        raise InvalidParameterError(f"displacement magnitude must be positive, got {b}")
-    return BellSetting(beta=(0j, 0j, complex(-b)), beta_prime=(complex(b), complex(b), 0j))
+def fig2_setting(b) -> BellSetting:
+    """The published scan pattern: beta = (0, 0, -b), beta' = (b, b, 0), b > 0.
+
+    An array of magnitudes gives one setting per element: ``beta`` and
+    ``beta_prime`` then have shape b.shape + (3,), which :func:`b3`
+    evaluates in one call.
+    """
+    b = np.asarray(b, dtype=float)
+    if not np.all(b > 0):
+        bad = b.flat[np.argmin(b > 0)]
+        raise InvalidParameterError(f"displacement magnitude must be positive, got {bad}")
+    zero = np.zeros_like(b)
+    beta = np.stack([zero, zero, -b], axis=-1).astype(complex)
+    beta_prime = np.stack([b, b, zero], axis=-1).astype(complex)
+    if b.ndim == 0:  # a single setting keeps its plain-tuple form
+        return BellSetting(beta=tuple(beta), beta_prime=tuple(beta_prime))
+    return BellSetting(beta=beta, beta_prime=beta_prime)
 
 
-def _correlation(state: GaussianState, betas) -> float:
-    betas = np.asarray(betas, dtype=complex)
-    q = math.sqrt(2) * betas.real
-    p = math.sqrt(2) * betas.imag
-    return math.pi**3 * wigner(state, q, p)
+# Which of the four correlation points of B(3) takes the primed amplitude
+# in each mode: (b1,b2,b3'), (b1,b2',b3), (b1',b2,b3), (b1',b2',b3').
+_PRIMED = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
 
 
-def b3(state: GaussianState, setting: BellSetting) -> float:
-    """B(3) = E(b1,b2,b3') + E(b1,b2',b3) + E(b1',b2,b3) - E(b1',b2',b3')."""
-    b1, b2, b3_ = setting.beta
-    p1, p2, p3 = setting.beta_prime
-    return (
-        _correlation(state, (b1, b2, p3))
-        + _correlation(state, (b1, p2, b3_))
-        + _correlation(state, (p1, b2, b3_))
-        - _correlation(state, (p1, p2, p3))
-    )
+def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
+    """B(3) = E(b1,b2,b3') + E(b1,b2',b3) + E(b1',b2,b3) - E(b1',b2',b3').
+
+    ``beta`` and ``beta_prime`` have shape (..., 3); the leading axes
+    broadcast, and the result has their shape (a float for one setting).
+    The four correlations of every setting come from one Wigner call.
+    """
+    beta = np.asarray(setting.beta, dtype=complex)
+    beta_prime = np.asarray(setting.beta_prime, dtype=complex)
+    if beta.shape[-1:] != (3,) or beta_prime.shape[-1:] != (3,):
+        raise InvalidParameterError("beta and beta_prime must have 3 components each")
+    points = np.where(_PRIMED, beta_prime[..., None, :], beta[..., None, :])
+    corr = math.pi**3 * wigner(state, math.sqrt(2) * points.real, math.sqrt(2) * points.imag)
+    total = corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
+    return total if total.ndim else float(total)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -85,9 +100,10 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, fl
 def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float, float]]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
-    Grid-brackets the maximum over ``b_values`` then refines it by golden
-    section inside the bracketing cell (first/grid-lowest maximizer wins
-    ties).  Returns rows (strength, b_star, b3_max).
+    Grid-brackets the maximum over ``b_values`` (one batched B(3) call per
+    strength) then refines it by golden section inside the bracketing cell
+    (first/grid-lowest maximizer wins ties).  Returns rows (strength,
+    b_star, b3_max).
     """
     b_values = np.asarray(b_values, dtype=float)
     strengths = np.asarray(strengths, dtype=float)
@@ -97,7 +113,7 @@ def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float,
     for s in strengths:
         state = make_state(float(s), alpha)
         fn = lambda b: b3(state, fig2_setting(b))
-        values = np.array([fn(b) for b in b_values])
+        values = fn(b_values)
         top = int(np.argmax(values))
         lo = b_values[max(0, top - 1)]
         hi = b_values[min(b_values.size - 1, top + 1)]

@@ -25,6 +25,8 @@ def _parse_range(text: str) -> np.ndarray:
         start, step, end = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise InvalidParameterError(f"range must look like start:step:end, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in (start, step, end)):
+        raise InvalidParameterError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0 or end < start:
         raise InvalidParameterError(f"range needs step > 0 and end >= start, got {text!r}")
     count = int(math.floor((end - start) / step + 1e-12)) + 1
@@ -109,16 +111,14 @@ def _cmd_wigner(args, stream):
     if args.q1 or args.p1:
         q1 = _parse_range(args.q1 or "0:1:0")
         p1 = _parse_range(args.p1 or "0:1:0")
-        base_q = _parse_real_triple(args.q)
-        base_p = _parse_real_triple(args.p)
-        rows = []
-        for qv in q1:
-            for pv in p1:
-                q = base_q.copy()
-                p = base_p.copy()
-                q[0] = qv
-                p[0] = pv
-                rows.append((float(qv), float(pv), gaussian.wigner(state, q, p)))
+        # one row per grid point, q1 outer and p1 inner
+        grid = np.stack(np.meshgrid(q1, p1, indexing="ij"), axis=-1).reshape(-1, 2)
+        q = np.tile(_parse_real_triple(args.q), (len(grid), 1))
+        p = np.tile(_parse_real_triple(args.p), (len(grid), 1))
+        q[:, 0] = grid[:, 0]
+        p[:, 0] = grid[:, 1]
+        values = gaussian.wigner(state, q, p)
+        rows = [(float(qv), float(pv), float(w)) for (qv, pv), w in zip(grid, values)]
         _write_table(stream, ("q1", "p1", "w"), rows, args.format)
         if args.gnuplot and args.out:
             _write_gnuplot(args.gnuplot, args.out, (1, 3), "Wigner slice")

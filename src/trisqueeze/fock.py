@@ -112,6 +112,8 @@ def evolve(arena: FockArena, strength: float, ket: KetVector) -> KetVector:
 def coherent_ket(arena: FockArena, alpha) -> KetVector:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
+    if not np.all(np.isfinite(alpha.view(float))):
+        raise InvalidParameterError("coherent amplitudes must be finite")
     factors = []
     for amp in alpha:
         if abs(amp) ** 2 > arena.cutoff / 4:

@@ -200,11 +200,11 @@ def _closed_exponent(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.n
     return expo
 
 
-def _covariance_exponent(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # log(pi^3 W) from the generic Gaussian form; det(cov) = (1/2)^6 makes
-    # the normalization exactly pi^{-3}
-    r = np.concatenate([q, p], axis=-1) - state.mean
-    quad = np.einsum("...i,ij,...j", r, np.linalg.inv(state.cov), r)
+def _covariance_exponent(state: GaussianState, r: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    # log(pi^3 W) from the generic Gaussian form at offsets r from the mean,
+    # with inv = cov^{-1}; det(cov) = (1/2)^6 makes the normalization
+    # exactly pi^{-3}
+    quad = np.einsum("...i,ij,...j", r, inv, r)
     det = np.linalg.det(state.cov)
     return -0.5 * quad + math.log(math.pi**3 * (2 * math.pi) ** -3 * det**-0.5)
 
@@ -214,7 +214,8 @@ def _wigner_closed(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.nda
 
 
 def _wigner_covariance(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return np.exp(_covariance_exponent(state, q, p)) / math.pi**3
+    r = np.concatenate([q, p], axis=-1) - state.mean
+    return np.exp(_covariance_exponent(state, r, np.linalg.inv(state.cov))) / math.pi**3
 
 
 def wigner(state: GaussianState, q, p) -> float | np.ndarray:
@@ -223,24 +224,34 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     Evaluates both the scalar closed form and the generic Gaussian form from
     the state covariance and compares their exponents; a gap above 1e-10
     relative (widened proportionally for extreme exponents, where float
-    rounding alone exceeds it) raises NumericError.  Values lie in
-    (0, 1/pi^3].
+    rounding alone exceeds it) raises NumericError.  Both routes and the
+    allowance are elementwise, so a batch of points gives bit for bit the
+    values of one call per point.  Non-finite points raise
+    InvalidParameterError.  Values lie in (0, 1/pi^3].
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    if q.shape[-1] != 3 or p.shape[-1] != 3:
+    if q.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise InvalidParameterError("q and p must have 3 components each")
     lead = np.broadcast_shapes(q.shape[:-1], p.shape[:-1])
     q = np.broadcast_to(q, lead + (3,))
     p = np.broadcast_to(p, lead + (3,))
-    closed = _closed_exponent(state, q, p)
-    generic = _covariance_exponent(state, q, p)
+    points = np.concatenate([q, p], axis=-1)
+    if not np.all(np.isfinite(points)):
+        raise InvalidParameterError("phase-space points must be finite")
+    r = points - state.mean
+    inv = np.linalg.inv(state.cov)
+    try:
+        closed = _closed_exponent(state, q, p)
+    except OverflowError:
+        raise NumericError(
+            f"wigner exponent overflows double precision at strength {state.strength:g}"
+        ) from None
+    generic = _covariance_exponent(state, r, inv)
     # rounding allowance of the generic route: the accuracy of its quadratic
     # form degrades with the covariance condition number (eigenvalues span
     # exp(+-4s)) and with cancellation against the mean offset, so grant the
     # standard cond*eps bound on top of the 1e-10 base tolerance
-    r = np.concatenate([q, p], axis=-1) - state.mean
-    inv = np.linalg.inv(state.cov)
     accumulated = 0.5 * np.einsum("...i,ij,...j", np.abs(r), np.abs(inv), np.abs(r))
     cond = float(np.abs(state.cov).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     eps = np.finfo(float).eps

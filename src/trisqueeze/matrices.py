@@ -55,14 +55,21 @@ class SqueezeMatrices:
 
 
 def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
-    """Populate every closed form for squeezing strength ``strength``."""
+    """Populate every closed form for squeezing strength ``strength``.
+
+    Raises NumericError when e^{2|strength|} overflows double precision.
+    """
     s = float(strength)
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {strength!r}")
-    q_diag = (math.exp(-2 * s) + 2 * math.exp(s)) / 3
-    q_off = (math.exp(-2 * s) - math.exp(s)) / 3
-    p_diag = (math.exp(2 * s) + 2 * math.exp(-s)) / 3
-    p_off = (math.exp(2 * s) - math.exp(-s)) / 3
+    try:
+        grow2, shrink2 = math.exp(2 * s), math.exp(-2 * s)
+    except OverflowError:
+        raise NumericError(f"squeeze matrices overflow double precision at strength {s:g}") from None
+    q_diag = (shrink2 + 2 * math.exp(s)) / 3
+    q_off = (shrink2 - math.exp(s)) / 3
+    p_diag = (grow2 + 2 * math.exp(-s)) / 3
+    p_off = (grow2 - math.exp(-s)) / 3
     q_map = np.full((3, 3), q_off)
     np.fill_diagonal(q_map, q_diag)
     p_map = np.full((3, 3), p_off)
@@ -78,8 +85,8 @@ def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
         q_off=q_off,
         p_diag=p_diag,
         p_off=p_off,
-        coll_sum=math.exp(-2 * s) + math.exp(2 * s),
-        coll_diff=math.exp(-2 * s) - math.exp(2 * s),
+        coll_sum=shrink2 + grow2,
+        coll_diff=shrink2 - grow2,
     )
 
 

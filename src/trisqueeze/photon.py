@@ -15,6 +15,7 @@ The two routes disagree by systematic factors (see the errata report); both
 values are always carried so the discrepancy stays visible.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,8 @@ class PkResult:
 
 def collective_mode(alpha, strength: float) -> CollectiveMode:
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
+    if not np.all(np.isfinite(alpha.view(float))):
+        raise InvalidParameterError("coherent amplitudes must be finite")
     return CollectiveMode(amplitude=complex(alpha.sum() / math.sqrt(3)), squeeze=2.0 * strength)
 
 
@@ -194,6 +197,26 @@ def _normal_product(left: dict, right: dict) -> dict:
     return out
 
 
+# distinct (k, squeeze) pairs kept; a fig1 scan needs two
+_POWER_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_POWER_CACHE_SIZE)
+def _normal_ordered_power(k: int, squeeze: float) -> tuple:
+    """Normal-ordered A^dag^k A^k of the squeezed mode as ((m, n), coef) terms.
+
+    Normal-orders (cosh(squeeze) A - sinh(squeeze) A^dag)^k symbolically; a
+    term stands for coef * A^dag^m A^n.  Returned as a tuple so the cached
+    value cannot be changed by a caller.
+    """
+    cosh2s, sinh2s = math.cosh(squeeze), math.sinh(squeeze)
+    poly = {(0, 0): 1.0 + 0j}
+    for _ in range(k):
+        poly = _shift_right(poly, cosh2s, sinh2s)
+    lowered = {(n, m): np.conj(c) for (m, n), c in poly.items()}
+    return tuple(_normal_product(lowered, poly).items())
+
+
 def mean_power_exact(k: int, alpha, strength: float) -> float:
     """<A^dag^k A^k> from the exact Heisenberg map of the collective mode.
 
@@ -204,14 +227,10 @@ def mean_power_exact(k: int, alpha, strength: float) -> float:
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     mode = collective_mode(alpha, strength)
-    cosh2s, sinh2s = math.cosh(mode.squeeze), math.sinh(mode.squeeze)
-    poly = {(0, 0): 1.0 + 0j}
-    for _ in range(k):
-        poly = _shift_right(poly, cosh2s, sinh2s)
-    lowered = {(n, m): np.conj(c) for (m, n), c in poly.items()}
-    full = _normal_product(lowered, poly)
     amp = mode.amplitude
-    value = sum(c * np.conj(amp) ** m * amp**n for (m, n), c in full.items())
+    value = sum(
+        c * np.conj(amp) ** m * amp**n for (m, n), c in _normal_ordered_power(k, mode.squeeze)
+    )
     return float(value.real)
 
 
@@ -267,11 +286,12 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
             raise DomainError(f"mean photon number {mean_photon!r} not positive")
         return power_fn(k, alpha, strength) / mean_photon**k - 1
 
-    exact_value = statistic(mean_power_exact)
-    paper_value = None
-    if strength != 0:
-        paper_value = statistic(mean_power_paper)
-    elif path == "paper":
+    try:
+        exact_value = statistic(mean_power_exact)
+        paper_value = None if strength == 0 else statistic(mean_power_paper)
+    except OverflowError:
+        raise NumericError(f"P_{k} overflows double precision at strength {strength:g}") from None
+    if paper_value is None and path == "paper":
         raise SingularParameterError("closed route undefined at zero strength")
     discrepancy = None if paper_value is None else abs(paper_value - exact_value)
     return PkResult(k=k, paper_value=paper_value, exact_value=exact_value,

@@ -86,6 +86,32 @@ def test_mode_exchange_symmetry():
     assert b3(swapped_state, swapped_setting) == pytest.approx(b3(state, setting), rel=1e-12)
 
 
+def test_b3_batch_equals_scalar_calls():
+    # one batched Wigner call per setting array gives bit for bit the
+    # values of one scalar call per setting
+    rng = np.random.default_rng(41)
+    state = make_state(0.6, FIG2_ALPHA)
+    beta = rng.normal(size=(5, 4, 3)) + 1j * rng.normal(size=(5, 4, 3))
+    beta_prime = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    batch = b3(state, BellSetting(beta=beta, beta_prime=beta_prime))
+    assert batch.shape == (5, 4)
+    for i, j in np.ndindex(5, 4):
+        single = b3(state, BellSetting(beta=tuple(beta[i, j]), beta_prime=tuple(beta_prime[j])))
+        assert isinstance(single, float)
+        assert batch[i, j] == single
+    bs = np.arange(0.01, 2.0001, 0.01)
+    grid = b3(state, fig2_setting(bs))
+    assert grid.shape == bs.shape
+    assert all(grid[i] == b3(state, fig2_setting(b)) for i, b in enumerate(bs))
+
+
+def test_fig2_setting_batch_validation():
+    with pytest.raises(InvalidParameterError, match="got -0.2"):
+        fig2_setting(np.array([0.1, -0.2, 0.3]))
+    with pytest.raises(InvalidParameterError):
+        b3(make_state(0.1, FIG2_ALPHA), BellSetting(beta=np.zeros((2, 2)), beta_prime=(0, 0, 0)))
+
+
 def test_fig2_scan_rows():
     rows = fig2_scan([0.0, 0.5], np.arange(0.01, 1.0001, 0.01))
     assert len(rows) == 2

@@ -1,12 +1,16 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from trisqueeze.cli import _parse_complex_triple, _parse_range, run
+from trisqueeze import make_state, wigner
+from trisqueeze.cli import _fmt, _parse_complex_triple, _parse_range, run
 from trisqueeze.errors import InvalidParameterError
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_range_parsing_inclusive_ends():
@@ -75,6 +79,31 @@ def test_wigner_slice(tmp_path):
     assert len(lines) == 1 + 5
 
 
+def test_wigner_slice_equals_point_values(tmp_path):
+    # the slice is one batched call; each row must print the value of a
+    # single-point call, rows ordered q1 outer and p1 inner
+    out = tmp_path / "w.csv"
+    assert run(["wigner", "--lambda", "0.3", "--alpha", "0.2+0.1j,0,-0.3",
+                "--q", "0.1,-0.2,0.3", "--p", "0,0.4,-0.1",
+                "--q1=-1:0.25:1", "--p1=-0.5:0.5:0.5", "--out", str(out)]) == 0
+    state = make_state(0.3, [0.2 + 0.1j, 0, -0.3])
+    expected = ["q1,p1,w"]
+    for qv in _parse_range("-1:0.25:1"):
+        for pv in _parse_range("-0.5:0.5:0.5"):
+            value = wigner(state, [qv, -0.2, 0.3], [pv, 0.4, -0.1])
+            expected.append(",".join(_fmt(float(v)) for v in (qv, pv, value)))
+    assert out.read_text().split("\n") == expected + [""]
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+def test_default_scan_matches_golden_file(command, tmp_path):
+    # tests/data holds the default-grid output captured before the scans
+    # were batched; any change in a printed digit must be deliberate
+    out = tmp_path / f"{command}.csv"
+    assert run([command, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{command}_default.csv").read_bytes()
+
+
 def test_bell_value(capsys):
     assert run(["bell", "--lambda", "0", "--alpha", "0,0,0",
                 "--beta", "0,0,0", "--beta-prime", "0,0,0"]) == 0
@@ -133,6 +162,16 @@ def test_numeric_failure_exit_code(capsys):
     (["moments", "--lambda", "1000"], 3),
     (["pk", "--lambda", "nan"], 2),
     (["moments", "--lambda", "inf"], 2),
+    (["pk", "--lambda", "0.3", "--alpha", "nan,0,0"], 2),
+    (["oracle-check", "--lambda", "0.2", "--alpha", "nan,0,0", "--cutoffs", "4,6"], 2),
+    (["wigner", "--lambda", "0.2", "--q", "nan,0,0"], 2),
+    (["bell", "--lambda", "0.2", "--beta", "nan,0,0"], 2),
+    (["wigner", "--lambda", "0.2", "--q1=nan:0.1:1"], 2),
+    (["fig2", "--lambda", "0:1:0", "--b", "0.1:0.1:inf"], 2),
+    (["wigner", "--lambda", "400"], 3),
+    (["bell", "--lambda", "400"], 3),
+    (["pk", "--lambda", "400"], 3),
+    (["fig2", "--lambda", "400:1:400", "--b", "0.1:0.1:0.2"], 3),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from trisqueeze import (
     InvalidParameterError,
     MomentQuery,
+    NumericError,
     central_moment,
     double_factorial,
     hos_x,
@@ -215,6 +216,31 @@ def test_wigner_input_validation():
     state = make_state(0.1, [0, 0, 0])
     with pytest.raises(InvalidParameterError):
         wigner(state, np.zeros(2), np.zeros(3))
+
+
+def test_wigner_rejects_non_finite_points_and_overflow():
+    state = make_state(0.1, [0, 0, 0])
+    q = np.zeros((4, 3))
+    q[2, 1] = np.nan
+    with pytest.raises(InvalidParameterError):
+        wigner(state, q, np.zeros(3))
+    with pytest.raises(NumericError):
+        make_state(400, [0, 0, 0])  # e^{2s} overflows
+    with np.errstate(over="ignore"):
+        large = make_state(200, [0, 0, 0])
+    with pytest.raises(NumericError):
+        wigner(large, np.zeros(3), np.zeros(3))  # squared map entries overflow
+
+
+def test_wigner_batch_equals_point_calls():
+    rng = np.random.default_rng(17)
+    state = make_state(0.7, [0.3 - 0.2j, 0.1j, -0.4])
+    q = rng.normal(size=(6, 5, 3))
+    p = rng.normal(size=(5, 3))
+    batch = wigner(state, q, p)
+    assert batch.shape == (6, 5)
+    for i, j in np.ndindex(6, 5):
+        assert batch[i, j] == wigner(state, q[i, j], p[j])
 
 
 # ---------------------------------------------------------------------------

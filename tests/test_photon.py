@@ -6,6 +6,7 @@ import pytest
 from trisqueeze import (
     DomainError,
     InvalidParameterError,
+    NumericError,
     SingularParameterError,
     collective_mode,
     fig1_scan,
@@ -233,6 +234,16 @@ def test_pk_validation():
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
+
+def test_pk_rejects_non_finite_amplitudes_and_overflow():
+    with pytest.raises(InvalidParameterError):
+        pk(2, [np.nan, 0, 0], 0.3)
+    with pytest.raises(NumericError):
+        pk(2, [1, 1, 1], 400)  # cosh(800) overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            pk(2, [1, 1, 1], 100)  # the k-th power of the mean overflows
+
 
 def test_fig1_scan_grid_shape():
     rows = fig1_scan(np.arange(-1, 1.0001, 0.05), np.arange(-1, 1.0001, 0.05))
