@@ -77,51 +77,50 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     return total if total.ndim else float(total)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximum of fn on [lo, hi]; ties resolve toward lo."""
-    ratio = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
-        if f1 >= f2:  # keep the left interval on ties
-            b, x2, f2 = x2, x1, f1
-            x1 = b - ratio * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + ratio * (b - a)
-            f2 = fn(x2)
-    best = (a + b) / 2
-    return best, fn(best)
-
-
 def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float, float]]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
     Grid-brackets the maximum over ``b_values`` (one batched B(3) call per
-    strength) then refines it by golden section inside the bracketing cell
-    (first/grid-lowest maximizer wins ties).  Returns rows (strength,
-    b_star, b3_max).
+    strength), then refines it by golden section inside the bracketing cell
+    down to a width of 1e-10 (first/grid-lowest maximizer wins ties; the
+    grid point wins when it beats the refined point).  All strengths refine
+    in lockstep: each step is one B(3) call on a state batched over the
+    strengths, and a row whose bracket is narrow enough keeps its values
+    while the others step on, so every row equals a scan of its strength
+    alone.  Returns rows (strength, b_star, b3_max).
     """
     b_values = np.asarray(b_values, dtype=float)
     strengths = np.asarray(strengths, dtype=float)
     if b_values.size == 0 or strengths.size == 0:
         raise InvalidParameterError("empty scan grid")
-    rows = []
-    for s in strengths:
-        state = make_state(float(s), alpha)
-        fn = lambda b: b3(state, fig2_setting(b))
-        values = fn(b_values)
-        top = int(np.argmax(values))
-        lo = b_values[max(0, top - 1)]
-        hi = b_values[min(b_values.size - 1, top + 1)]
-        b_star, best = _golden_max(fn, float(lo), float(hi))
-        if values[top] > best:  # grid point beat the refined interior point
-            b_star, best = float(b_values[top]), float(values[top])
-        rows.append((float(s), b_star, best))
-    return rows
+    grid = fig2_setting(b_values)
+    values = np.array([b3(make_state(float(s), alpha), grid) for s in strengths])
+    top = np.argmax(values, axis=1)
+    grid_best = values[np.arange(strengths.size), top]
+    a = b_values[np.maximum(top - 1, 0)]
+    b = b_values[np.minimum(top + 1, b_values.size - 1)]
+
+    state = make_state(strengths, alpha)
+    fn = lambda x: b3(state, fig2_setting(x))
+    ratio = (math.sqrt(5) - 1) / 2
+    x1 = b - ratio * (b - a)
+    x2 = a + ratio * (b - a)
+    f1, f2 = fn(np.stack([x1, x2], axis=-1)).T
+    while (active := b - a > 1e-10).any():
+        left = f1 >= f2  # keep the left interval on ties
+        a_new, b_new = np.where(left, a, x1), np.where(left, x2, b)
+        probe = np.where(left, b_new - ratio * (b_new - a_new), a_new + ratio * (b_new - a_new))
+        f_probe = fn(probe)
+        step = (a_new, b_new, np.where(left, probe, x2), np.where(left, x1, probe),
+                np.where(left, f_probe, f2), np.where(left, f1, f_probe))
+        a, b, x1, x2, f1, f2 = (np.where(active, new, old)
+                                for new, old in zip(step, (a, b, x1, x2, f1, f2)))
+    b_star = (a + b) / 2
+    best = fn(b_star)
+    use_grid = grid_best > best  # grid point beat the refined interior point
+    b_star = np.where(use_grid, b_values[top], b_star)
+    best = np.where(use_grid, grid_best, best)
+    return [(float(s), float(x), float(v)) for s, x, v in zip(strengths, b_star, best)]
 
 
 def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -> tuple[float, float]:

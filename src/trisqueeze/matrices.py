@@ -21,6 +21,7 @@ __all__ = [
     "build_squeeze_matrices",
     "expm_series",
     "hermite",
+    "hermite_table",
     "double_factorial",
 ]
 
@@ -35,23 +36,26 @@ class SqueezeMatrices:
     """Matrix data of the three-mode squeeze at a given strength.
 
     q_map = exp(-strength*coupling) maps the position quadratures, p_map =
-    exp(+strength*coupling) the momenta; they are mutual inverses.  overlap
-    = (I + q_map^T q_map)/2 is the normalization matrix of the normal-ordered
-    form of the unitary.  coll_sum/coll_diff = e^{-2s} +/- e^{2s} are the
-    Bogoliubov factors of the symmetric collective mode.
+    exp(+strength*coupling) the momenta; they are mutual inverses.
+    coll_sum/coll_diff = e^{-2s} +/- e^{2s} are the Bogoliubov factors of the
+    symmetric collective mode.
     """
 
     strength: float
-    coupling: np.ndarray
     q_map: np.ndarray
     p_map: np.ndarray
-    overlap: np.ndarray
     q_diag: float
     q_off: float
     p_diag: float
     p_off: float
     coll_sum: float
     coll_diff: float
+
+    @property
+    def overlap(self) -> np.ndarray:
+        """(I + q_map^T q_map)/2, the normalization matrix of the
+        normal-ordered form of the unitary (formed on each access)."""
+        return (np.eye(3) + np.swapaxes(self.q_map, -1, -2) @ self.q_map) / 2
 
 
 def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
@@ -74,13 +78,10 @@ def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
     np.fill_diagonal(q_map, q_diag)
     p_map = np.full((3, 3), p_off)
     np.fill_diagonal(p_map, p_diag)
-    overlap = (np.eye(3) + q_map.T @ q_map) / 2
     return SqueezeMatrices(
         strength=s,
-        coupling=coupling_matrix(),
         q_map=q_map,
         p_map=p_map,
-        overlap=overlap,
         q_diag=q_diag,
         q_off=q_off,
         p_diag=p_diag,
@@ -118,20 +119,25 @@ def expm_series(mat: np.ndarray, tol: float = 1e-16, max_terms: int = 120) -> np
     return out
 
 
-def hermite(m: int, x):
-    """Physicists' Hermite polynomial H_m(x) by the three-term recurrence.
+def hermite_table(m: int, x) -> list:
+    """[H_0(x), ..., H_m(x)], physicists' Hermite polynomials by the
+    three-term recurrence.
 
-    Accepts real, complex or array arguments.
+    Accepts real, complex or array arguments (each entry is an array of
+    their shape).
     """
     if m < 0:
         raise InvalidParameterError("hermite order must be non-negative")
     x = np.asarray(x)
-    h_prev = np.ones_like(x)
-    if m == 0:
-        return h_prev[()] if h_prev.ndim == 0 else h_prev
-    h = 2 * x
+    table = [np.ones_like(x), 2 * x]
     for k in range(1, m):
-        h_prev, h = h, 2 * x * h - 2 * k * h_prev
+        table.append(2 * x * table[k] - 2 * k * table[k - 1])
+    return table[: m + 1]
+
+
+def hermite(m: int, x):
+    """Physicists' Hermite polynomial H_m(x): the last entry of :func:`hermite_table`."""
+    h = hermite_table(m, x)[m]
     return h[()] if np.ndim(h) == 0 else h
 
 

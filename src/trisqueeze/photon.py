@@ -15,6 +15,7 @@ The two routes disagree by systematic factors (see the errata report); both
 values are always carried so the discrepancy stays visible.
 """
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .errors import (
     NumericError,
     SingularParameterError,
 )
-from .matrices import hermite
+from .matrices import hermite, hermite_table
 
 __all__ = [
     "CollectiveMode",
@@ -69,25 +70,51 @@ class PkResult:
 
     P_k < 0 flags a narrower-than-Poisson photon-number distribution at
     order k.  ``paper_value`` is None when the closed route is singular
-    (zero strength).
+    (zero strength, or one so small that e^{-2s} - e^{2s} rounds to zero).
+    For an array of amplitude triples the values are arrays of its leading
+    shape.
     """
 
     k: int
-    paper_value: float | None
-    exact_value: float
-    discrepancy: float | None
+    paper_value: float | np.ndarray | None
+    exact_value: float | np.ndarray
+    discrepancy: float | np.ndarray | None
     path: str
 
     @property
-    def value(self) -> float:
+    def value(self) -> float | np.ndarray:
         return self.exact_value if self.path == "exact" else self.paper_value
 
 
-def collective_mode(alpha, strength: float) -> CollectiveMode:
-    alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    if not np.all(np.isfinite(alpha.view(float))):
+def _triples(alpha) -> tuple[np.ndarray, bool]:
+    """``alpha`` (shape (..., 3)) with at least one leading axis, and whether
+    it was a single triple.
+
+    A single triple runs through the same array arithmetic as a grid of them,
+    so its values equal that grid point's bit for bit; results for it are
+    handed back as plain numbers by :func:`_plain`.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape[-1:] != (3,):
+        raise InvalidParameterError(f"coherent amplitudes must have shape (..., 3), got {alpha.shape}")
+    if not np.isfinite(alpha).all():
         raise InvalidParameterError("coherent amplitudes must be finite")
-    return CollectiveMode(amplitude=complex(alpha.sum() / math.sqrt(3)), squeeze=2.0 * strength)
+    single = alpha.ndim == 1
+    return (alpha[None] if single else alpha), single
+
+
+def _plain(values: np.ndarray, single: bool):
+    return values[0].item() if single else values
+
+
+def _amplitude_sum(triples: np.ndarray) -> np.ndarray:
+    return triples[..., 0] + triples[..., 1] + triples[..., 2]
+
+
+def collective_mode(alpha, strength: float) -> CollectiveMode:
+    triples, single = _triples(alpha)
+    return CollectiveMode(amplitude=_plain(_amplitude_sum(triples) / math.sqrt(3), single),
+                          squeeze=2.0 * strength)
 
 
 def _coll_factors(strength: float) -> tuple[float, float]:
@@ -96,55 +123,76 @@ def _coll_factors(strength: float) -> tuple[float, float]:
     )
 
 
+def _gm(total: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
+    coll_sum, coll_diff = _coll_factors(strength)
+    if coll_diff == 0:
+        raise SingularParameterError(
+            f"closed route undefined at strength {strength:g}; use the exact route"
+        )
+    root_sd = cmath.sqrt(2 * coll_sum / (3 * coll_diff))
+    root_ds = (2.0 / 3.0) / root_sd
+    conj = np.conj(total)
+    g = 1j * (root_sd * conj - root_ds * total)
+    m = 1j * (root_sd * total - root_ds * conj)
+    return g, m
+
+
 def gm_pair(alpha, strength: float) -> GMPair:
     """Amplitude pair (G, M) of the closed route.
 
-    Singular at zero strength (the square roots divide by coll_diff).  The
-    two roots are branch-locked so that their product is 2/3: that choice
-    reproduces the published expansions of G*M, G^2 and M^2 as real
+    Singular where coll_diff = e^{-2s} - e^{2s} rounds to zero (zero
+    strength, and |s| below about 1e-17): the square roots divide by it.
+    The two roots are branch-locked so that their product is 2/3: that
+    choice reproduces the published expansions of G*M, G^2 and M^2 as real
     tanh/coth formulas, which a plain principal-branch pair does not.
+    Broadcasts over the leading axes of ``alpha``.
     """
-    if strength == 0:
-        raise SingularParameterError("closed route undefined at zero strength; use the exact route")
-    alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    total = complex(alpha.sum())
-    coll_sum, coll_diff = _coll_factors(strength)
-    root_sd = complex(np.lib.scimath.sqrt(2 * coll_sum / (3 * coll_diff)))
-    root_ds = (2.0 / 3.0) / root_sd
-    g = 1j * (root_sd * np.conj(total) - root_ds * total)
-    m = 1j * (root_sd * total - root_ds * np.conj(total))
-    return GMPair(g=g, m=m)
+    triples, single = _triples(alpha)
+    g, m = _gm(_amplitude_sum(triples), strength)
+    return GMPair(g=_plain(g, single), m=_plain(m, single))
 
 
-def _paper_raw(k: int, alpha, strength: float) -> complex:
+def _paper_table(k: int, total: np.ndarray, strength: float) -> list:
+    # Hermite orders 0..k of both arguments G/2 and M/2 at amplitude sums
+    # ``total``, from one recurrence
+    return hermite_table(k, np.array(_gm(total, strength)) / 2)
+
+
+def _paper_power(k: int, table: list, strength: float) -> np.ndarray:
+    # the published k-sum, from a _paper_table of order k or higher
     coll_sum, coll_diff = _coll_factors(strength)
-    pair = gm_pair(alpha, strength)
-    total = 0j
+    value = 0j
     for n in range(k + 1):
         coef = (
             (-2 * coll_diff) ** n
             * math.factorial(k) ** 2
             / (2 ** (4 * n) * coll_sum**n * math.factorial(k - n) ** 2 * math.factorial(n))
         )
-        total += coef * hermite(k - n, pair.g / 2) * hermite(k - n, pair.m / 2)
-    return (-coll_sum * coll_diff / 2) ** k * total
+        h_g, h_m = table[k - n]
+        value += coef * h_g * h_m
+    value = (-coll_sum * coll_diff / 2) ** k * value
+    residue = np.abs(value.imag)
+    if (residue > 1e-9 * np.maximum(1.0, np.abs(value.real))).any():
+        worst = residue.max()
+        raise FormulaInconsistencyError(
+            f"closed formula returned imaginary residue {worst:.3e}", worst
+        )
+    return value.real
 
 
-def mean_power_paper(k: int, alpha, strength: float) -> float:
+def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
     """<A^dag^k A^k> from the published closed formula, taken verbatim.
 
     The result must be real; an imaginary residue above 1e-9 (relative to
-    the magnitude) raises FormulaInconsistencyError carrying the residue.
+    the magnitude) at any amplitude raises FormulaInconsistencyError
+    carrying the largest residue.  Broadcasts over the leading axes of
+    ``alpha``.
     """
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
-    value = _paper_raw(k, alpha, strength)
-    residue = abs(value.imag)
-    if residue > 1e-9 * max(1.0, abs(value.real)):
-        raise FormulaInconsistencyError(
-            f"closed formula returned imaginary residue {residue:.3e}", residue
-        )
-    return float(value.real)
+    triples, single = _triples(alpha)
+    table = _paper_table(k, _amplitude_sum(triples), strength)
+    return _plain(_paper_power(k, table, strength), single)
 
 
 def _paper_k1(alpha, strength: float) -> float:
@@ -203,35 +251,44 @@ _POWER_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=_POWER_CACHE_SIZE)
 def _normal_ordered_power(k: int, squeeze: float) -> tuple:
-    """Normal-ordered A^dag^k A^k of the squeezed mode as ((m, n), coef) terms.
+    """Normal-ordered A^dag^k A^k of the squeezed mode as term arrays (m, n, coef).
 
-    Normal-orders (cosh(squeeze) A - sinh(squeeze) A^dag)^k symbolically; a
-    term stands for coef * A^dag^m A^n.  Returned as a tuple so the cached
-    value cannot be changed by a caller.
+    Normal-orders (cosh(squeeze) A - sinh(squeeze) A^dag)^k symbolically;
+    term t stands for coef[t] * A^dag^m[t] A^n[t].  The arrays are read-only
+    so the cached value cannot be changed by a caller.
     """
     cosh2s, sinh2s = math.cosh(squeeze), math.sinh(squeeze)
     poly = {(0, 0): 1.0 + 0j}
     for _ in range(k):
         poly = _shift_right(poly, cosh2s, sinh2s)
     lowered = {(n, m): np.conj(c) for (m, n), c in poly.items()}
-    return tuple(_normal_product(lowered, poly).items())
+    terms = _normal_product(lowered, poly)
+    m, n = np.array(list(terms)).T
+    coef = np.array(list(terms.values()), dtype=complex)
+    for array in (m, n, coef):
+        array.flags.writeable = False
+    return m, n, coef
 
 
-def mean_power_exact(k: int, alpha, strength: float) -> float:
+def _exact_power(k: int, amp: np.ndarray, strength: float) -> np.ndarray:
+    # the coherent expectation at collective amplitudes ``amp``
+    amp = amp[..., None]
+    m, n, coef = _normal_ordered_power(k, 2.0 * strength)
+    # a running sum adds the terms in order, for one amplitude as for a grid
+    return np.cumsum(coef * np.conj(amp) ** m * amp**n, axis=-1)[..., -1].real
+
+
+def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
     """<A^dag^k A^k> from the exact Heisenberg map of the collective mode.
 
     Normal-orders (cosh(2s) A - sinh(2s) A^dag)^k symbolically and evaluates
     the coherent expectation at the collective amplitude; exact at every
-    strength including zero.
+    strength including zero.  Broadcasts over the leading axes of ``alpha``.
     """
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
-    mode = collective_mode(alpha, strength)
-    amp = mode.amplitude
-    value = sum(
-        c * np.conj(amp) ** m * amp**n for (m, n), c in _normal_ordered_power(k, mode.squeeze)
-    )
-    return float(value.real)
+    triples, single = _triples(alpha)
+    return _plain(_exact_power(k, _amplitude_sum(triples) / math.sqrt(3), strength), single)
 
 
 def mean_power_exact_fock(
@@ -269,51 +326,60 @@ def mean_power_exact_fock(
 def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     """Sub-/super-Poissonian statistic P_k = <A^dag^k A^k>/<A^dag A>^k - 1.
 
-    Both routes are evaluated and stored (the closed route only when the
-    strength is nonzero); ``path`` selects which one ``value`` reports.  A
-    vanishing mean photon number on the chosen path raises DomainError.
+    Both routes are evaluated and stored (the closed route only where it is
+    not singular); ``path`` selects which one ``value`` reports.  Broadcasts
+    over the leading axes of ``alpha``, every check applying to each
+    amplitude: a vanishing mean photon number raises DomainError, and a
+    value that overflows or is not finite raises NumericError.
     """
     if not math.isfinite(strength):
         raise InvalidParameterError("strength must be finite")
-    if k < 2:
-        raise InvalidParameterError(f"P_k needs k >= 2, got {k}")
+    if not 2 <= k <= MAX_POWER:
+        raise InvalidParameterError(f"P_k needs 2 <= k <= {MAX_POWER}, got {k}")
     if path not in ("paper", "exact"):
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
+    triples, single = _triples(alpha)
+    total = _amplitude_sum(triples)
 
-    def statistic(power_fn):
-        mean_photon = power_fn(1, alpha, strength)
-        if mean_photon <= 0:
-            raise DomainError(f"mean photon number {mean_photon!r} not positive")
-        return power_fn(k, alpha, strength) / mean_photon**k - 1
+    def statistic(power_fn, data):
+        mean_photon = power_fn(1, data, strength)
+        if (mean_photon <= 0).any():
+            bad = float(mean_photon[mean_photon <= 0][0])
+            raise DomainError(f"mean photon number {bad!r} not positive")
+        value = power_fn(k, data, strength) / mean_photon**k - 1
+        if not np.isfinite(value).all():
+            raise NumericError(f"P_{k} is not finite in double precision at strength {strength:g}")
+        return value
 
     try:
-        exact_value = statistic(mean_power_exact)
-        paper_value = None if strength == 0 else statistic(mean_power_paper)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+            exact_value = statistic(_exact_power, total / math.sqrt(3))
+            try:
+                paper_value = statistic(_paper_power, _paper_table(k, total, strength))
+            except SingularParameterError:
+                if path == "paper":
+                    raise
+                paper_value = None
     except OverflowError:
         raise NumericError(f"P_{k} overflows double precision at strength {strength:g}") from None
-    if paper_value is None and path == "paper":
-        raise SingularParameterError("closed route undefined at zero strength")
-    discrepancy = None if paper_value is None else abs(paper_value - exact_value)
-    return PkResult(k=k, paper_value=paper_value, exact_value=exact_value,
-                    discrepancy=discrepancy, path=path)
+    discrepancy = None if paper_value is None else _plain(np.abs(paper_value - exact_value), single)
+    return PkResult(k=k, paper_value=None if paper_value is None else _plain(paper_value, single),
+                    exact_value=_plain(exact_value, single), discrepancy=discrepancy, path=path)
 
 
 def fig1_scan(re_values, im_values) -> list[tuple[float, float, float, float]]:
     """P_2 of the published scan: alpha = (1, 1, x + iy) at unit strength.
 
     Returns one row (re_alpha3, im_alpha3, p2_paper, p2_exact) per grid
-    point, both routes always evaluated; any non-finite value aborts.
+    point, x outer and y inner, from one :func:`pk` call over the grid; any
+    non-finite value aborts.
     """
     re_values = np.asarray(re_values, dtype=float)
     im_values = np.asarray(im_values, dtype=float)
     if re_values.size == 0 or im_values.size == 0:
         raise InvalidParameterError("empty scan grid")
-    rows = []
-    for x in re_values:
-        for y in im_values:
-            alpha = np.array([1.0, 1.0, x + 1j * y])
-            result = pk(2, alpha, 1.0, path="paper")
-            if not (math.isfinite(result.paper_value) and math.isfinite(result.exact_value)):
-                raise NumericError(f"non-finite P_2 at alpha3 = {x}+{y}j")
-            rows.append((float(x), float(y), result.paper_value, result.exact_value))
-    return rows
+    x, y = np.meshgrid(re_values, im_values, indexing="ij")
+    ones = np.ones_like(x)
+    result = pk(2, np.stack([ones, ones, x + 1j * y], axis=-1), 1.0, path="paper")
+    return list(zip(x.ravel().tolist(), y.ravel().tolist(),
+                    result.paper_value.ravel().tolist(), result.exact_value.ravel().tolist()))

@@ -132,6 +132,32 @@ def test_fig2_scan_refinement_beats_grid():
     assert best >= grid_best - 1e-12
 
 
+def test_b3_on_strength_batch_equals_single_states():
+    # the strength axis of a batched state lines up with the first leading
+    # axis of the settings; every value equals the single-strength state's
+    strengths = np.array([0.0, 0.35, 1.2, -0.4])
+    batch = make_state(strengths, FIG2_ALPHA)
+    bs = np.array([[0.1, 0.7], [0.2, 0.3], [0.05, 1.9], [0.6, 0.6]])
+    values = b3(batch, fig2_setting(bs))
+    assert values.shape == (4, 2)
+    for i, s in enumerate(strengths):
+        single = make_state(float(s), FIG2_ALPHA)
+        assert values[i].tolist() == [b3(single, fig2_setting(b)) for b in bs[i]]
+
+
+def test_fig2_scan_lockstep_rows_equal_single_strength_scans():
+    # on this b grid the maximum sits on the first grid point (strengths 0
+    # and 2), on the last (0.9, 1.0) and inside (1.2); the grid point beats
+    # the refined point at 0, 0.9 and 2; the last-cell brackets (0.9, 1.0)
+    # are narrower and converge two golden-section steps before the others
+    bs = np.array([0.1, 0.2, 0.25, 0.3])
+    strengths = [0.0, 0.9, 1.0, 1.2, 2.0]
+    rows = fig2_scan(strengths, bs)
+    assert rows == [fig2_scan([s], bs)[0] for s in strengths]
+    assert [row[1] in bs for row in rows] == [True, True, False, False, True]
+    assert rows[1][1:] == (0.3, b3(make_state(0.9, FIG2_ALPHA), fig2_setting(0.3)))
+
+
 def test_fig2_scan_validation():
     with pytest.raises(InvalidParameterError):
         fig2_scan([], [0.1])

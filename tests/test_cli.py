@@ -172,6 +172,17 @@ def test_numeric_failure_exit_code(capsys):
     (["bell", "--lambda", "400"], 3),
     (["pk", "--lambda", "400"], 3),
     (["fig2", "--lambda", "400:1:400", "--b", "0.1:0.1:0.2"], 3),
+    # the covariance inverse fails in double precision above s = 6.09
+    (["wigner", "--lambda", "8"], 3),
+    (["bell", "--lambda", "12"], 3),
+    (["fig2", "--lambda", "6:1:8"], 3),
+    # overflow without a numpy warning on stderr (warnings fail the suite)
+    (["wigner", "--lambda", "200"], 3),
+    (["wigner", "--lambda=-200"], 3),
+    (["pk", "--lambda", "100"], 3),
+    (["pk", "--lambda", "0.3", "--alpha", "1e200,0,0"], 3),
+    # the closed route is singular where e^{-2s} - e^{2s} rounds to 0
+    (["pk", "--lambda", "1e-300", "--path", "paper"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code

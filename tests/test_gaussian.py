@@ -243,6 +243,33 @@ def test_wigner_batch_equals_point_calls():
         assert batch[i, j] == wigner(state, q[i, j], p[j])
 
 
+def test_wigner_on_strength_batch_equals_single_states():
+    rng = np.random.default_rng(23)
+    strengths = np.array([-0.6, 0.0, 0.45, 1.3])
+    alpha = [0.3 - 0.2j, 0.1j, -0.4]
+    batch = make_state(strengths, alpha)
+    assert batch.mean.shape == (4, 6) and batch.cov.shape == (4, 6, 6)
+    q = rng.normal(size=(4, 5, 3))
+    p = rng.normal(size=(5, 3))
+    values = wigner(batch, q, p)
+    assert values.shape == (4, 5)
+    for i, s in enumerate(strengths):
+        single = make_state(float(s), alpha)
+        assert values[i].tolist() == [wigner(single, q[i, j], p[j]) for j in range(5)]
+    with pytest.raises(InvalidParameterError):
+        wigner(batch, np.zeros(3), np.zeros(3))  # no leading axis for the strengths
+
+
+def test_batched_state_refused_where_one_strength_is_needed():
+    batch = make_state(np.array([0.1, 0.2]), [0.1, 0, 0])
+    with pytest.raises(InvalidParameterError):
+        central_moment(batch, x3_query(2))
+    with pytest.raises(InvalidParameterError):
+        wigner_normalization(batch)
+    with pytest.raises(InvalidParameterError):
+        make_state(np.array([]), [0, 0, 0])
+
+
 # ---------------------------------------------------------------------------
 # normal-ordered form coefficients
 # ---------------------------------------------------------------------------

@@ -245,6 +245,39 @@ def test_pk_rejects_non_finite_amplitudes_and_overflow():
             pk(2, [1, 1, 1], 100)  # the k-th power of the mean overflows
 
 
+def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
+    # e^{-2s} - e^{2s} is exactly 0 in double precision at s = 1e-300
+    result = pk(2, [1, 1, 1], 1e-300)
+    assert result.paper_value is None and result.discrepancy is None
+    assert result.exact_value == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(SingularParameterError):
+        pk(2, [1, 1, 1], 1e-300, path="paper")
+    with pytest.raises(SingularParameterError):
+        gm_pair([1, 0, 0], -1e-300)
+
+
+def test_pk_checks_every_amplitude_of_a_batch():
+    with pytest.raises(DomainError):
+        pk(2, [[1, 0, 0], [0, 0, 0]], 0.0)  # vacuum: no photons at zero strength
+    with pytest.raises(NumericError):
+        pk(2, [[1, 1, 1], [1e200, 0, 0]], 0.3)
+    with pytest.raises(InvalidParameterError):
+        pk(2, [[1, 1, 1], [np.inf, 0, 0]], 0.3)
+
+
+def test_fig1_scan_equals_point_calls():
+    re_values = np.array([-0.9, -0.3, 0.0, 0.45, 1.2])
+    im_values = np.array([-0.7, 0.0, 0.25, 0.8])
+    rows = fig1_scan(re_values, im_values)
+    expected = []
+    for x in re_values:
+        for y in im_values:
+            single = pk(2, [1, 1, x + 1j * y], 1.0, path="paper")
+            assert isinstance(single.paper_value, float)
+            expected.append((float(x), float(y), single.paper_value, single.exact_value))
+    assert rows == expected
+
+
 def test_fig1_scan_grid_shape():
     rows = fig1_scan(np.arange(-1, 1.0001, 0.05), np.arange(-1, 1.0001, 0.05))
     assert len(rows) == 41 * 41
