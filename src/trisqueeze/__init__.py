@@ -46,6 +46,7 @@ from .gaussian import (
 from .matrices import (
     SqueezeMatrices,
     build_squeeze_matrices,
+    collective_factors,
     coupling_matrix,
     double_factorial,
     expm_series,
@@ -89,6 +90,7 @@ __all__ = [
     "build_squeeze_matrices",
     "central_moment",
     "coherent_ket",
+    "collective_factors",
     "collective_mode",
     "convergence_report",
     "coupling_matrix",

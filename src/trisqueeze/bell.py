@@ -80,27 +80,28 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
 def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float, float]]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
-    Grid-brackets the maximum over ``b_values`` (one batched B(3) call per
-    strength), then refines it by golden section inside the bracketing cell
+    Builds one state batched over the strengths.  Grid-brackets the maximum
+    over ``b_values`` (one batched B(3) call per strength, on its slice of
+    the state), then refines it by golden section inside the bracketing cell
     down to a width of 1e-10 (first/grid-lowest maximizer wins ties; the
     grid point wins when it beats the refined point).  All strengths refine
-    in lockstep: each step is one B(3) call on a state batched over the
-    strengths, and a row whose bracket is narrow enough keeps its values
-    while the others step on, so every row equals a scan of its strength
-    alone.  Returns rows (strength, b_star, b3_max).
+    in lockstep: each step is one B(3) call on the whole batch, and a row
+    whose bracket is narrow enough keeps its values while the others step
+    on, so every row equals a scan of its strength alone.  Returns rows
+    (strength, b_star, b3_max).
     """
     b_values = np.asarray(b_values, dtype=float)
     strengths = np.asarray(strengths, dtype=float)
     if b_values.size == 0 or strengths.size == 0:
         raise InvalidParameterError("empty scan grid")
     grid = fig2_setting(b_values)
-    values = np.array([b3(make_state(float(s), alpha), grid) for s in strengths])
+    state = make_state(strengths, alpha)
+    values = np.array([b3(state[i], grid) for i in range(strengths.size)])
     top = np.argmax(values, axis=1)
     grid_best = values[np.arange(strengths.size), top]
     a = b_values[np.maximum(top - 1, 0)]
     b = b_values[np.minimum(top + 1, b_values.size - 1)]
 
-    state = make_state(strengths, alpha)
     fn = lambda x: b3(state, fig2_setting(x))
     ratio = (math.sqrt(5) - 1) / 2
     x1 = b - ratio * (b - a)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock import KetVector, build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import make_state, wigner
-from .matrices import build_squeeze_matrices
+from .matrices import collective_factors
 from .photon import gm_pair, mean_power_exact
 
 __all__ = ["build_errata"]
@@ -25,7 +25,6 @@ _PROBE_CUTOFF = 10
 def _wigner_entry() -> dict:
     strength = _PROBE_STRENGTH
     state = make_state(strength, _PROBE_ALPHA)
-    mats = build_squeeze_matrices(strength)
     betas = np.array([0.25 + 0.1j, -0.15, 0.1 - 0.2j])
     q = math.sqrt(2) * betas.real
     p = math.sqrt(2) * betas.imag
@@ -35,7 +34,7 @@ def _wigner_entry() -> dict:
     implemented = float(math.pi**3 * wigner(state, q, p))
     # literal matrix attachment: contracting exponential on q, expanding on p
     swapped = math.exp(
-        -np.sum((mats.q_map @ q - sig) ** 2) - np.sum((mats.p_map @ p - chi) ** 2)
+        -np.sum((state.mats.q_map @ q - sig) ** 2) - np.sum((state.mats.p_map @ p - chi) ** 2)
     )
 
     arena = build_arena(_PROBE_CUTOFF)
@@ -75,8 +74,7 @@ def _gm_entry() -> dict:
         total
     ) ** 2
     # plain principal branches of both square roots, product = -2/3
-    coll_sum = math.exp(-2 * strength) + math.exp(2 * strength)
-    coll_diff = math.exp(-2 * strength) - math.exp(2 * strength)
+    coll_sum, coll_diff = collective_factors(strength)
     root_sd = complex(np.lib.scimath.sqrt(2 * coll_sum / (3 * coll_diff)))
     root_ds = complex(np.lib.scimath.sqrt(2 * coll_diff / (3 * coll_sum)))
     g_pp = 1j * (root_sd * np.conj(total) - root_ds * total)
@@ -117,8 +115,7 @@ def _collective_transform_entry() -> dict:
     oracle = complex(np.vdot(ket.amplitudes, moved.amplitudes))
 
     amp = sum(alpha) / math.sqrt(3)
-    coll_sum = math.exp(-2 * strength) + math.exp(2 * strength)
-    coll_diff = math.exp(-2 * strength) - math.exp(2 * strength)
+    coll_sum, coll_diff = collective_factors(strength)
     implemented = (coll_sum * amp + coll_diff * np.conj(amp)) / 2
     literal = (coll_diff * amp + coll_sum * np.conj(amp)) / math.sqrt(2)
 

@@ -64,6 +64,13 @@ class GaussianState:
     closed: np.ndarray = field(repr=False)
     mats: SqueezeMatrices = field(repr=False)
 
+    def __getitem__(self, index) -> "GaussianState":
+        """Index ``index`` of the strength axes of a batched state."""
+        m = self.mats
+        mats = SqueezeMatrices(m.strength[index], m.q_map[index], m.p_map[index])
+        return GaussianState(strength=mats.strength, alpha=self.alpha, mean=self.mean[index],
+                             cov=self.cov[index], closed=self.closed[index], mats=mats)
+
 
 @dataclass(frozen=True)
 class MomentQuery:
@@ -212,14 +219,14 @@ def two_mode_baseline_variance(strength: float) -> tuple[float, float]:
 def _closed_coefficients(mats: SqueezeMatrices) -> np.ndarray:
     """Coefficients of the closed Wigner exponent at one strength.
 
-    (ud, uo, ud^2 + 2 uo^2, 2 ud uo + uo^2) from the circulant entries of
+    (ud, uo, ud^2 + 2 uo^2, 2 ud uo + uo^2) from entries [0, 0], [0, 1] of
     p_map, then the same four from q_map; the last two of each are the
     diagonal and off-diagonal entries of the squared map.  Python float
-    arithmetic keeps a strength batch (stacked from these) bit-equal to
-    single states.  All inf when a square overflows double precision.
+    arithmetic (not numpy's, which rounds some squares differently) keeps a
+    batch bit-equal to single states.  All inf when a square overflows.
     """
-    ud, uo = mats.p_diag, mats.p_off   # act on q, paired with sig
-    vd, vo = mats.q_diag, mats.q_off   # act on p, paired with chi
+    ud, uo = mats.p_map[0, :2].tolist()   # act on q, paired with sig
+    vd, vo = mats.q_map[0, :2].tolist()   # act on p, paired with chi
     try:
         return np.array([ud, uo, ud**2 + 2 * uo**2, 2 * ud * uo + uo**2,
                          vd, vo, vd**2 + 2 * vo**2, 2 * vd * vo + vo**2])
@@ -255,12 +262,11 @@ def _closed_exponent(coeffs, alpha: np.ndarray, q: np.ndarray, p: np.ndarray) ->
     return expo
 
 
-def _covariance_exponent(r: np.ndarray, inv: np.ndarray, det) -> np.ndarray:
+def _covariance_exponent(r: np.ndarray, inv: np.ndarray) -> np.ndarray:
     # log(pi^3 W) from the generic Gaussian form at offsets r from the mean,
-    # with inv = cov^{-1} and det = det(cov); det(cov) = (1/2)^6 makes the
-    # normalization exactly pi^{-3}
-    quad = np.einsum("...i,...ij,...j", r, inv, r)
-    return -0.5 * quad + np.log(math.pi**3 * (2 * math.pi) ** -3 * det**-0.5)
+    # with inv = cov^{-1}; the state is pure, so det(cov) = (1/2)^6 and the
+    # normalization (2 pi)^{-3} det(cov)^{-1/2} is exactly pi^{-3}
+    return -0.5 * np.einsum("...i,...ij,...j", r, inv, r)
 
 
 def _wigner_closed(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -270,7 +276,7 @@ def _wigner_closed(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.nda
 def _wigner_covariance(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     r = np.concatenate([q, p], axis=-1) - state.mean
     inv = np.linalg.inv(state.cov)
-    return np.exp(_covariance_exponent(r, inv, np.linalg.det(state.cov))) / math.pi**3
+    return np.exp(_covariance_exponent(r, inv)) / math.pi**3
 
 
 def wigner(state: GaussianState, q, p) -> float | np.ndarray:
@@ -324,7 +330,7 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     # plain floats for one strength: the same bits as arrays, at less cost
     coeffs = np.moveaxis(line_up(state.closed), -1, 0) if batch else state.closed.tolist()
     closed = _closed_exponent(coeffs, state.alpha, q, p)
-    generic = _covariance_exponent(r, inv, line_up(np.linalg.det(state.cov)))
+    generic = _covariance_exponent(r, inv)
     accumulated = 0.5 * np.einsum("...i,...ij,...j", np.abs(r), np.abs(inv), np.abs(r))
     eps = np.finfo(float).eps
     allowed = (

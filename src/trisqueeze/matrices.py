@@ -5,7 +5,8 @@ The coupling matrix has zeros on the diagonal and ones elsewhere; its
 exponentials e^{-s*coupling} and e^{+s*coupling} are the Heisenberg maps of
 the position and momentum quadratures under the three-mode squeeze unitary.
 Both are circulant-symmetric, so each is determined by one diagonal and one
-off-diagonal entry.
+off-diagonal entry.  Every closed form of the package is a function of
+e^{+-s} and e^{+-2s}, evaluated here under one overflow guard.
 """
 
 import math
@@ -19,6 +20,7 @@ __all__ = [
     "coupling_matrix",
     "SqueezeMatrices",
     "build_squeeze_matrices",
+    "collective_factors",
     "expm_series",
     "hermite",
     "hermite_table",
@@ -36,20 +38,13 @@ class SqueezeMatrices:
     """Matrix data of the three-mode squeeze at a given strength.
 
     q_map = exp(-strength*coupling) maps the position quadratures, p_map =
-    exp(+strength*coupling) the momenta; they are mutual inverses.
-    coll_sum/coll_diff = e^{-2s} +/- e^{2s} are the Bogoliubov factors of the
-    symmetric collective mode.
+    exp(+strength*coupling) the momenta; they are mutual inverses.  Each is
+    circulant, so entries [0, 0] and [0, 1] determine it.
     """
 
     strength: float
     q_map: np.ndarray
     p_map: np.ndarray
-    q_diag: float
-    q_off: float
-    p_diag: float
-    p_off: float
-    coll_sum: float
-    coll_diff: float
 
     @property
     def overlap(self) -> np.ndarray:
@@ -58,37 +53,35 @@ class SqueezeMatrices:
         return (np.eye(3) + np.swapaxes(self.q_map, -1, -2) @ self.q_map) / 2
 
 
-def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
-    """Populate every closed form for squeezing strength ``strength``.
-
-    Raises NumericError when e^{2|strength|} overflows double precision.
-    """
+def _exponentials(strength) -> tuple[float, float, float, float]:
+    # (e^{-2s}, e^{2s}, e^{-s}, e^{s}); NumericError where one overflows
     s = float(strength)
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {strength!r}")
     try:
-        grow2, shrink2 = math.exp(2 * s), math.exp(-2 * s)
+        return math.exp(-2 * s), math.exp(2 * s), math.exp(-s), math.exp(s)
     except OverflowError:
         raise NumericError(f"squeeze matrices overflow double precision at strength {s:g}") from None
-    q_diag = (shrink2 + 2 * math.exp(s)) / 3
-    q_off = (shrink2 - math.exp(s)) / 3
-    p_diag = (grow2 + 2 * math.exp(-s)) / 3
-    p_off = (grow2 - math.exp(-s)) / 3
-    q_map = np.full((3, 3), q_off)
-    np.fill_diagonal(q_map, q_diag)
-    p_map = np.full((3, 3), p_off)
-    np.fill_diagonal(p_map, p_diag)
-    return SqueezeMatrices(
-        strength=s,
-        q_map=q_map,
-        p_map=p_map,
-        q_diag=q_diag,
-        q_off=q_off,
-        p_diag=p_diag,
-        p_off=p_off,
-        coll_sum=shrink2 + grow2,
-        coll_diff=shrink2 - grow2,
-    )
+
+
+def collective_factors(strength: float) -> tuple[float, float]:
+    """(e^{-2s} + e^{2s}, e^{-2s} - e^{2s}), the Bogoliubov factors of the
+    symmetric collective mode: it maps to (sum*A + diff*A^dag)/2."""
+    shrink2, grow2, _, _ = _exponentials(strength)
+    return shrink2 + grow2, shrink2 - grow2
+
+
+def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
+    """Both circulant maps at squeezing strength ``strength``.
+
+    Raises NumericError when e^{2|strength|} overflows double precision.
+    """
+    shrink2, grow2, shrink, grow = _exponentials(strength)
+    q_map = np.full((3, 3), (shrink2 - grow) / 3)
+    np.fill_diagonal(q_map, (shrink2 + 2 * grow) / 3)
+    p_map = np.full((3, 3), (grow2 - shrink) / 3)
+    np.fill_diagonal(p_map, (grow2 + 2 * shrink) / 3)
+    return SqueezeMatrices(strength=float(strength), q_map=q_map, p_map=p_map)
 
 
 def expm_series(mat: np.ndarray, tol: float = 1e-16, max_terms: int = 120) -> np.ndarray:

@@ -16,7 +16,6 @@ values are always carried so the discrepancy stays visible.
 """
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .errors import (
     NumericError,
     SingularParameterError,
 )
-from .matrices import hermite, hermite_table
+from .matrices import collective_factors, hermite, hermite_table
 
 __all__ = [
     "CollectiveMode",
@@ -117,14 +116,8 @@ def collective_mode(alpha, strength: float) -> CollectiveMode:
                           squeeze=2.0 * strength)
 
 
-def _coll_factors(strength: float) -> tuple[float, float]:
-    return math.exp(-2 * strength) + math.exp(2 * strength), math.exp(-2 * strength) - math.exp(
-        2 * strength
-    )
-
-
 def _gm(total: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
-    coll_sum, coll_diff = _coll_factors(strength)
+    coll_sum, coll_diff = collective_factors(strength)
     if coll_diff == 0:
         raise SingularParameterError(
             f"closed route undefined at strength {strength:g}; use the exact route"
@@ -160,7 +153,7 @@ def _paper_table(k: int, total: np.ndarray, strength: float) -> list:
 
 def _paper_power(k: int, table: list, strength: float) -> np.ndarray:
     # the published k-sum, from a _paper_table of order k or higher
-    coll_sum, coll_diff = _coll_factors(strength)
+    coll_sum, coll_diff = collective_factors(strength)
     value = 0j
     for n in range(k + 1):
         coef = (
@@ -185,14 +178,10 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
 
     The result must be real; an imaginary residue above 1e-9 (relative to
     the magnitude) at any amplitude raises FormulaInconsistencyError
-    carrying the largest residue.  Broadcasts over the leading axes of
-    ``alpha``.
+    carrying the largest residue; a value that overflows raises NumericError.
+    Broadcasts over the leading axes of ``alpha``.
     """
-    if not 1 <= k <= MAX_POWER:
-        raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
-    triples, single = _triples(alpha)
-    table = _paper_table(k, _amplitude_sum(triples), strength)
-    return _plain(_paper_power(k, table, strength), single)
+    return _mean_power("paper", k, alpha, strength)
 
 
 def _paper_k1(alpha, strength: float) -> float:
@@ -205,7 +194,7 @@ def _paper_k1(alpha, strength: float) -> float:
 def _paper_k2(alpha, strength: float) -> float:
     """k=2 specialization as printed (Hermite form of the bracket)."""
     pair = gm_pair(alpha, strength)
-    coll_sum, coll_diff = _coll_factors(strength)
+    coll_sum, coll_diff = collective_factors(strength)
     bracket = (
         coll_diff**2 / (2**5 * coll_sum**2)
         - coll_diff / (2 * coll_sum) * hermite(1, pair.g / 2) * hermite(1, pair.m / 2)
@@ -245,35 +234,18 @@ def _normal_product(left: dict, right: dict) -> dict:
     return out
 
 
-# distinct (k, squeeze) pairs kept; a fig1 scan needs two
-_POWER_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_POWER_CACHE_SIZE)
-def _normal_ordered_power(k: int, squeeze: float) -> tuple:
-    """Normal-ordered A^dag^k A^k of the squeezed mode as term arrays (m, n, coef).
-
-    Normal-orders (cosh(squeeze) A - sinh(squeeze) A^dag)^k symbolically;
-    term t stands for coef[t] * A^dag^m[t] A^n[t].  The arrays are read-only
-    so the cached value cannot be changed by a caller.
-    """
-    cosh2s, sinh2s = math.cosh(squeeze), math.sinh(squeeze)
+def _exact_power(k: int, amp: np.ndarray, strength: float) -> np.ndarray:
+    # Normal-orders (cosh(2s) A - sinh(2s) A^dag)^k symbolically into terms
+    # coef[t] * A^dag^m[t] A^n[t], and takes the coherent expectation at
+    # collective amplitudes ``amp``
+    cosh2s, sinh2s = math.cosh(2.0 * strength), math.sinh(2.0 * strength)
     poly = {(0, 0): 1.0 + 0j}
     for _ in range(k):
         poly = _shift_right(poly, cosh2s, sinh2s)
-    lowered = {(n, m): np.conj(c) for (m, n), c in poly.items()}
-    terms = _normal_product(lowered, poly)
+    terms = _normal_product({(n, m): np.conj(c) for (m, n), c in poly.items()}, poly)
     m, n = np.array(list(terms)).T
     coef = np.array(list(terms.values()), dtype=complex)
-    for array in (m, n, coef):
-        array.flags.writeable = False
-    return m, n, coef
-
-
-def _exact_power(k: int, amp: np.ndarray, strength: float) -> np.ndarray:
-    # the coherent expectation at collective amplitudes ``amp``
     amp = amp[..., None]
-    m, n, coef = _normal_ordered_power(k, 2.0 * strength)
     # a running sum adds the terms in order, for one amplitude as for a grid
     return np.cumsum(coef * np.conj(amp) ** m * amp**n, axis=-1)[..., -1].real
 
@@ -283,12 +255,37 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
 
     Normal-orders (cosh(2s) A - sinh(2s) A^dag)^k symbolically and evaluates
     the coherent expectation at the collective amplitude; exact at every
-    strength including zero.  Broadcasts over the leading axes of ``alpha``.
+    strength including zero.  A value that overflows raises NumericError.
+    Broadcasts over the leading axes of ``alpha``.
     """
+    return _mean_power("exact", k, alpha, strength)
+
+
+def _powers(path: str, orders: tuple, total: np.ndarray, strength: float) -> list:
+    # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums
+    # ``total``; NumericError where a value overflows or is not finite
+    if not math.isfinite(strength):
+        raise InvalidParameterError("strength must be finite")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+            if path == "paper":
+                table = _paper_table(max(orders), total, strength)
+                values = [_paper_power(k, table, strength) for k in orders]
+            else:
+                values = [_exact_power(k, total / math.sqrt(3), strength) for k in orders]
+    except OverflowError:
+        values = [math.inf]  # raised below with the non-finite values
+    if not all(np.isfinite(value).all() for value in values):
+        raise NumericError(
+            f"photon-number moment overflows double precision at strength {strength:g}")
+    return values
+
+
+def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray:
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     triples, single = _triples(alpha)
-    return _plain(_exact_power(k, _amplitude_sum(triples) / math.sqrt(3), strength), single)
+    return _plain(_powers(path, (k,), _amplitude_sum(triples), strength)[0], single)
 
 
 def mean_power_exact_fock(
@@ -332,8 +329,6 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     amplitude: a vanishing mean photon number raises DomainError, and a
     value that overflows or is not finite raises NumericError.
     """
-    if not math.isfinite(strength):
-        raise InvalidParameterError("strength must be finite")
     if not 2 <= k <= MAX_POWER:
         raise InvalidParameterError(f"P_k needs 2 <= k <= {MAX_POWER}, got {k}")
     if path not in ("paper", "exact"):
@@ -341,27 +336,24 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     triples, single = _triples(alpha)
     total = _amplitude_sum(triples)
 
-    def statistic(power_fn, data):
-        mean_photon = power_fn(1, data, strength)
+    def statistic(route):
+        mean_photon, power = _powers(route, (1, k), total, strength)
         if (mean_photon <= 0).any():
             bad = float(mean_photon[mean_photon <= 0][0])
             raise DomainError(f"mean photon number {bad!r} not positive")
-        value = power_fn(k, data, strength) / mean_photon**k - 1
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+            value = power / mean_photon**k - 1
         if not np.isfinite(value).all():
             raise NumericError(f"P_{k} is not finite in double precision at strength {strength:g}")
         return value
 
+    exact_value = statistic("exact")
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-            exact_value = statistic(_exact_power, total / math.sqrt(3))
-            try:
-                paper_value = statistic(_paper_power, _paper_table(k, total, strength))
-            except SingularParameterError:
-                if path == "paper":
-                    raise
-                paper_value = None
-    except OverflowError:
-        raise NumericError(f"P_{k} overflows double precision at strength {strength:g}") from None
+        paper_value = statistic("paper")
+    except SingularParameterError:
+        if path == "paper":
+            raise
+        paper_value = None
     discrepancy = None if paper_value is None else _plain(np.abs(paper_value - exact_value), single)
     return PkResult(k=k, paper_value=None if paper_value is None else _plain(paper_value, single),
                     exact_value=_plain(exact_value, single), discrepancy=discrepancy, path=path)

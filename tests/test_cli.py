@@ -183,6 +183,11 @@ def test_numeric_failure_exit_code(capsys):
     (["pk", "--lambda", "0.3", "--alpha", "1e200,0,0"], 3),
     # the closed route is singular where e^{-2s} - e^{2s} rounds to 0
     (["pk", "--lambda", "1e-300", "--path", "paper"], 2),
+    # 2s rounds to inf, where math.exp returns inf without raising
+    (["wigner", "--lambda=1e308"], 3),
+    (["wigner", "--lambda=-1e308"], 3),
+    (["bell", "--lambda=1e308"], 3),
+    (["fig2", "--lambda=1e308:1:1e308"], 3),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code

@@ -260,6 +260,30 @@ def test_wigner_on_strength_batch_equals_single_states():
         wigner(batch, np.zeros(3), np.zeros(3))  # no leading axis for the strengths
 
 
+def test_strength_batch_slices_equal_single_states():
+    # fig2_scan builds one batch and scans each strength on its slice
+    strengths = np.concatenate([[-0.6, 6.4630967461221465, 200.0], np.arange(51) * 0.02])
+    alpha = [0.4, 0.5 - 0.1j, 0.6]
+    with np.errstate(over="ignore"):  # the covariance of s = 200 overflows
+        batch = make_state(strengths, alpha)
+        singles = [make_state(s, alpha) for s in strengths]
+    for i, single in enumerate(singles):
+        part = batch[i]
+        for name in ("strength", "alpha", "mean", "cov", "closed"):
+            assert np.array_equal(getattr(part, name), getattr(single, name))
+        for name in ("strength", "q_map", "p_map"):
+            assert np.array_equal(getattr(part.mats, name), getattr(single.mats, name))
+            assert np.array_equal(getattr(batch.mats, name)[i], getattr(single.mats, name))
+
+
+def test_wigner_exact_where_the_numeric_determinant_fails():
+    # det(cov) evaluated in floating point is negative at this strength; the
+    # generic route takes the pure-state value 2^-6, so no NaN (a warning,
+    # made an error by the suite settings) skips the cross-check
+    state = make_state(6.4630967461221465, [0, 0, 0])
+    assert wigner(state, np.zeros(3), np.zeros(3)) == 1 / math.pi**3
+
+
 def test_batched_state_refused_where_one_strength_is_needed():
     batch = make_state(np.array([0.1, 0.2]), [0.1, 0, 0])
     with pytest.raises(InvalidParameterError):

@@ -8,6 +8,7 @@ from trisqueeze import (
     InvalidParameterError,
     NumericError,
     build_squeeze_matrices,
+    collective_factors,
     coupling_matrix,
     double_factorial,
     expm_series,
@@ -21,17 +22,16 @@ def test_zero_strength_is_identity():
     m = build_squeeze_matrices(0.0)
     assert_allclose(m.q_map, np.eye(3), atol=1e-15)
     assert_allclose(m.p_map, np.eye(3), atol=1e-15)
-    assert m.q_diag == pytest.approx(1.0)
-    assert m.q_off == pytest.approx(0.0)
-    assert m.coll_sum == pytest.approx(2.0)
-    assert m.coll_diff == pytest.approx(0.0)
+    assert m.q_map[0, 0] == pytest.approx(1.0)
+    assert m.q_map[0, 1] == pytest.approx(0.0)
+    assert collective_factors(0.0) == pytest.approx((2.0, 0.0))
 
 
 def test_log2_entries():
     # e^{-2s} = 1/4 and e^{s} = 2 at s = ln 2
     m = build_squeeze_matrices(math.log(2))
-    assert m.q_diag == pytest.approx(17 / 12, rel=1e-15)
-    assert m.q_off == pytest.approx(-7 / 12, rel=1e-15)
+    assert m.q_map[0, 0] == pytest.approx(17 / 12, rel=1e-15)
+    assert m.q_map[0, 1] == pytest.approx(-7 / 12, rel=1e-15)
 
 
 @pytest.mark.parametrize("strength", GRID)

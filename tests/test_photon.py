@@ -245,6 +245,16 @@ def test_pk_rejects_non_finite_amplitudes_and_overflow():
             pk(2, [1, 1, 1], 100)  # the k-th power of the mean overflows
 
 
+def test_mean_powers_raise_on_overflow_without_warnings():
+    # warnings are errors in this suite, so a numpy warning fails the raises
+    for strength in (100, 400, 1e308):
+        for route in (mean_power_exact, mean_power_paper):
+            with pytest.raises(NumericError):
+                route(2, [1, 1, 1], strength)
+    with pytest.raises(InvalidParameterError):
+        mean_power_exact(2, [1, 1, 1], math.nan)
+
+
 def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
     # e^{-2s} - e^{2s} is exactly 0 in double precision at s = 1e-300
     result = pk(2, [1, 1, 1], 1e-300)
