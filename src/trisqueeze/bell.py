@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InvalidParameterError
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
@@ -169,6 +168,8 @@ def maximize_b3_full(strength_seed: float, alpha=FIG2_ALPHA, b_seed: float = 0.3
         )
         state = make_state(float(x[12]), alpha)
         return -b3(state, setting)
+
+    from scipy import optimize  # imported on first call: about 0.4 s no CLI command needs
 
     result = optimize.minimize(
         negative, x0, method="Nelder-Mead",

@@ -329,16 +329,21 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     r = points - line_up(state.mean)
     # plain floats for one strength: the same bits as arrays, at less cost
     coeffs = np.moveaxis(line_up(state.closed), -1, 0) if batch else state.closed.tolist()
-    closed = _closed_exponent(coeffs, state.alpha, q, p)
-    generic = _covariance_exponent(r, inv)
-    accumulated = 0.5 * np.einsum("...i,...ij,...j", np.abs(r), np.abs(inv), np.abs(r))
-    eps = np.finfo(float).eps
-    allowed = (
-        1e-10 * np.maximum(1.0, np.abs(closed))
-        + 16 * eps * (accumulated + cond * np.maximum(1.0, np.abs(closed)))
-    )
-    gaps = np.abs(closed - generic)
-    if (gaps > allowed).any():
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
+        closed = _closed_exponent(coeffs, state.alpha, q, p)
+        generic = _covariance_exponent(r, inv)
+        accumulated = 0.5 * np.einsum("...i,...ij,...j", np.abs(r), np.abs(inv), np.abs(r))
+        eps = np.finfo(float).eps
+        allowed = (
+            1e-10 * np.maximum(1.0, np.abs(closed))
+            + 16 * eps * (accumulated + cond * np.maximum(1.0, np.abs(closed)))
+        )
+        gaps = np.abs(closed - generic)
+    # a non-finite exponent makes its gap inf or NaN, which fails "<" even
+    # against an inf allowance
+    if not (gaps < allowed).all():
+        if not np.isfinite(gaps).all():
+            raise NumericError(f"wigner exponent overflows double precision at {_strengths(state)}")
         raise NumericError(f"wigner routes disagree by {gaps.max():.3e} in the exponent")
     out = np.exp(closed) / math.pi**3
     return out if out.ndim else float(out)

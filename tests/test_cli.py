@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from trisqueeze.cli import _fmt, _parse_complex_triple, _parse_range, run
 from trisqueeze.errors import InvalidParameterError
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def test_range_parsing_inclusive_ends():
@@ -188,6 +192,10 @@ def test_numeric_failure_exit_code(capsys):
     (["wigner", "--lambda=-1e308"], 3),
     (["bell", "--lambda=1e308"], 3),
     (["fig2", "--lambda=1e308:1:1e308"], 3),
+    # a Wigner exponent or route gap that is not finite, refused without a warning
+    (["wigner", "--lambda", "0.2", "--alpha", "1e200,0,0", "--q", "1,1,1"], 3),
+    (["bell", "--lambda", "0", "--alpha", "1e-300,0,0", "--beta", "1,1,1",
+      "--beta-prime", "1e200,0,0"], 3),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code
@@ -203,3 +211,20 @@ def test_determinism_byte_identical(tmp_path):
     assert run(args + ["--out", str(first)]) == 0
     assert run(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_startup_imports_and_module_entry_point(capsys):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, trisqueeze.cli; "
+             "print('scipy.optimize' in sys.modules, 'scipy' in sys.modules)")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    # scipy.optimize loads only inside maximize_b3_full; scipy itself stays loaded
+    assert loaded.stdout == "False True\n"
+
+    argv = ["fig1", "--re=-1:1:1", "--im=0:1:0"]
+    module = subprocess.run([sys.executable, "-m", "trisqueeze.cli", *argv], env=env,
+                            capture_output=True, check=True)
+    assert run(argv) == 0
+    assert module.stdout == capsys.readouterr().out.encode()
+    assert module.stdout
