@@ -2,22 +2,25 @@
 
 The state is a pure Gaussian: squeezing the coherent state |alpha> maps the
 phase-space mean to (q_map @ q_coh, p_map @ p_coh) and the covariance to
-block-diag(q_map q_map^T, p_map p_map^T)/2.  Everything downstream (moments
-of quadrature combinations, the Wigner function, the enhanced-squeezing laws)
-follows from that pair, and each closed form here is paired with a second,
-independently coded route so the two can be compared at runtime.
+block-diag(q_map q_map^T, p_map p_map^T)/2.  Both maps are diagonal on the
+fixed normal modes of the coupling matrix, so the state is stored as three
+independent single-mode squeezers (the Bloch-Messiah form): the gains on the
+normal modes and the coherent displacement in that basis.  Moments, the
+Wigner function and the enhanced-squeezing laws follow from that, and each
+closed form is paired with a second, independently coded route.
 
 Conventions: hbar = 1, [Q, P] = i, a = (Q + iP)/sqrt(2); phase-space vectors
 are ordered (q1, q2, q3, p1, p2, p3).
 """
 
 import math
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .matrices import SqueezeMatrices, build_squeeze_matrices, double_factorial
+from .matrices import (SqueezeMatrices, build_squeeze_matrices, circulant_entries, circulant_maps,
+                       double_factorial, mode_gains)
 
 __all__ = [
     "GaussianState",
@@ -36,40 +39,90 @@ __all__ = [
 
 MAX_MOMENT_ORDER = 16  # double factorials stay well inside float64 range
 
+# The normal modes are the integer vectors (1,1,1), (1,-1,0), (1,1,-2), the
+# columns of _INTEGER_MODES, over their norms; _MODES has the unit vectors.
+_INTEGER_MODES = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 0.0, -2.0]])
+_NORMS = np.sqrt([3.0, 2.0, 6.0])
+_MODES = _INTEGER_MODES / _NORMS
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # x_k, x_l beside each x_j
+_U = 2.0**-53  # unit roundoff
+_TINY = 2.0**-1022  # smallest normal number; below it rounding errors are absolute
+
+
+def _mode_sums(x):
+    """x @ _INTEGER_MODES over the last axis, each component accurate to a
+    few units in the last place of its own size, not of |x|.
+
+    The integer products are exact.  The first addition can round by u|x|,
+    which a point near the plane orthogonal to (1,1,1) would see amplified
+    by e^{2|s|}, so its rounding error is added back (Knuth's TwoSum); the
+    last addition then rounds relative to the result.  Elementwise in a
+    fixed order, so a batch gives the bits of single points.
+    """
+    first = x[..., 0:1] * _INTEGER_MODES[0]
+    second = x[..., 1:2] * _INTEGER_MODES[1]
+    pair = first + second
+    back = pair - first
+    error = (first - (pair - back)) + (second - back)
+    return (pair + x[..., 2:3] * _INTEGER_MODES[2]) + error
+
+
+def _coherent(alpha: np.ndarray) -> np.ndarray:
+    # (sigma, chi) = sqrt(2) (Re alpha, Im alpha), shape (2, 3)
+    return math.sqrt(2) * alpha.view(float).reshape(3, 2).T
+
+
+def _total(squares):
+    # the six entries of a (..., 2, 3) array, summed in a fixed order
+    rows = (squares[..., 0] + squares[..., 1]) + squares[..., 2]
+    return rows[..., 0] + rows[..., 1]
+
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance of the squeezed coherent state.
+    """The squeezed coherent state on the normal modes of the coupling matrix.
 
     A state made from an array of strengths carries that array's shape as
-    leading axes on every field but ``alpha`` (the fields of ``mats``
-    included); slice i of each field is the field of the state made from
-    strength i alone.
+    leading axes on ``strength`` and ``gains``; slice i of each is the field
+    of the state made from strength i alone.
 
     Attributes
     ----------
     strength : squeezing strength of the three-mode unitary
     alpha : the three coherent amplitudes before squeezing
-    mean : 6-vector (q1, q2, q3, p1, p2, p3)
-    cov : 6x6 covariance; q and p blocks never mix, det(cov) = (1/2)**6
-    closed : the 8 coefficients of the closed Wigner exponent (see
-        :func:`_closed_coefficients`); inf where they overflow
-    mats : the closed-form matrix family at this strength
+    gains : (2, 3) eigenvalues of p_map (row 0) and q_map (row 1) on the
+        normal modes, symmetric mode first (``matrices.mode_gains``)
+    displacement : (2, 3) sqrt(2) (Re alpha, Im alpha) on the normal modes;
+        the mean there is displacement * gains[::-1]
     """
 
     strength: float | np.ndarray
     alpha: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-    closed: np.ndarray = field(repr=False)
-    mats: SqueezeMatrices = field(repr=False)
+    gains: np.ndarray
+    displacement: np.ndarray
 
     def __getitem__(self, index) -> "GaussianState":
         """Index ``index`` of the strength axes of a batched state."""
-        m = self.mats
-        mats = SqueezeMatrices(m.strength[index], m.q_map[index], m.p_map[index])
-        return GaussianState(strength=mats.strength, alpha=self.alpha, mean=self.mean[index],
-                             cov=self.cov[index], closed=self.closed[index], mats=mats)
+        return GaussianState(self.strength[index], self.alpha, self.gains[index], self.displacement)
+
+    @property
+    def mats(self) -> SqueezeMatrices:
+        """The circulant maps (formed on each access, as are ``mean`` and ``cov``)."""
+        return SqueezeMatrices(self.strength, *circulant_maps(self.gains))
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Phase-space mean (q1, q2, q3, p1, p2, p3)."""
+        (q_map, p_map), (sigma, chi) = circulant_maps(self.gains), _coherent(self.alpha)
+        return np.concatenate([q_map @ sigma, p_map @ chi], axis=-1)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """6x6 covariance; q and p blocks never mix, det(cov) = (1/2)**6."""
+        cov = np.zeros(np.shape(self.strength) + (6, 6))
+        for block, m in zip((slice(0, 3), slice(3, 6)), circulant_maps(self.gains)):
+            cov[..., block, block] = m @ np.swapaxes(m, -1, -2) / 2
+        return cov
 
 
 @dataclass(frozen=True)
@@ -85,41 +138,34 @@ def make_state(strength, alpha) -> GaussianState:
 
     An array of strengths gives one state batched over them (see
     :class:`GaussianState`), which :func:`wigner` and ``bell.b3`` evaluate
-    in one call.  It is built strength by strength with the scalar code and
-    stacked, so every slice holds the same bits as a single-strength state.
+    in one call.  Its gains are built strength by strength with the scalar
+    code and stacked, so every slice holds the same bits as a
+    single-strength state.  Raises NumericError when e^{2|strength|}
+    overflows double precision.
     """
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
     if not np.all(np.isfinite(alpha.view(float))):
         raise InvalidParameterError("coherent amplitudes must be finite")
     if not isinstance(strength, (int, float)) and np.ndim(strength):  # np.ndim(float) costs
-        parts = [make_state(s, alpha) for s in np.asarray(strength, dtype=float)]
-        if not parts:
+        strength = np.array(strength, dtype=float)
+        if not strength.size:
             raise InvalidParameterError("empty strength array")
-        mats = SqueezeMatrices(*map(np.stack, zip(*(astuple(part.mats) for part in parts))))
-        stack = lambda name: np.stack([getattr(part, name) for part in parts])
-        return GaussianState(strength=mats.strength, alpha=alpha, mean=stack("mean"),
-                             cov=stack("cov"), closed=stack("closed"), mats=mats)
-    mats = build_squeeze_matrices(strength)
-    q_coh = math.sqrt(2) * alpha.real
-    p_coh = math.sqrt(2) * alpha.imag
-    mean = np.concatenate([mats.q_map @ q_coh, mats.p_map @ p_coh])
-    cov = np.zeros((6, 6))
-    closed = _closed_coefficients(mats)
-    with np.errstate(over="ignore"):  # an overflowed state is refused by wigner
-        cov[:3, :3] = mats.q_map @ mats.q_map.T / 2
-        cov[3:, 3:] = mats.p_map @ mats.p_map.T / 2
-    return GaussianState(strength=mats.strength, alpha=alpha, mean=mean, cov=cov,
-                         closed=closed, mats=mats)
+        gains = np.stack([mode_gains(s) for s in strength.flat]).reshape(strength.shape + (2, 3))
+    else:
+        gains = mode_gains(strength)
+        strength = float(strength)
+    displacement = _coherent(alpha) @ _MODES
+    return GaussianState(strength=strength, alpha=alpha, gains=gains, displacement=displacement)
 
 
 def _one_strength(state: GaussianState, operation: str) -> None:
-    if state.closed.ndim > 1:
+    if state.gains.ndim > 2:
         raise InvalidParameterError(f"{operation} takes a state of one strength, not a batch")
 
 
 def _strengths(state: GaussianState) -> str:
     # for messages; formatting a plain float skips numpy's reductions
-    if state.closed.ndim == 1:
+    if state.gains.ndim == 2:
         return f"strength {state.strength:g}"
     return f"strengths {np.min(state.strength):g} to {np.max(state.strength):g}"
 
@@ -134,8 +180,16 @@ def y3_query(order: int = 2) -> MomentQuery:
     return MomentQuery(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]) / math.sqrt(6), order)
 
 
+def _mode_coefficients(state: GaussianState, coeffs: np.ndarray) -> np.ndarray:
+    # the observable's q and p parts on the normal modes, each scaled by the
+    # gain its quadrature picks up: q_map's (row 1) on q, p_map's (row 0) on p
+    return coeffs.reshape(2, 3) @ _MODES * state.gains[::-1]
+
+
 def _moment_isserlis(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
-    sigma2 = float(coeffs @ state.cov @ coeffs)
+    # the variance is the sum of the normal-mode variances, nothing cancels
+    scaled = _mode_coefficients(state, coeffs)
+    sigma2 = float(np.vdot(scaled, scaled)) / 2
     return double_factorial(order - 1) * sigma2 ** (order // 2)
 
 
@@ -143,13 +197,14 @@ def _moment_normal_ordered(state: GaussianState, coeffs: np.ndarray, order: int)
     # Route the observable through the Heisenberg picture: in the coherent
     # state the observable becomes sum_j (eta_j a_j + conj(eta_j) a_j^dag),
     # and the ordering identity turns the central moment into a k-sum whose
-    # normally ordered factors vanish term by term.
-    d = state.mats.q_map.T @ coeffs[:3]
-    e = state.mats.p_map.T @ coeffs[3:]
+    # normally ordered factors vanish term by term.  (d, e) = (q_map c_q,
+    # p_map c_p), assembled from the scaled normal-mode coefficients.
+    d, e = _mode_coefficients(state, coeffs) @ _MODES.T
     eta = (d - 1j * e) / math.sqrt(2)
-    pair_sum = float(np.sum(np.abs(eta) ** 2))
-    mean = 2 * np.sum(eta * state.alpha).real
-    centered = complex(np.sum(eta * state.alpha) + np.sum(np.conj(eta) * np.conj(state.alpha))) - mean
+    pair_sum = float(np.vdot(eta, eta).real)
+    amplitude = complex(eta @ state.alpha)
+    mean = 2 * amplitude.real
+    centered = (amplitude + complex(np.conj(eta) @ np.conj(state.alpha))) - mean
     m = order // 2
     total = 0.0
     for k in range(m + 1):
@@ -161,8 +216,9 @@ def _moment_normal_ordered(state: GaussianState, coeffs: np.ndarray, order: int)
 def central_moment(state: GaussianState, query: MomentQuery) -> float:
     """Even-order central moment of the scalar observable in ``query``.
 
-    Computed twice (Gaussian pairing law and normal-ordered expansion); a
-    relative disagreement above 1e-10 raises NumericError.
+    Computed twice (Gaussian pairing law on the normal-mode variances, and
+    the normal-ordered expansion); a relative disagreement above 1e-10
+    raises NumericError, and so does a moment that overflows.
     """
     _one_strength(state, "central_moment")
     order = int(query.order)
@@ -171,8 +227,14 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     if order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
     coeffs = np.asarray(query.coeffs, dtype=float).reshape(6)
-    first = _moment_isserlis(state, coeffs, order)
-    second = _moment_normal_ordered(state, coeffs, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            first = _moment_isserlis(state, coeffs, order)
+            second = _moment_normal_ordered(state, coeffs, order)
+        except OverflowError:
+            first = second = math.inf
+    if not math.isfinite(first + second):
+        raise NumericError(f"moment overflows double precision at {_strengths(state)}")
     scale = max(abs(first), abs(second), 1e-300)
     if abs(first - second) / scale > 1e-10:
         raise NumericError(
@@ -216,172 +278,91 @@ def two_mode_baseline_variance(strength: float) -> tuple[float, float]:
     return math.exp(-2 * strength) / 4, math.exp(2 * strength) / 4
 
 
-def _closed_coefficients(mats: SqueezeMatrices) -> np.ndarray:
-    """Coefficients of the closed Wigner exponent at one strength.
-
-    (ud, uo, ud^2 + 2 uo^2, 2 ud uo + uo^2) from entries [0, 0], [0, 1] of
-    p_map, then the same four from q_map; the last two of each are the
-    diagonal and off-diagonal entries of the squared map.  Python float
-    arithmetic (not numpy's, which rounds some squares differently) keeps a
-    batch bit-equal to single states.  All inf when a square overflows.
-    """
-    ud, uo = mats.p_map[0, :2].tolist()   # act on q, paired with sig
-    vd, vo = mats.q_map[0, :2].tolist()   # act on p, paired with chi
-    try:
-        return np.array([ud, uo, ud**2 + 2 * uo**2, 2 * ud * uo + uo**2,
-                         vd, vo, vd**2 + 2 * vo**2, 2 * vd * vo + vo**2])
-    except OverflowError:
-        return np.full(8, math.inf)
-
-
-def _closed_exponent(coeffs, alpha: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # Scalar-entry expansion of the closed form
-    #   pi^3 W = exp(-|p_map q - sig|^2 - |q_map p - chi|^2),
-    # written out in single-index and ordered-pair sums over the circulant
-    # entries.  The p_map/q_map attachment is forced by the state covariance
-    # (the printed form with the attachments interchanged fails the parity
-    # oracle; see the errata report).  ``coeffs`` are the 8 numbers of
-    # _closed_coefficients, or 8 arrays that broadcast against q and p.
-    sig = math.sqrt(2) * alpha.real
-    chi = math.sqrt(2) * alpha.imag
-    ud, uo, uu_d, uu_o, vd, vo, vv_d, vv_o = coeffs
-    expo = np.zeros(np.broadcast(q[..., 0], p[..., 0]).shape)
-    for j in range(3):
-        expo = expo - (uu_d * q[..., j] ** 2 - 2 * ud * q[..., j] * sig[j] + sig[j] ** 2)
-        expo = expo - (vv_d * p[..., j] ** 2 - 2 * vd * p[..., j] * chi[j] + chi[j] ** 2)
-    for j in range(3):
-        for k in range(j):
-            expo = expo - 2 * (
-                uu_o * q[..., j] * q[..., k]
-                - uo * (q[..., j] * sig[k] + q[..., k] * sig[j])
-            )
-            expo = expo - 2 * (
-                vv_o * p[..., j] * p[..., k]
-                - vo * (p[..., j] * chi[k] + p[..., k] * chi[j])
-            )
-    return expo
-
-
-def _covariance_exponent(r: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    # log(pi^3 W) from the generic Gaussian form at offsets r from the mean,
-    # with inv = cov^{-1}; the state is pure, so det(cov) = (1/2)^6 and the
-    # normalization (2 pi)^{-3} det(cov)^{-1/2} is exactly pi^{-3}
-    return -0.5 * np.einsum("...i,...ij,...j", r, inv, r)
-
-
-def _wigner_closed(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return np.exp(_closed_exponent(state.closed.tolist(), state.alpha, q, p)) / math.pi**3
-
-
-def _wigner_covariance(state: GaussianState, q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    r = np.concatenate([q, p], axis=-1) - state.mean
-    inv = np.linalg.inv(state.cov)
-    return np.exp(_covariance_exponent(r, inv)) / math.pi**3
-
-
 def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     """Wigner function at phase-space point(s) (q, p), each of shape (..., 3).
 
-    Evaluates both the scalar closed form and the generic Gaussian form from
-    the state covariance and compares their exponents; a gap above 1e-10
-    relative (widened proportionally for extreme exponents, where float
-    rounding alone exceeds it) raises NumericError.  Both routes and the
-    allowance are elementwise, so a batch of points gives bit for bit the
+    pi^3 W = exp(-E), with E evaluated twice.  The value returned takes E on
+    the normal modes: E = sum_k (g_k y_k - a_k)^2 + (h_k z_k - b_k)^2, with
+    y, z the mode components of q, p (:func:`_mode_sums`), g, h the rows of
+    ``state.gains`` and (a, b) = ``state.displacement``.  These are six
+    squares with nothing cancelled, so W never exceeds 1/pi^3.  The
+    cross-check is the closed form E = |p_map q - sigma|^2 + |q_map p - chi|^2,
+    (sigma, chi) = sqrt(2) (Re alpha, Im alpha), from the two circulant
+    entries of each map.
+
+    Allowance.  Let u = 2^-53, d the diagonal entry of a block's map (at
+    least a third of its largest gain, e^{2|s|} in one block), X the
+    block's largest |q_j| or |p_j|, C the largest |sigma_j|, |chi_j|, and D
+    the sum of d X + C over both blocks.  Map entries within 4ud of exact
+    and mode sums within a few ulp of their own size put every residual of
+    either route within 43 u (d X + C) of exact, so the sums of squares
+    differ by at most 4 sqrt(3) 43 u D R + 6 (43 u D)^2 + 12 u E, R = sqrt(E)
+    <= 3 sqrt(3) D.  A gap above 512 u D (sqrt(E) + 128 u D) + 2^-1022 (about
+    256 eps e^{2|s|} |q| near the mean) raises NumericError.
+
+    Every step is elementwise, so a batch of points gives bit for bit the
     values of one call per point.  The strength axes of a batched state line
     up with the first leading axes of the points.  Non-finite points raise
-    InvalidParameterError; an exponent or covariance inverse that overflows
-    double precision raises NumericError.  Values lie in (0, 1/pi^3].
+    InvalidParameterError; an exponent that overflows double precision
+    raises NumericError.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     if q.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise InvalidParameterError("q and p must have 3 components each")
-    lead = np.broadcast_shapes(q.shape[:-1], p.shape[:-1])
-    batch = state.closed.shape[:-1]
-    if len(lead) < len(batch):
+    if q.shape != p.shape:
+        q, p = np.broadcast_arrays(q, p)
+    x = np.concatenate([q, p], axis=-1).reshape(q.shape[:-1] + (2, 3))
+    batch = state.gains.shape[:-2]
+    if q.ndim - 1 < len(batch):
         raise InvalidParameterError("points need a leading axis for each strength axis of the state")
-    pad = (1,) * (len(lead) - len(batch))
-
-    def line_up(x):  # state axes in front of the remaining leading axes of the points
-        return x.reshape(batch + pad + np.shape(x)[len(batch):]) if batch else x
-
-    if batch:
-        lead = np.broadcast_shapes(lead, batch + pad)
-    q = np.broadcast_to(q, lead + (3,))
-    p = np.broadcast_to(p, lead + (3,))
-    points = np.concatenate([q, p], axis=-1)
-    if not np.isfinite(points).all():
-        raise InvalidParameterError("phase-space points must be finite")
-    if not np.isfinite(state.closed).all():
-        raise NumericError(f"wigner exponent overflows double precision at {_strengths(state)}")
-    try:
-        inv = np.linalg.inv(state.cov)
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            f"covariance is singular in double precision at {_strengths(state)}"
-        ) from None
-    # rounding allowance of the generic route: the accuracy of its quadratic
-    # form degrades with the covariance condition number (eigenvalues span
-    # exp(+-4s)) and with cancellation against the mean offset, so grant the
-    # standard cond*eps bound on top of the 1e-10 base tolerance
-    cond = np.abs(state.cov).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
-    inv, cond = line_up(inv), line_up(cond)
-    r = points - line_up(state.mean)
-    # plain floats for one strength: the same bits as arrays, at less cost
-    coeffs = np.moveaxis(line_up(state.closed), -1, 0) if batch else state.closed.tolist()
+    # state axes in front of the remaining leading axes of the points
+    gains = state.gains.reshape(batch + (1,) * (q.ndim - 1 - len(batch)) + (2, 3))
+    coherent = _coherent(state.alpha)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        closed = _closed_exponent(coeffs, state.alpha, q, p)
-        generic = _covariance_exponent(r, inv)
-        accumulated = 0.5 * np.einsum("...i,...ij,...j", np.abs(r), np.abs(inv), np.abs(r))
-        eps = np.finfo(float).eps
-        allowed = (
-            1e-10 * np.maximum(1.0, np.abs(closed))
-            + 16 * eps * (accumulated + cond * np.maximum(1.0, np.abs(closed)))
-        )
-        gaps = np.abs(closed - generic)
-    # a non-finite exponent makes its gap inf or NaN, which fails "<" even
-    # against an inf allowance
-    if not (gaps < allowed).all():
+        t = _mode_sums(x) * (gains / _NORMS) - state.displacement
+        diag, off = circulant_entries(gains)
+        sides = x.take(_NEXT, -1) + x.take(_LAST, -1)
+        r = diag[..., None] * x + off[..., None] * sides - coherent
+        exponent = _total(t * t)
+        gaps = np.abs(exponent - _total(r * r))
+        scale = diag * np.abs(x).max(axis=-1)
+        scale = scale[..., 0] + scale[..., 1] + 2 * float(np.abs(coherent).max())
+        allowed = 512 * _U * scale * (np.sqrt(exponent) + 128 * _U * scale) + _TINY
+    # a non-finite point or exponent makes its gap inf or NaN; NaN fails
+    # "<=" even against an inf allowance
+    if not (gaps <= allowed).all():
+        if not np.isfinite(x).all():
+            raise InvalidParameterError("phase-space points must be finite")
         if not np.isfinite(gaps).all():
             raise NumericError(f"wigner exponent overflows double precision at {_strengths(state)}")
-        raise NumericError(f"wigner routes disagree by {gaps.max():.3e} in the exponent")
-    out = np.exp(closed) / math.pi**3
+        gap = gaps[~(gaps <= allowed)].max()
+        raise NumericError(f"wigner routes disagree by {gap:.3e} in the exponent")
+    out = np.exp(-exponent) / math.pi**3
     return out if out.ndim else float(out)
 
 
 def wigner_normalization(state: GaussianState, points: int = 41, width: float = 6.0) -> float:
     """Tensor trapezoid of W over a box of +-width standard deviations per axis.
 
-    The q-p cross covariances vanish, so the 6D tensor rule factorizes into a
-    q-box integral times a p-box integral; each factor is evaluated on a full
-    3D grid.
+    W is a q factor times a p factor, so the 6D rule is pi^3 times the 3D
+    rule of W(q, p_mean) over the q box times that of W(q_mean, p) over the
+    p box.
     """
     _one_strength(state, "wigner_normalization")
     if points < 3:
         raise InvalidParameterError("need at least 3 points per axis")
-    sigmas = np.sqrt(np.diag(state.cov))
-
-    def block_integral(offset):
-        axes = []
-        weights = []
-        for j in range(3):
-            center = state.mean[offset + j]
-            half = width * sigmas[offset + j]
-            grid = np.linspace(center - half, center + half, points)
-            w = np.full(points, grid[1] - grid[0])
-            w[0] /= 2
-            w[-1] /= 2
-            axes.append(grid)
-            weights.append(w)
-        g0, g1, g2 = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g0, g1, g2], axis=-1)
-        block = pts - state.mean[offset : offset + 3]
-        inv = np.linalg.inv(state.cov[offset : offset + 3, offset : offset + 3])
-        vals = np.exp(-0.5 * np.einsum("...i,ij,...j", block, inv, block))
-        return float(np.einsum("ijk,i,j,k", vals, *weights))
-
-    det = np.linalg.det(state.cov)
-    return (2 * math.pi) ** -3 * det**-0.5 * block_integral(0) * block_integral(3)
+    mean, sigmas = state.mean, np.sqrt(np.diag(state.cov))
+    rule = np.linspace(-width, width, points)
+    weights = np.full(points, rule[1] - rule[0])
+    weights[[0, -1]] /= 2
+    total = math.pi**3
+    for block in (slice(0, 3), slice(3, 6)):
+        axes = mean[block, None] + sigmas[block, None] * rule
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        values = wigner(state, grid, mean[3:]) if block.start == 0 else wigner(state, mean[:3], grid)
+        total *= np.einsum("ijk,i,j,k", values, *(sigma * weights for sigma in sigmas[block]))
+    return float(total)
 
 
 def normal_order_coefficients(strength: float) -> tuple[float, np.ndarray]:

@@ -5,8 +5,10 @@ The coupling matrix has zeros on the diagonal and ones elsewhere; its
 exponentials e^{-s*coupling} and e^{+s*coupling} are the Heisenberg maps of
 the position and momentum quadratures under the three-mode squeeze unitary.
 Both are circulant-symmetric, so each is determined by one diagonal and one
-off-diagonal entry.  Every closed form of the package is a function of
-e^{+-s} and e^{+-2s}, evaluated here under one overflow guard.
+off-diagonal entry, and both are diagonal on the fixed normal modes: the
+symmetric mode (1,1,1)/sqrt(3) (coupling eigenvalue 2) and the plane
+orthogonal to it (eigenvalue -1).  Every closed form of the package is a
+function of e^{+-s} and e^{+-2s}, evaluated here under one overflow guard.
 """
 
 import math
@@ -20,6 +22,9 @@ __all__ = [
     "coupling_matrix",
     "SqueezeMatrices",
     "build_squeeze_matrices",
+    "mode_gains",
+    "circulant_entries",
+    "circulant_maps",
     "collective_factors",
     "expm_series",
     "hermite",
@@ -71,17 +76,30 @@ def collective_factors(strength: float) -> tuple[float, float]:
     return shrink2 + grow2, shrink2 - grow2
 
 
-def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
-    """Both circulant maps at squeezing strength ``strength``.
-
-    Raises NumericError when e^{2|strength|} overflows double precision.
+def mode_gains(strength) -> np.ndarray:
+    """Eigenvalues of the maps on the normal modes, symmetric mode first:
+    row 0 of p_map (e^{2s}, e^{-s}, e^{-s}), row 1 of q_map (e^{-2s}, e^{s},
+    e^{s}, each its own exponential).  NumericError where e^{2|s|} overflows.
     """
     shrink2, grow2, shrink, grow = _exponentials(strength)
-    q_map = np.full((3, 3), (shrink2 - grow) / 3)
-    np.fill_diagonal(q_map, (shrink2 + 2 * grow) / 3)
-    p_map = np.full((3, 3), (grow2 - shrink) / 3)
-    np.fill_diagonal(p_map, (grow2 + 2 * shrink) / 3)
-    return SqueezeMatrices(strength=float(strength), q_map=q_map, p_map=p_map)
+    return np.array([[grow2, shrink, shrink], [shrink2, grow, grow]])
+
+
+def circulant_entries(gains):
+    """(diagonal, off-diagonal) entries of the circulant maps with normal-mode gains (..., 3)."""
+    return (gains[..., 0] + 2 * gains[..., 1]) / 3, (gains[..., 0] - gains[..., 1]) / 3
+
+
+def circulant_maps(gains) -> tuple[np.ndarray, np.ndarray]:
+    """(q_map, p_map) from the gains of :func:`mode_gains` (shape (..., 2, 3))."""
+    diag, off = circulant_entries(gains)
+    maps = np.where(np.eye(3, dtype=bool), diag[..., None, None], off[..., None, None])
+    return maps[..., 1, :, :], maps[..., 0, :, :]
+
+
+def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
+    """Both circulant maps at ``strength``; NumericError where e^{2|strength|} overflows."""
+    return SqueezeMatrices(float(strength), *circulant_maps(mode_gains(strength)))
 
 
 def expm_series(mat: np.ndarray, tol: float = 1e-16, max_terms: int = 120) -> np.ndarray:

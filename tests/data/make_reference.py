@@ -1,0 +1,116 @@
+"""Write tests/data/reference_60digit.json: Wigner exponents and B(3) values
+evaluated with 60-digit mpmath arithmetic.
+
+Run from the repository root (needs numpy and mpmath, not the package):
+
+    python tests/data/make_reference.py
+
+The inputs are double-precision numbers, stored exactly (JSON keeps every
+float's repr); only the outputs are computed in 60 digits, from the closed
+form pi^3 W = exp(-|p_map q - sigma|^2 - |q_map p - chi|^2) with
+(sigma, chi) = sqrt(2) (Re alpha, Im alpha), p_map = exp(+s coupling) and
+q_map = exp(-s coupling).  B(3) is E(b1,b2,b3') + E(b1,b2',b3) +
+E(b1',b2,b3) - E(b1',b2',b3') with E = pi^3 W at the displacement and the
+published setting beta = (0, 0, -b), beta' = (b, b, 0).
+
+* ``wigner``: points within 3 standard deviations of the mean, per normal
+  mode, for strengths in [-6, 6];
+* ``b3``: every row of tests/data/fig2_default.csv at its printed b_star,
+  plus the strengths 5 and 6 at the b_star that ``fig2 --lambda 5:1:5`` and
+  ``fig2 --lambda 6:1:6`` print.
+"""
+
+import csv
+import json
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+
+mp.mp.dps = 60
+DATA = Path(__file__).parent
+FIG2_ALPHA = (0.4, 0.5, 0.6)
+STRENGTHS = (-6.0, -5.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 4.0, 5.0, 5.5, 6.0)
+POINTS_PER_STRENGTH = 6
+LARGE_STRENGTH_ROWS = (("5", "0.01"), ("6", "0.01"))
+
+
+def _maps(strength):
+    # (diagonal, off-diagonal) of p_map and of q_map, in 60 digits
+    s = mp.mpf(strength)
+    grow2, shrink = mp.exp(2 * s), mp.exp(-s)
+    shrink2, grow = mp.exp(-2 * s), mp.exp(s)
+    p_map = ((grow2 + 2 * shrink) / 3, (grow2 - shrink) / 3)
+    return p_map, ((shrink2 + 2 * grow) / 3, (shrink2 - grow) / 3)
+
+
+def exponent(strength, alpha, q, p):
+    """|p_map q - sigma|^2 + |q_map p - chi|^2, all inputs taken as exact."""
+    (pd, po), (qd, qo) = _maps(strength)
+    total = mp.mpf(0)
+    for j in range(3):
+        k, l = (j + 1) % 3, (j + 2) % 3
+        sigma = mp.sqrt(2) * mp.mpf(alpha[j].real)
+        chi = mp.sqrt(2) * mp.mpf(alpha[j].imag)
+        rq = pd * mp.mpf(q[j]) + po * (mp.mpf(q[k]) + mp.mpf(q[l])) - sigma
+        rp = qd * mp.mpf(p[j]) + qo * (mp.mpf(p[k]) + mp.mpf(p[l])) - chi
+        total += rq * rq + rp * rp
+    return total
+
+
+def b3(strength, b):
+    """B(3) at the published setting of magnitude ``b``."""
+    b = mp.mpf(b)
+    alpha = [complex(a) for a in FIG2_ALPHA]
+    beta, beta_prime = (0, 0, -b), (b, b, 0)
+    total = mp.mpf(0)
+    for primed, sign in (((0, 0, 1), 1), ((0, 1, 0), 1), ((1, 0, 0), 1), ((1, 1, 1), -1)):
+        point = [beta_prime[j] if primed[j] else beta[j] for j in range(3)]
+        q = [mp.sqrt(2) * x for x in point]  # real displacements: p = 0
+        total += sign * mp.exp(-exponent(strength, alpha, q, [0, 0, 0]))
+    return total
+
+
+def near_mean_points(rng, strength, count):
+    """Points within 3 sd of the mean on every normal mode, in double precision."""
+    modes = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]], dtype=float)
+    modes = (modes / np.linalg.norm(modes, axis=1)[:, None]).T
+    q_gain = np.array([np.exp(-2 * strength), np.exp(strength), np.exp(strength)])
+    p_gain = 1 / q_gain
+    q_map = modes @ np.diag(q_gain) @ modes.T
+    p_map = modes @ np.diag(p_gain) @ modes.T
+    out = []
+    for _ in range(count):
+        alpha = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        z_q, z_p = rng.uniform(-3, 3, (2, 3))
+        q = q_map @ (np.sqrt(2) * alpha.real) + modes @ (q_gain / np.sqrt(2) * z_q)
+        p = p_map @ (np.sqrt(2) * alpha.imag) + modes @ (p_gain / np.sqrt(2) * z_p)
+        out.append((alpha, q, p))
+    return out
+
+
+def main():
+    rng = np.random.default_rng(60)
+    wigner = []
+    for strength in STRENGTHS:
+        for alpha, q, p in near_mean_points(rng, strength, POINTS_PER_STRENGTH):
+            wigner.append({
+                "strength": strength,
+                "alpha": [[a.real, a.imag] for a in alpha.tolist()],
+                "q": q.tolist(),
+                "p": p.tolist(),
+                "exponent": mp.nstr(exponent(strength, alpha, q, p), 30),
+            })
+    with open(DATA / "fig2_default.csv", newline="") as handle:
+        rows = [(row["lambda"], row["b_star"]) for row in csv.DictReader(handle)]
+    bell = [{"strength": float(s), "b": float(b), "b3": mp.nstr(b3(float(s), float(b)), 30)}
+            for s, b in rows + list(LARGE_STRENGTH_ROWS)]
+    lines = lambda entries: ",\n".join("  " + json.dumps(entry) for entry in entries)
+    (DATA / "reference_60digit.json").write_text(
+        f'{{"mpmath": "{mp.__version__}", "dps": {mp.mp.dps},\n'
+        f' "wigner": [\n{lines(wigner)}\n ],\n "b3": [\n{lines(bell)}\n ]}}\n'
+    )
+
+
+if __name__ == "__main__":
+    main()

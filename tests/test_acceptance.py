@@ -189,14 +189,15 @@ def test_criterion_08_wigner(arena14):
     start = time.perf_counter()
     checks = []
     rng = np.random.default_rng(8)
-    from trisqueeze.gaussian import _wigner_closed, _wigner_covariance
 
     for _ in range(10):
         state = tz.make_state(rng.uniform(-0.8, 0.8), rng.normal(size=3) + 1j * rng.normal(size=3))
         q = rng.normal(size=3)
         p = rng.normal(size=3)
-        a = float(_wigner_closed(state, q, p))
-        b = float(_wigner_covariance(state, q, p))
+        a = tz.wigner(state, q, p)  # the closed form, on the normal modes
+        # the generic Gaussian form; det(cov) = 2^-6 makes its prefactor 1/pi^3
+        r = np.concatenate([q, p]) - state.mean
+        b = math.exp(-0.5 * r @ np.linalg.inv(state.cov) @ r) / math.pi**3
         checks.append(abs(a - b) <= 1e-10 * max(a, b))
     state = tz.make_state(0.35, [0.3 + 0.2j, -0.1, 0.4 - 0.3j])
     checks.append(abs(tz.wigner_normalization(state) - 1.0) <= 1e-3)

@@ -176,13 +176,13 @@ def test_numeric_failure_exit_code(capsys):
     (["bell", "--lambda", "400"], 3),
     (["pk", "--lambda", "400"], 3),
     (["fig2", "--lambda", "400:1:400", "--b", "0.1:0.1:0.2"], 3),
-    # the covariance inverse fails in double precision above s = 6.09
-    (["wigner", "--lambda", "8"], 3),
-    (["bell", "--lambda", "12"], 3),
-    (["fig2", "--lambda", "6:1:8"], 3),
+    # squares of the Wigner exponent that overflow at large strength
+    (["wigner", "--lambda", "8", "--q", "1e160,0,0"], 3),
+    (["bell", "--lambda", "12", "--beta", "1e150,0,0"], 3),
+    (["fig2", "--lambda", "6:1:8", "--b", "1e150:1:1e150"], 3),
+    (["wigner", "--lambda", "200", "--q", "1,1,1"], 3),
+    (["wigner", "--lambda=-200", "--p", "1,1,1"], 3),
     # overflow without a numpy warning on stderr (warnings fail the suite)
-    (["wigner", "--lambda", "200"], 3),
-    (["wigner", "--lambda=-200"], 3),
     (["pk", "--lambda", "100"], 3),
     (["pk", "--lambda", "0.3", "--alpha", "1e200,0,0"], 3),
     # the closed route is singular where e^{-2s} - e^{2s} rounds to 0
@@ -202,6 +202,29 @@ def test_non_finite_results_exit_with_message(argv, code, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, row", [
+    # W at the origin is exp(-2|alpha|^2)/pi^3 = 1/pi^3 at every strength
+    (["wigner", "--lambda", "8"], "0,0,0,0,0,0,0.0322515344332"),
+    (["wigner", "--lambda", "200"], "0,0,0,0,0,0,0.0322515344332"),
+    (["wigner", "--lambda=-200"], "0,0,0,0,0,0,0.0322515344332"),
+    # the all-zero setting gives 2 exp(-2|alpha|^2), as at s = 0.2 and s = 5
+    (["bell", "--lambda", "12"], "12,0.428762202854"),
+])
+def test_large_strengths_answer_exactly(argv, row, capsys):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.split("\n")[1:] == [row, ""]
+
+
+def test_fig2_answers_at_large_strength(capsys):
+    assert run(["fig2", "--lambda", "6:1:8"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.split("\n")[1:-1]]
+    assert captured.err == "" and [row[0] for row in rows] == ["6", "7", "8"]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 def test_determinism_byte_identical(tmp_path):

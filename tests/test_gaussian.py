@@ -139,6 +139,18 @@ def test_hos_matches_moment_engine():
             )
 
 
+def test_moment_engine_follows_the_law_at_large_strength():
+    # the squeezed variance e^{-4s}/4 is a normal-mode variance, read without
+    # cancelling entries of size e^{2|s|}
+    alpha = [0.4 + 0.1j, -0.3, 0.2j]
+    for strength in np.linspace(-8, 8, 17):
+        state = make_state(strength, alpha)
+        for m in range(1, 5):
+            assert central_moment(state, x3_query(2 * m)) == pytest.approx(
+                hos_x(strength, m), rel=1e-10
+            )
+
+
 def test_all_even_orders_squeezed():
     for m in range(1, 7):
         for strength in (0.1, 0.5, 1.0):
@@ -226,10 +238,18 @@ def test_wigner_rejects_non_finite_points_and_overflow():
         wigner(state, q, np.zeros(3))
     with pytest.raises(NumericError):
         make_state(400, [0, 0, 0])  # e^{2s} overflows
-    with np.errstate(over="ignore"):
-        large = make_state(200, [0, 0, 0])
+    large = make_state(200, [0, 0, 0])
+    assert wigner(large, np.zeros(3), np.zeros(3)) == 1 / math.pi**3
     with pytest.raises(NumericError):
-        wigner(large, np.zeros(3), np.zeros(3))  # squared map entries overflow
+        wigner(large, np.ones(3), np.zeros(3))  # (e^{400} sqrt(3))^2 overflows
+
+
+def _near_mean(rng, state, shape):
+    # points a standard normal draw from the mean on every normal mode: the
+    # q modes have widths gains[1]/sqrt(2), the p modes gains[0]/sqrt(2)
+    modes = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]]) / np.sqrt([[3], [2], [6]])
+    z = rng.normal(size=shape + (2, 3)) * state.gains[..., ::-1, :] / math.sqrt(2)
+    return state.mean[..., :3] + z[..., 0, :] @ modes, state.mean[..., 3:] + z[..., 1, :] @ modes
 
 
 def test_wigner_batch_equals_point_calls():
@@ -241,35 +261,48 @@ def test_wigner_batch_equals_point_calls():
     assert batch.shape == (6, 5)
     for i, j in np.ndindex(6, 5):
         assert batch[i, j] == wigner(state, q[i, j], p[j])
+    for strength in (3.0, 5.0, 6.0):
+        state = make_state(strength, [0.3 - 0.2j, 0.1j, -0.4])
+        q, p = _near_mean(rng, state, (6, 5))
+        batch = wigner(state, q, p[0])
+        assert batch.shape == (6, 5) and (batch > 1e-6).all()
+        for i, j in np.ndindex(6, 5):
+            assert batch[i, j] == wigner(state, q[i, j], p[0, j])
 
 
 def test_wigner_on_strength_batch_equals_single_states():
     rng = np.random.default_rng(23)
-    strengths = np.array([-0.6, 0.0, 0.45, 1.3])
+    strengths = np.array([-0.6, 0.0, 0.45, 1.3, 3.0, 5.0, 6.0])
     alpha = [0.3 - 0.2j, 0.1j, -0.4]
     batch = make_state(strengths, alpha)
-    assert batch.mean.shape == (4, 6) and batch.cov.shape == (4, 6, 6)
-    q = rng.normal(size=(4, 5, 3))
+    assert batch.mean.shape == (7, 6) and batch.cov.shape == (7, 6, 6)
+    q = rng.normal(size=(7, 5, 3))
     p = rng.normal(size=(5, 3))
     values = wigner(batch, q, p)
-    assert values.shape == (4, 5)
+    assert values.shape == (7, 5)
     for i, s in enumerate(strengths):
         single = make_state(float(s), alpha)
         assert values[i].tolist() == [wigner(single, q[i, j], p[j]) for j in range(5)]
+    # near the mean, where W does not vanish at the large strengths
+    q, p = _near_mean(rng, batch[:, None], (5,))
+    values = wigner(batch, q, p)
+    assert (values > 1e-6).all()
+    for i, s in enumerate(strengths):
+        single = make_state(float(s), alpha)
+        assert values[i].tolist() == [wigner(single, q[i, j], p[i, j]) for j in range(5)]
     with pytest.raises(InvalidParameterError):
         wigner(batch, np.zeros(3), np.zeros(3))  # no leading axis for the strengths
 
 
 def test_strength_batch_slices_equal_single_states():
     # fig2_scan builds one batch and scans each strength on its slice
-    strengths = np.concatenate([[-0.6, 6.4630967461221465, 200.0], np.arange(51) * 0.02])
+    strengths = np.concatenate([[-0.6, 3.0, 5.0, 6.0, 6.4630967461221465, 200.0], np.arange(51) * 0.02])
     alpha = [0.4, 0.5 - 0.1j, 0.6]
-    with np.errstate(over="ignore"):  # the covariance of s = 200 overflows
-        batch = make_state(strengths, alpha)
-        singles = [make_state(s, alpha) for s in strengths]
+    batch = make_state(strengths, alpha)
+    singles = [make_state(s, alpha) for s in strengths]
     for i, single in enumerate(singles):
         part = batch[i]
-        for name in ("strength", "alpha", "mean", "cov", "closed"):
+        for name in ("strength", "alpha", "gains", "displacement"):
             assert np.array_equal(getattr(part, name), getattr(single, name))
         for name in ("strength", "q_map", "p_map"):
             assert np.array_equal(getattr(part.mats, name), getattr(single.mats, name))
