@@ -49,7 +49,6 @@ from .matrices import (
     collective_factors,
     coupling_matrix,
     double_factorial,
-    expm_series,
     hermite,
 )
 from .photon import (
@@ -98,7 +97,6 @@ __all__ = [
     "double_factorial",
     "evolve",
     "expect",
-    "expm_series",
     "fig1_scan",
     "fig2_scan",
     "fig2_setting",

@@ -18,9 +18,11 @@ from .errors import InvalidParameterError, NumericError
 
 __all__ = ["main", "run"]
 
+MAX_RANGE_POINTS = 1000  # the default grids have at most 200 points
+
 
 def _parse_range(text: str) -> np.ndarray:
-    """Inclusive start:step:end grid (both ends kept within 1e-12 slack)."""
+    """Inclusive start:step:end grid of at most MAX_RANGE_POINTS points (ends within 1e-12)."""
     try:
         start, step, end = (float(part) for part in text.split(":"))
     except ValueError as exc:
@@ -29,7 +31,10 @@ def _parse_range(text: str) -> np.ndarray:
         raise InvalidParameterError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0 or end < start:
         raise InvalidParameterError(f"range needs step > 0 and end >= start, got {text!r}")
-    count = int(math.floor((end - start) / step + 1e-12)) + 1
+    span = (end - start) / step + 1e-12
+    if not span < MAX_RANGE_POINTS:  # also refuses a span that overflows to inf
+        raise InvalidParameterError(f"range has more than {MAX_RANGE_POINTS} points, got {text!r}")
+    count = int(math.floor(span)) + 1
     return start + step * np.arange(count)
 
 
@@ -78,6 +83,8 @@ def _write_gnuplot(path: str, data_path: str, columns: tuple[int, int], title: s
 
 
 def _cmd_moments(args, stream):
+    if args.m_max < 1:
+        raise InvalidParameterError(f"--m-max must be at least 1, got {args.m_max}")
     rows = []
     for m in range(1, args.m_max + 1):
         x = gaussian.hos_x(args.lam, m)
@@ -148,20 +155,23 @@ def _cmd_fig2(args, stream):
 
 
 def _cmd_oracle_check(args, stream):
-    cutoffs = [int(c) for c in args.cutoffs.split(",")]
-    lam = args.lam
+    try:
+        cutoffs = [int(c) for c in args.cutoffs.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"cutoffs must be comma-separated integers, got {args.cutoffs!r}") from exc
     alpha = _parse_complex_triple(args.alpha)
 
     if args.quantity == "b3":
         def quantity(cut):
             setting = bell.fig2_setting(args.b)
-            return bell.b3_oracle_check(lam, alpha, setting, cut)[1]
+            return bell.b3_oracle_check(args.lam, alpha, setting, cut)[1]
     else:
         start = (0, 0, 0) if args.quantity == "vacuum-amp" else alpha
 
         def quantity(cut):
             arena = fock.build_arena(cut)
-            ket = fock.evolve(arena, lam, fock.coherent_ket(arena, start))
+            ket = fock.evolve(arena, args.lam, fock.coherent_ket(arena, start))
             if args.quantity == "var-x3":
                 return fock.moment_x3(arena, ket, 2)
             if args.quantity == "parity":

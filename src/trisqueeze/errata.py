@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock import KetVector, build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import make_state, wigner
-from .matrices import collective_factors
+from .matrices import build_squeeze_matrices, collective_factors
 from .photon import gm_pair, mean_power_exact
 
 __all__ = ["build_errata"]
@@ -28,14 +28,12 @@ def _wigner_entry() -> dict:
     betas = np.array([0.25 + 0.1j, -0.15, 0.1 - 0.2j])
     q = math.sqrt(2) * betas.real
     p = math.sqrt(2) * betas.imag
-    sig = math.sqrt(2) * np.real(np.asarray(_PROBE_ALPHA, dtype=complex))
-    chi = math.sqrt(2) * np.imag(np.asarray(_PROBE_ALPHA, dtype=complex))
+    sig, chi = math.sqrt(2) * state.alpha.real, math.sqrt(2) * state.alpha.imag
 
     implemented = float(math.pi**3 * wigner(state, q, p))
     # literal matrix attachment: contracting exponential on q, expanding on p
-    swapped = math.exp(
-        -np.sum((state.mats.q_map @ q - sig) ** 2) - np.sum((state.mats.p_map @ p - chi) ** 2)
-    )
+    mats = build_squeeze_matrices(strength)
+    swapped = math.exp(-np.sum((mats.q_map @ q - sig) ** 2) - np.sum((mats.p_map @ p - chi) ** 2))
 
     arena = build_arena(_PROBE_CUTOFF)
     ket = evolve(arena, strength, coherent_ket(arena, _PROBE_ALPHA))

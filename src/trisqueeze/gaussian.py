@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .matrices import (SqueezeMatrices, build_squeeze_matrices, circulant_entries, circulant_maps,
-                       double_factorial, mode_gains)
+from .matrices import circulant, circulant_entries, circulant_maps, double_factorial, mode_gains
 
 __all__ = [
     "GaussianState",
@@ -106,13 +105,8 @@ class GaussianState:
         return GaussianState(self.strength[index], self.alpha, self.gains[index], self.displacement)
 
     @property
-    def mats(self) -> SqueezeMatrices:
-        """The circulant maps (formed on each access, as are ``mean`` and ``cov``)."""
-        return SqueezeMatrices(self.strength, *circulant_maps(self.gains))
-
-    @property
     def mean(self) -> np.ndarray:
-        """Phase-space mean (q1, q2, q3, p1, p2, p3)."""
+        """Phase-space mean (q1, q2, q3, p1, p2, p3) (formed on each access, as is ``cov``)."""
         (q_map, p_map), (sigma, chi) = circulant_maps(self.gains), _coherent(self.alpha)
         return np.concatenate([q_map @ sigma, p_map @ chi], axis=-1)
 
@@ -343,24 +337,26 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
 
 
 def wigner_normalization(state: GaussianState, points: int = 41, width: float = 6.0) -> float:
-    """Tensor trapezoid of W over a box of +-width standard deviations per axis.
+    """Tensor trapezoid of W over a box of +-width standard deviations per normal mode.
 
-    W is a q factor times a p factor, so the 6D rule is pi^3 times the 3D
-    rule of W(q, p_mean) over the q box times that of W(q_mean, p) over the
-    p box.
+    Mode k of each block is a Gaussian of centre a_k/g_k and standard
+    deviation 1/(sqrt(2) g_k) (see :func:`wigner`).  W is a q factor times a
+    p factor, so the 6D rule is pi^3 times the 3D rules over the q box (at
+    the p centre) and over the p box (at the q centre).
     """
     _one_strength(state, "wigner_normalization")
     if points < 3:
         raise InvalidParameterError("need at least 3 points per axis")
-    mean, sigmas = state.mean, np.sqrt(np.diag(state.cov))
+    centres, sigmas = state.displacement / state.gains, 1 / (math.sqrt(2) * state.gains)
     rule = np.linspace(-width, width, points)
     weights = np.full(points, rule[1] - rule[0])
     weights[[0, -1]] /= 2
+    q_centre, p_centre = centres @ _MODES.T
     total = math.pi**3
-    for block in (slice(0, 3), slice(3, 6)):
-        axes = mean[block, None] + sigmas[block, None] * rule
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        values = wigner(state, grid, mean[3:]) if block.start == 0 else wigner(state, mean[:3], grid)
+    for block in (0, 1):
+        axes = centres[block, :, None] + sigmas[block, :, None] * rule
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) @ _MODES.T
+        values = wigner(state, grid, p_centre) if block == 0 else wigner(state, q_centre, grid)
         total *= np.einsum("ijk,i,j,k", values, *(sigma * weights for sigma in sigmas[block]))
     return float(total)
 
@@ -368,15 +364,12 @@ def wigner_normalization(state: GaussianState, points: int = 41, width: float = 
 def normal_order_coefficients(strength: float) -> tuple[float, np.ndarray]:
     """Vacuum amplitude and pair-creation matrix of the normal-ordered unitary.
 
-    Returns (det(q_map)/det(overlap))**(1/2) and the symmetric matrix
-    q_map overlap^{-1} q_map^T - I; acting on the vacuum, the unitary equals
-    the amplitude times exp(pair/2 quadratic in creation operators).
+    Acting on the vacuum, the unitary equals the amplitude times exp(pair/2
+    quadratic in creation operators).  Normal mode k, a squeezer with map
+    gains g_q g_p = 1, gives the amplitude a factor sqrt(2/(g_p + g_q)) and
+    the pair the eigenvalue (g_q - g_p)/(g_q + g_p): 1/(sqrt(cosh 2s) cosh s)
+    and (-tanh 2s, tanh s, tanh s) in all.
     """
-    mats = build_squeeze_matrices(strength)
-    overlap = mats.overlap
-    det_overlap = np.linalg.det(overlap)
-    if not det_overlap > 0:
-        raise NumericError("overlap matrix not positive definite")  # unreachable for finite strength
-    prefactor = float(np.sqrt(np.linalg.det(mats.q_map) / det_overlap))
-    pair = mats.q_map @ np.linalg.inv(overlap) @ mats.q_map.T - np.eye(3)
-    return prefactor, pair
+    p_gains, q_gains = mode_gains(strength)
+    sums = p_gains + q_gains
+    return math.prod(math.sqrt(2 / total) for total in sums), circulant((q_gains - p_gains) / sums)

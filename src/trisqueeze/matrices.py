@@ -24,9 +24,9 @@ __all__ = [
     "build_squeeze_matrices",
     "mode_gains",
     "circulant_entries",
+    "circulant",
     "circulant_maps",
     "collective_factors",
-    "expm_series",
     "hermite",
     "hermite_table",
     "double_factorial",
@@ -50,12 +50,6 @@ class SqueezeMatrices:
     strength: float
     q_map: np.ndarray
     p_map: np.ndarray
-
-    @property
-    def overlap(self) -> np.ndarray:
-        """(I + q_map^T q_map)/2, the normalization matrix of the
-        normal-ordered form of the unitary (formed on each access)."""
-        return (np.eye(3) + np.swapaxes(self.q_map, -1, -2) @ self.q_map) / 2
 
 
 def _exponentials(strength) -> tuple[float, float, float, float]:
@@ -90,44 +84,21 @@ def circulant_entries(gains):
     return (gains[..., 0] + 2 * gains[..., 1]) / 3, (gains[..., 0] - gains[..., 1]) / 3
 
 
+def circulant(gains) -> np.ndarray:
+    """The symmetric circulant 3x3 matrices with normal-mode eigenvalues ``gains`` (..., 3)."""
+    diag, off = circulant_entries(gains)
+    return np.where(np.eye(3, dtype=bool), diag[..., None, None], off[..., None, None])
+
+
 def circulant_maps(gains) -> tuple[np.ndarray, np.ndarray]:
     """(q_map, p_map) from the gains of :func:`mode_gains` (shape (..., 2, 3))."""
-    diag, off = circulant_entries(gains)
-    maps = np.where(np.eye(3, dtype=bool), diag[..., None, None], off[..., None, None])
+    maps = circulant(gains)
     return maps[..., 1, :, :], maps[..., 0, :, :]
 
 
 def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
     """Both circulant maps at ``strength``; NumericError where e^{2|strength|} overflows."""
     return SqueezeMatrices(float(strength), *circulant_maps(mode_gains(strength)))
-
-
-def expm_series(mat: np.ndarray, tol: float = 1e-16, max_terms: int = 120) -> np.ndarray:
-    """Taylor-series matrix exponential with scaling and squaring.
-
-    Kept as an independent check of the closed forms above; terminates when
-    the max-norm of the current term drops below ``tol``.
-    """
-    if not tol > 0:
-        raise InvalidParameterError("tol must be positive")
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (3, 3):
-        raise InvalidParameterError(f"expected a 3x3 matrix, got shape {mat.shape}")
-    norm = np.abs(mat).sum(axis=0).max()
-    squarings = max(0, int(math.ceil(math.log2(norm)))) if norm > 1 else 0
-    a = mat / 2**squarings
-    out = np.eye(3)
-    term = np.eye(3)
-    for k in range(1, max_terms + 1):
-        term = a @ term / k
-        out = out + term
-        if np.abs(term).max() < tol:
-            break
-    else:
-        raise NumericError(f"series exponential did not converge in {max_terms} terms")
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def hermite_table(m: int, x) -> list:

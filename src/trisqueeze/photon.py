@@ -238,10 +238,10 @@ def _exact_power(k: int, amp: np.ndarray, strength: float) -> np.ndarray:
     # Normal-orders (cosh(2s) A - sinh(2s) A^dag)^k symbolically into terms
     # coef[t] * A^dag^m[t] A^n[t], and takes the coherent expectation at
     # collective amplitudes ``amp``
-    cosh2s, sinh2s = math.cosh(2.0 * strength), math.sinh(2.0 * strength)
+    coll_sum, coll_diff = collective_factors(strength)  # cosh(2s) = sum/2, sinh(2s) = -diff/2
     poly = {(0, 0): 1.0 + 0j}
     for _ in range(k):
-        poly = _shift_right(poly, cosh2s, sinh2s)
+        poly = _shift_right(poly, coll_sum / 2, -coll_diff / 2)
     terms = _normal_product({(n, m): np.conj(c) for (m, n), c in poly.items()}, poly)
     m, n = np.array(list(terms)).T
     coef = np.array(list(terms.values()), dtype=complex)

@@ -25,10 +25,13 @@ def test_range_parsing_inclusive_ends():
     assert_allclose(np.diff(grid), 0.05, rtol=1e-12)
     single = _parse_range("0.3:1:0.3")
     assert single.size == 1
+    assert _parse_range("0:1:999").size == 1000  # the largest range accepted
 
 
 def test_range_parsing_errors():
-    for bad in ("1:0.1", "0:-0.1:1", "1:0.1:0", "a:b:c"):
+    # the last four ask for more points than a grid may hold
+    for bad in ("1:0.1", "0:-0.1:1", "1:0.1:0", "a:b:c", "0.01:1e-300:2", "0:1e-9:1",
+                "-1e308:1:1e308", "0:1:1000"):
         with pytest.raises(InvalidParameterError):
             _parse_range(bad)
 
@@ -196,6 +199,13 @@ def test_numeric_failure_exit_code(capsys):
     (["wigner", "--lambda", "0.2", "--alpha", "1e200,0,0", "--q", "1,1,1"], 3),
     (["bell", "--lambda", "0", "--alpha", "1e-300,0,0", "--beta", "1,1,1",
       "--beta-prime", "1e200,0,0"], 3),
+    # argv that used to end in a traceback: an unparsable cutoff, ranges of
+    # more points than numpy can allocate, and an empty moment table
+    (["oracle-check", "--cutoffs", "8,x"], 2),
+    (["fig2", "--b", "0.01:1e-300:2"], 2),
+    (["fig2", "--lambda", "0:1e-9:1"], 2),
+    (["moments", "--lambda", "0.2", "--m-max", "0"], 2),
+    (["moments", "--lambda", "0.2", "--m-max", "-3"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code

@@ -8,6 +8,7 @@ from trisqueeze import (
     InvalidParameterError,
     MomentQuery,
     NumericError,
+    build_squeeze_matrices,
     central_moment,
     double_factorial,
     hos_x,
@@ -21,6 +22,7 @@ from trisqueeze import (
     y3_query,
 )
 from trisqueeze.gaussian import _moment_isserlis, _moment_normal_ordered
+from trisqueeze.matrices import circulant_maps
 
 
 def test_vacuum_state():
@@ -190,12 +192,17 @@ def test_wigner_normalization():
     for strength, alpha in [(0.0, [0, 0, 0]), (0.35, [0.3 + 0.2j, -0.1, 0.4 - 0.3j])]:
         total = wigner_normalization(make_state(strength, alpha))
         assert total == pytest.approx(1.0, abs=1e-3)
+    # the symmetric mode narrows as e^{-2s} while the plane modes widen as
+    # e^{s}; a box on the normal modes resolves both at every strength
+    for strength in (0.7, 1.0, 3.0, -4.0):
+        total = wigner_normalization(make_state(strength, [0.3, 0.1j, 1]))
+        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_wigner_q_marginal():
     # integrating over p on a grid reproduces the Gaussian q-marginal
     state = make_state(0.3, [0.4, 0.2 - 0.1j, -0.3j])
-    mats = state.mats
+    mats = build_squeeze_matrices(0.3)
     cov_q = mats.q_map @ mats.q_map.T / 2
     inv_q = np.linalg.inv(cov_q)
     mean_q = state.mean[:3]
@@ -304,9 +311,9 @@ def test_strength_batch_slices_equal_single_states():
         part = batch[i]
         for name in ("strength", "alpha", "gains", "displacement"):
             assert np.array_equal(getattr(part, name), getattr(single, name))
-        for name in ("strength", "q_map", "p_map"):
-            assert np.array_equal(getattr(part.mats, name), getattr(single.mats, name))
-            assert np.array_equal(getattr(batch.mats, name)[i], getattr(single.mats, name))
+        mats = build_squeeze_matrices(strengths[i])
+        for batch_map, single_map in zip(circulant_maps(batch.gains), (mats.q_map, mats.p_map)):
+            assert np.array_equal(batch_map[i], single_map)
 
 
 def test_wigner_exact_where_the_numeric_determinant_fails():
@@ -338,9 +345,11 @@ def test_normal_order_zero_strength():
 
 
 def test_normal_order_structure():
-    for strength in (-0.4, 0.2, 0.7):
+    for strength in (-0.4, 0.2, 0.7, 5, 10, 15, 18, 30, 80, -120, 150, 354, -354):
         prefactor, pair = normal_order_coefficients(strength)
         assert 0 < prefactor <= 1
+        expected = 1 / (math.sqrt(math.cosh(2 * strength)) * math.cosh(strength))
+        assert prefactor == pytest.approx(expected, rel=1e-13)
         assert_allclose(pair, pair.T, atol=1e-14)
         # eigenstructure: -tanh(2s) on the symmetric direction, tanh(s) twice
         ones = np.ones(3) / math.sqrt(3)

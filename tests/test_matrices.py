@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from trisqueeze import (
     InvalidParameterError,
-    NumericError,
     build_squeeze_matrices,
     collective_factors,
     coupling_matrix,
     double_factorial,
-    expm_series,
     hermite,
 )
 
@@ -64,30 +63,8 @@ def test_eigenvector_action(strength):
 @pytest.mark.parametrize("strength", [0.1, 0.5, 1.0])
 def test_series_exponential_matches_closed_form(strength):
     m = build_squeeze_matrices(strength)
-    assert_allclose(expm_series(-strength * coupling_matrix()), m.q_map, atol=1e-12)
-    assert_allclose(expm_series(strength * coupling_matrix()), m.p_map, atol=1e-12)
-
-
-def test_series_exponential_basics():
-    assert_allclose(expm_series(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-    a = 0.7 * coupling_matrix()
-    assert_allclose(expm_series(a) @ expm_series(-a), np.eye(3), atol=1e-10)
-
-
-def test_series_exponential_errors():
-    with pytest.raises(InvalidParameterError):
-        expm_series(np.zeros((3, 3)), tol=0.0)
-    with pytest.raises(InvalidParameterError):
-        expm_series(np.zeros((2, 2)))
-    with pytest.raises(NumericError):
-        expm_series(coupling_matrix(), tol=1e-16, max_terms=2)
-
-
-def test_overlap_positive_definite():
-    for strength in GRID:
-        m = build_squeeze_matrices(strength)
-        assert_allclose(m.overlap, m.overlap.T, atol=0)
-        assert np.linalg.eigvalsh(m.overlap).min() > 0
+    assert_allclose(scipy.linalg.expm(-strength * coupling_matrix()), m.q_map, atol=1e-12)
+    assert_allclose(scipy.linalg.expm(strength * coupling_matrix()), m.p_map, atol=1e-12)
 
 
 def test_non_finite_strength_rejected():
