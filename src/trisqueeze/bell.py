@@ -136,14 +136,9 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
 
     arena = build_arena(cutoff)
     ket = evolve(arena, strength, coherent_ket(arena, alpha))
-    b1, b2, b3_ = setting.beta
-    p1, p2, p3 = setting.beta_prime
-    oracle = (
-        displaced_parity(arena, ket, (b1, b2, p3))
-        + displaced_parity(arena, ket, (b1, p2, b3_))
-        + displaced_parity(arena, ket, (p1, b2, b3_))
-        - displaced_parity(arena, ket, (p1, p2, p3))
-    )
+    points = np.where(_PRIMED, np.asarray(setting.beta_prime), np.asarray(setting.beta))
+    corr = displaced_parity(arena, ket, points)
+    oracle = float(corr[0] + corr[1] + corr[2] - corr[3])
     return analytic, oracle
 
 

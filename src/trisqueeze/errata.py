@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .fock import KetVector, build_arena, coherent_ket, displaced_parity, evolve
+from .fock import KetVector, build_arena, coherent_ket, displaced_parity, evolve, ladder
 from .gaussian import make_state, wigner
 from .matrices import build_squeeze_matrices, collective_factors
 from .photon import gm_pair, mean_power_exact
@@ -106,10 +106,9 @@ def _collective_transform_entry() -> dict:
     strength = _PROBE_STRENGTH
     alpha = (0.4, -0.2 + 0.3j, 0.1)
     arena = build_arena(_PROBE_CUTOFF)
-    coll = (arena.a_ops[0] + arena.a_ops[1] + arena.a_ops[2]) / math.sqrt(3)
     ket = coherent_ket(arena, alpha)
-    # U^dag A U |ket>, with U^dag = e^{-K} of the same truncated generator
-    moved = evolve(arena, -strength, KetVector(coll @ evolve(arena, strength, ket).amplitudes))
+    lowered = ladder(arena, evolve(arena, strength, ket).amplitudes, 1 / math.sqrt(3))  # A U|ket>
+    moved = evolve(arena, -strength, KetVector(lowered))  # U^dag = e^{-K}, same truncated K
     oracle = complex(np.vdot(ket.amplitudes, moved.amplitudes))
 
     amp = sum(alpha) / math.sqrt(3)

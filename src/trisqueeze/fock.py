@@ -2,18 +2,16 @@
 
 Ground truth for every closed form in the package at small parameters: a
 state is propagated by applying the exponential of the squeeze generator,
-written in the truncated quadrature operators, to its ket, so nothing here
+written in the truncated ladder operators, to its ket, so nothing here
 shares code (or derivation steps) with the Gaussian modules.
 Kronecker ordering is mode1 (x) mode2 (x) mode3; basis index of the number
-state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3.
+state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3, so a ladder operator of
+mode i shifts the flat index by its stride (cutoff^2, cutoff, 1).
 """
 
 import math
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm as dense_expm
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import InvalidParameterError, TruncationError
 
@@ -24,6 +22,7 @@ __all__ = [
     "evolve",
     "coherent_ket",
     "expect",
+    "ladder",
     "moment_x3",
     "moment_y3",
     "mean_power",
@@ -38,6 +37,11 @@ MIN_CUTOFF, MAX_CUTOFF = 2, 32
 # vacuum at strength 3 puts 0.11 there at cutoff 4 and 0.29 at cutoff 6.
 BOUNDARY_MASS_LIMIT = 1e-2
 
+# Largest 1-norm of the generator in one Taylor step of `evolve` (no term of a
+# step exceeds theta^theta/theta! = 416 times its input), and most steps taken.
+TAYLOR_THETA, MAX_TAYLOR_STEPS = 8.0, 1000
+_ROOT12 = 1 / math.sqrt(12)  # (Q1+Q2+Q3)/sqrt(6) = sum_i (a_i + a_i^dag) / sqrt(12)
+
 
 class KetVector:
     """State vector in the truncated three-mode Fock space."""
@@ -51,53 +55,71 @@ class KetVector:
 
 
 class FockArena:
-    """Operator matrices of the truncated three-mode Fock space."""
+    """Ladder weights on shifted slices: ``lowering[i]`` = (stride_i, w) with
+    (a_i v)[m] = w[m] v[m + stride_i], w[m] = sqrt(m_i+1) (0 at m_i = cutoff-1);
+    ``pairs`` holds a_i a_j, i < j, alike at offset stride_i + stride_j."""
 
     def __init__(self, cutoff: int):
         if not MIN_CUTOFF <= cutoff <= MAX_CUTOFF:
             raise InvalidParameterError(
                 f"cutoff must be in [{MIN_CUTOFF}, {MAX_CUTOFF}], got {cutoff}"
             )
-        self.cutoff = int(cutoff)
-        self.dim = self.cutoff**3
-        lower = sparse.diags(np.sqrt(np.arange(1, cutoff)), 1, format="csr", dtype=complex)
-        eye = sparse.identity(cutoff, format="csr", dtype=complex)
-        self.a_ops = [
-            sparse.kron(sparse.kron(lower, eye), eye, format="csr"),
-            sparse.kron(sparse.kron(eye, lower), eye, format="csr"),
-            sparse.kron(sparse.kron(eye, eye), lower, format="csr"),
-        ]
-        self.q_ops = [((a + a.conj().T) / math.sqrt(2)).tocsr() for a in self.a_ops]
-        self.p_ops = [((a - a.conj().T) / (1j * math.sqrt(2))).tocsr() for a in self.a_ops]
-        occ = np.arange(cutoff)
-        total = (occ[:, None, None] + occ[None, :, None] + occ[None, None, :]).reshape(-1)
-        self.parity_signs = (-1.0) ** total
-        self._single_lower = lower.toarray()
+        self.cutoff = c = int(cutoff)
+        self.dim = c**3
+        occ = np.indices((c, c, c)).reshape(3, -1)
+        roots = np.where(occ < c - 1, np.sqrt(occ + 1.0), 0.0)
+        strides = (c * c, c, 1)
+        self.lowering = [(s, roots[i, :-s]) for i, s in enumerate(strides)]
+        self.pairs = [(strides[i] + strides[j], (roots[i] * roots[j])[:-strides[i] - strides[j]])
+                      for i, j in ((0, 1), (0, 2), (1, 2))]
+        self.parity_signs = (-1.0) ** occ.sum(axis=0)
 
     def index(self, n1: int, n2: int, n3: int) -> int:
         return (n1 * self.cutoff + n2) * self.cutoff + n3
 
 
 def build_arena(cutoff: int) -> FockArena:
-    """Construct the truncated space and cache all per-mode operators."""
+    """Construct the truncated space and its ladder weights."""
     return FockArena(cutoff)
 
 
 def evolve(arena: FockArena, strength: float, ket: KetVector) -> KetVector:
     """e^{K}|ket> with K = i*strength*[Q1(P2+P3) + Q2(P1+P3) + Q3(P1+P2)].
 
-    The exponential acts on the one ket through the action-of-the-exponential
-    algorithm of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011); the
-    truncated K is anti-Hermitian, so the norm is kept and e^{-K} undoes the
-    step.  Raises TruncationError when the evolved ket holds more than
-    BOUNDARY_MASS_LIMIT of its probability on the outermost occupation shell.
+    Modes commute even when truncated, so i(Q_i P_j + Q_j P_i) = a_i a_j -
+    a_i^dag a_j^dag: K = strength * sum_{i<j} of these is real antisymmetric
+    (the norm is kept, e^{-K} undoes the step).  Column m of K/|strength|
+    sums sqrt(m_i m_j) + sqrt((m_i+1)(m_j+1)) over the pairs, the second
+    term only while m_i, m_j <= c-2; each pair's sum peaks at 2c-3 for
+    m_i = m_j = c-2 (it is at most c-1 if either is c-1), all three at
+    m = (c-2, c-2, c-2), so ||K||_1 = ||K||_inf = |strength|(6c-9) >= ||K||_2.
+    Scaled Taylor sums (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)): ceil(||K||_1/TAYLOR_THETA) steps e^{K/steps} of 1-norm rho.
+    Each term past the k-th shrinks by rho/(k+1) or more, so once k+1 > rho
+    the tail is at most ||term_k|| rho/(k+1-rho); a step stops when that is
+    below 2^-53 of its sum.  Raises TruncationError past MAX_TAYLOR_STEPS, or
+    with over BOUNDARY_MASS_LIMIT of the evolved ket on the outermost shell.
     """
     if not math.isfinite(strength):
         raise InvalidParameterError("strength must be finite")
-    q1, q2, q3 = arena.q_ops
-    p1, p2, p3 = arena.p_ops
-    gen = (1j * strength) * (q1 @ (p2 + p3) + q2 @ (p1 + p3) + q3 @ (p1 + p2))
-    moved = expm_multiply(gen.tocsr(), ket.amplitudes)
+    norm1 = abs(strength) * (6 * arena.cutoff - 9)
+    if norm1 > MAX_TAYLOR_STEPS * TAYLOR_THETA:
+        raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
+    steps = max(1, math.ceil(norm1 / TAYLOR_THETA))
+    rho, scale = norm1 / steps, strength / steps
+    moved = ket.amplitudes
+    for _ in range(steps):
+        term, total, k = moved, moved.copy(), 0
+        while k + 1 <= rho or (np.linalg.norm(term) * rho
+                               > (k + 1 - rho) * 2.0**-53 * np.linalg.norm(total)):
+            k += 1
+            applied = np.zeros_like(term)
+            for off, w in arena.pairs:
+                applied[:-off] += w * term[off:]
+                applied[off:] -= w * term[:-off]
+            term = applied * (scale / k)
+            total += term
+        moved = total
     weights = (np.abs(moved) ** 2).reshape((arena.cutoff,) * 3)
     total = weights.sum()
     boundary = (total - weights[:-1, :-1, :-1].sum()) / total
@@ -130,11 +152,20 @@ def coherent_ket(arena: FockArena, alpha) -> KetVector:
 
 
 def expect(arena: FockArena, ket: KetVector, observable) -> complex:
-    """<ket|O|ket> / <ket|ket> for a dense or sparse observable."""
+    """<ket|O|ket> / <ket|ket> for a matrix observable."""
     vec = ket.amplitudes
     if observable.shape != (arena.dim, arena.dim) or vec.shape != (arena.dim,):
         raise InvalidParameterError("operator/state dimensions do not match the arena")
     return complex(np.vdot(vec, observable @ vec) / np.vdot(vec, vec))
+
+
+def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
+    """sum_i (down_i a_i + up_i a_i^dag) vec; one coefficient per mode, or one for all."""
+    out = np.zeros(arena.dim, dtype=complex)
+    for (stride, w), d, u in zip(arena.lowering, np.broadcast_to(down, 3), np.broadcast_to(up, 3)):
+        out[:-stride] += d * w * vec[stride:]
+        out[stride:] += u * w * vec[:-stride]
+    return out
 
 
 def _central_moment(quadrature, ket: KetVector, order: int) -> float:
@@ -142,54 +173,60 @@ def _central_moment(quadrature, ket: KetVector, order: int) -> float:
         raise InvalidParameterError(f"order must be even and >= 2, got {order}")
     vec = ket.amplitudes
     norm2 = float(np.vdot(vec, vec).real)
-    mean = float(np.vdot(vec, quadrature @ vec).real) / norm2
+    mean = float(np.vdot(vec, quadrature(vec)).real) / norm2
     half = vec
     for _ in range(order // 2):
-        half = quadrature @ half - mean * half
+        half = quadrature(half) - mean * half
     return float(np.vdot(half, half).real) / norm2
 
 
 def moment_x3(arena: FockArena, ket: KetVector, order: int) -> float:
-    """Central moment <(X3 - <X3>)^order> of the collective position quadrature."""
-    x3 = (arena.q_ops[0] + arena.q_ops[1] + arena.q_ops[2]) / math.sqrt(6)
-    return _central_moment(x3, ket, order)
+    """Central moment <(X3 - <X3>)^order> of (Q1+Q2+Q3)/sqrt(6) = sum_i (a_i + a_i^dag)/sqrt(12)."""
+    return _central_moment(lambda v: ladder(arena, v, _ROOT12, _ROOT12), ket, order)
 
 
 def moment_y3(arena: FockArena, ket: KetVector, order: int) -> float:
-    """Central moment of the collective momentum quadrature (P1+P2+P3)/sqrt(6)."""
-    y3 = (arena.p_ops[0] + arena.p_ops[1] + arena.p_ops[2]) / math.sqrt(6)
-    return _central_moment(y3, ket, order)
+    """Central moment of (P1+P2+P3)/sqrt(6) = sum_i (a_i - a_i^dag)/(i sqrt(12))."""
+    return _central_moment(lambda v: ladder(arena, v, -1j * _ROOT12, 1j * _ROOT12), ket, order)
 
 
 def mean_power(arena: FockArena, ket: KetVector, k: int) -> float:
     """<A^dag^k A^k> for the collective mode A = (a1+a2+a3)/sqrt(3)."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    coll = (arena.a_ops[0] + arena.a_ops[1] + arena.a_ops[2]) / math.sqrt(3)
     vec = ket.amplitudes
     for _ in range(k):
-        vec = coll @ vec
+        vec = ladder(arena, vec, 1 / math.sqrt(3))
     return float(np.vdot(vec, vec).real / np.vdot(ket.amplitudes, ket.amplitudes).real)
 
 
-def displaced_parity(arena: FockArena, ket: KetVector, betas) -> float:
+def displaced_parity(arena: FockArena, ket: KetVector, betas) -> float | np.ndarray:
     """Expectation of the product of displaced parity operators at (beta1, beta2, beta3).
 
-    Each mode is displaced by exp(beta a^dag - beta* a) (built densely on the
-    single-mode space), then the photon-number parity of the displaced state
-    is read off the diagonal signs.
+    One value per triple of ``betas`` (shape (..., 3)).  D(beta)^dag of each
+    distinct beta is built once, as V diag(e^{i eps}) V^dag from the eigenpairs
+    of the Hermitian i(beta a^dag - beta* a), and moves its mode; the parity is
+    then read off the diagonal signs.
     """
-    betas = np.asarray(betas, dtype=complex).reshape(3)
-    lower = arena._single_lower
+    betas = np.asarray(betas, dtype=complex)
+    if betas.shape[-1:] != (3,) or not np.all(np.isfinite(betas)):
+        raise InvalidParameterError("displacements must be finite triples")
     c = arena.cutoff
-    moved = ket.amplitudes.reshape(c, c, c).copy()
-    for axis, beta in enumerate(betas):
+    lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
+    inverse = {}
+    for beta in np.unique(betas):
         if abs(beta) ** 2 > c / 4:
             raise TruncationError(f"|beta|^2 = {abs(beta)**2:.3f} too large for cutoff {c}")
-        disp = dense_expm(beta * lower.conj().T - np.conj(beta) * lower)
-        moved = np.moveaxis(np.tensordot(disp.conj().T, moved, axes=(1, axis)), 0, axis)
-    weighted = arena.parity_signs * np.abs(moved.reshape(-1)) ** 2
-    return float(weighted.sum() / np.vdot(ket.amplitudes, ket.amplitudes).real)
+        eps, vecs = np.linalg.eigh(1j * (beta * lower.T - np.conj(beta) * lower))
+        inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T
+    values, norm2 = [], np.vdot(ket.amplitudes, ket.amplitudes).real
+    for triple in betas.reshape(-1, 3):
+        moved = ket.amplitudes.reshape(c, c, c)
+        for axis, beta in enumerate(triple):
+            moved = np.moveaxis(np.tensordot(inverse[beta], moved, axes=(1, axis)), 0, axis)
+        values.append((arena.parity_signs * np.abs(moved.reshape(-1)) ** 2).sum() / norm2)
+    values = np.reshape(values, betas.shape[:-1])
+    return float(values) if values.ndim == 0 else values
 
 
 def convergence_report(quantity, cutoffs) -> list[dict]:
@@ -201,17 +238,11 @@ def convergence_report(quantity, cutoffs) -> list[dict]:
     cutoffs = [int(c) for c in cutoffs]
     if len(cutoffs) < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise InvalidParameterError("need at least two strictly increasing cutoffs")
-    rows = []
-    previous = None
-    last_delta = None
+    rows, previous, last_delta = [], None, None
     for cut in cutoffs:
         value = float(quantity(cut))
         delta = None if previous is None else value - previous
-        shrinking = True
-        if delta is not None and last_delta is not None:
-            shrinking = abs(delta) <= abs(last_delta)
+        shrinking = delta is None or last_delta is None or abs(delta) <= abs(last_delta)
         rows.append({"cutoff": cut, "value": value, "delta": delta, "shrinking": shrinking})
-        previous = value
-        if delta is not None:
-            last_delta = delta
+        previous, last_delta = value, delta
     return rows

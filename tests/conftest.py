@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-Building the cutoff-14 arena's sparse operators is the costliest part of
-most oracle tests, so the arenas are built once per session and shared.
+An arena holds only its ladder weights, so building one is cheap; the
+cutoff-8 and cutoff-14 arenas are still built once per session and shared.
 """
 
 import pytest

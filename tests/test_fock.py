@@ -17,7 +17,7 @@ from trisqueeze import (
     moment_x3,
     normal_order_coefficients,
 )
-from trisqueeze.fock import moment_y3
+from trisqueeze.fock import ladder, moment_y3
 
 
 def test_arena_validation():
@@ -27,26 +27,56 @@ def test_arena_validation():
         build_arena(33)
 
 
+def _dense(arena, down, up=0.0):
+    """The matrix of sum_i (down_i a_i + up_i a_i^dag), column by column from basis kets."""
+    return np.column_stack([ladder(arena, basis, down, up) for basis in np.eye(arena.dim)])
+
+
+def _kron_generator(cutoff, strength):
+    """The literal i*s*[Q1(P2+P3) + Q2(P1+P3) + Q3(P1+P2)] from dense single-mode Q and P."""
+    lower = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+    eye = np.eye(cutoff)
+    single_q = (lower + lower.T) / math.sqrt(2)
+    single_p = (lower - lower.T) / (1j * math.sqrt(2))
+
+    def embed(op, mode):
+        factors = [eye, eye, eye]
+        factors[mode] = op
+        return np.kron(np.kron(factors[0], factors[1]), factors[2])
+
+    q1, q2, q3 = (embed(single_q, mode) for mode in range(3))
+    p1, p2, p3 = (embed(single_p, mode) for mode in range(3))
+    return 1j * strength * (q1 @ (p2 + p3) + q2 @ (p1 + p3) + q3 @ (p1 + p2))
+
+
 def test_lowering_operator_embedding():
     arena = build_arena(2)
-    a1 = arena.a_ops[0].toarray()
+    a1 = _dense(arena, (1, 0, 0))
     assert a1.shape == (8, 8)
     single = np.array([[0, 1], [0, 0]], dtype=complex)
     assert_allclose(a1, np.kron(np.kron(single, np.eye(2)), np.eye(2)), atol=0)
+    assert_allclose(_dense(arena, (0, 0, 1)), np.kron(np.eye(4), single), atol=0)
+    assert_allclose(_dense(arena, 0, (0, 1, 0)),
+                    np.kron(np.kron(np.eye(2), single.T), np.eye(2)), atol=0)
 
 
 def test_number_operator_spectrum():
     arena = build_arena(4)
-    number = (arena.a_ops[0].conj().T @ arena.a_ops[0]).toarray()
+    a1 = _dense(arena, (1, 0, 0))
+    number = a1.conj().T @ a1
     values = np.sort(np.linalg.eigvalsh(number).round(12))
     expected = np.sort(np.repeat(np.arange(4), 16))
     assert_allclose(values, expected, atol=1e-10)
+    ket = coherent_ket(arena, [0.5, 0.2j, 0])
+    lowered = ladder(arena, ket.amplitudes, (1, 0, 0))
+    mean_number = np.vdot(lowered, lowered).real
+    assert expect(arena, ket, number).real == pytest.approx(mean_number, abs=1e-14)
 
 
 def test_commutator_defect_confined_to_top_level():
     arena = build_arena(5)
-    a1 = arena.a_ops[0]
-    defect = (a1 @ a1.conj().T - a1.conj().T @ a1).toarray() - np.eye(arena.dim)
+    a1 = _dense(arena, (1, 0, 0))
+    defect = (a1 @ a1.conj().T - a1.conj().T @ a1) - np.eye(arena.dim)
     # the defect only touches basis states with n1 = cutoff-1
     bad = np.argwhere(np.abs(defect) > 1e-12)
     assert len(bad) > 0
@@ -57,10 +87,25 @@ def test_commutator_defect_confined_to_top_level():
 
 def test_quadratures_hermitian():
     arena = build_arena(4)
-    for op in (*arena.q_ops, *arena.p_ops):
-        dense = op.toarray()
-        assert_allclose(dense, dense.conj().T, atol=1e-14)
+    for mode in np.eye(3):
+        for down, up in ((mode, mode), (-1j * mode, 1j * mode)):  # sqrt(2) Q_i and sqrt(2) P_i
+            dense = _dense(arena, down, up)
+            assert_allclose(dense, dense.conj().T, atol=1e-14)
     assert_allclose(arena.parity_signs, arena.parity_signs.real, atol=0)
+
+
+def test_pair_diagonals_are_the_literal_generator():
+    # the three stored pair diagonals rebuild i*s*[Q1(P2+P3) + ...] entry for entry,
+    # and its 1-norm is |s|(6c-9), the bound evolve's step count rests on
+    for cutoff in (2, 3, 5):
+        arena = build_arena(cutoff)
+        generator = np.zeros((arena.dim, arena.dim))
+        for off, w in arena.pairs:
+            generator += np.diag(w, off) - np.diag(w, -off)
+        literal = _kron_generator(cutoff, 0.7)
+        assert_allclose(0.7 * generator, literal, atol=1e-14)
+        norm1 = np.abs(literal).sum(axis=0).max()
+        assert norm1 == pytest.approx(0.7 * (6 * cutoff - 9), rel=1e-14)
 
 
 def test_zero_strength_unitary_is_identity(arena8):
@@ -88,18 +133,51 @@ def test_evolve_guards():
     with pytest.raises(TruncationError, match="outermost Fock shell"):
         evolve(arena, 3.0, vac)
     evolve(arena, 0.2, vac)  # boundary mass 1.1e-3: below the limit
+    for strength in (1e6, -1e300, 1e308):  # more Taylor steps than MAX_TAYLOR_STEPS
+        with pytest.raises(TruncationError, match="too large for the Fock oracle"):
+            evolve(arena, strength, vac)
 
 
 def test_evolve_matches_dense_exponential():
     from scipy.linalg import expm
 
     arena = build_arena(6)
-    q1, q2, q3 = arena.q_ops
-    p1, p2, p3 = arena.p_ops
-    gen = -0.2j * (q1 @ (p2 + p3) + q2 @ (p1 + p3) + q3 @ (p1 + p2))
     ket = coherent_ket(arena, [0.3, 0.2 + 0.1j, -0.25])
-    assert_allclose(evolve(arena, -0.2, ket).amplitudes, expm(gen.toarray()) @ ket.amplitudes,
-                    atol=1e-13)
+    assert_allclose(evolve(arena, -0.2, ket).amplitudes,
+                    expm(_kron_generator(6, -0.2)) @ ket.amplitudes, atol=1e-13)
+
+
+@pytest.mark.parametrize("strength", [1.5, -1.5])
+def test_evolve_many_taylor_steps_matches_dense_exponential(monkeypatch, strength):
+    from scipy.linalg import expm
+
+    from trisqueeze import fock as fock_module
+
+    monkeypatch.setattr(fock_module, "BOUNDARY_MASS_LIMIT", 1.0)
+    assert math.ceil(abs(strength) * (6 * 6 - 9) / fock_module.TAYLOR_THETA) >= 3
+    arena = build_arena(6)
+    ket = coherent_ket(arena, [0.3, 0.2 + 0.1j, -0.25])
+    assert_allclose(evolve(arena, strength, ket).amplitudes,
+                    expm(_kron_generator(6, strength)) @ ket.amplitudes, atol=1e-12)
+
+
+def test_evolve_matches_expm_multiply_at_cutoff_20():
+    from scipy import sparse
+    from scipy.sparse.linalg import expm_multiply
+
+    from trisqueeze import FIG2_ALPHA
+
+    cutoff, strength = 20, 0.5
+    lower = sparse.diags(np.sqrt(np.arange(1.0, cutoff)), 1, format="csr")
+    eye = sparse.identity(cutoff, format="csr")
+    ops = [sparse.kron(sparse.kron(lower, eye), eye), sparse.kron(sparse.kron(eye, lower), eye),
+           sparse.kron(eye, sparse.kron(eye, lower))]
+    pair = lambda i, j: ops[i] @ ops[j] - ops[i].T @ ops[j].T
+    generator = (strength * (pair(0, 1) + pair(0, 2) + pair(1, 2))).tocsr()
+    arena = build_arena(cutoff)
+    ket = coherent_ket(arena, FIG2_ALPHA)
+    assert_allclose(evolve(arena, strength, ket).amplitudes,
+                    expm_multiply(generator, ket.amplitudes), atol=1e-12)
 
 
 def test_coherent_ket_basics(arena14):
@@ -108,8 +186,8 @@ def test_coherent_ket_basics(arena14):
     assert vac.norm == pytest.approx(1.0, abs=1e-12)
 
     ket = coherent_ket(arena14, [1, 0, 0])
-    number = arena14.a_ops[0].conj().T @ arena14.a_ops[0]
-    assert expect(arena14, ket, number).real == pytest.approx(1.0, abs=1e-6)
+    lowered = ladder(arena14, ket.amplitudes, (1, 0, 0))  # <n1> = |a1 ket|^2
+    assert np.vdot(lowered, lowered).real == pytest.approx(1.0, abs=1e-6)
     assert abs(ket.amplitudes[0]) == pytest.approx(math.exp(-0.5), abs=1e-9)
     assert ket.norm <= 1 + 1e-9
 
@@ -163,6 +241,28 @@ def test_parity_identities(arena14):
     ket = evolve(arena14, 0.2, coherent_ket(arena14, [0.2, 0.1j, 0]))
     value = displaced_parity(arena14, ket, [0.3, -0.2 + 0.1j, 0.15])
     assert -1 <= value <= 1
+
+
+def test_parity_matches_dense_displacements(arena8):
+    # each mode's D(beta)^dag from eigh equals the matrix exponential, and a batch of
+    # triples gives the values of one call per triple
+    from scipy.linalg import expm
+
+    ket = evolve(arena8, 0.2, coherent_ket(arena8, [0.2, 0.1j, -0.1]))
+    triples = np.array([[0.3, -0.2 + 0.1j, 0.15], [0.3, 0.1j, 0.15], [-0.2 + 0.1j, 0.3, 0]])
+    lower = np.diag(np.sqrt(np.arange(1.0, 8)), 1)
+    batch = displaced_parity(arena8, ket, triples)
+    assert batch.shape == (3,)
+    for triple, value in zip(triples, batch):
+        moved = ket.amplitudes.reshape(8, 8, 8)
+        for axis, beta in enumerate(triple):
+            inverse = expm(np.conj(beta) * lower - beta * lower.T)
+            moved = np.moveaxis(np.tensordot(inverse, moved, axes=(1, axis)), 0, axis)
+        expected = float(arena8.parity_signs @ np.abs(moved.reshape(-1)) ** 2)
+        assert value == pytest.approx(expected, abs=1e-14)
+        assert displaced_parity(arena8, ket, triple) == value
+    with pytest.raises(InvalidParameterError):
+        displaced_parity(arena8, ket, [0.1, math.nan, 0])
 
 
 def test_parity_tail_guard(arena8):
