@@ -24,7 +24,6 @@ from .fock import (
     convergence_report,
     displaced_parity,
     evolve,
-    expect,
     mean_power,
     moment_x3,
     moment_y3,
@@ -96,7 +95,6 @@ __all__ = [
     "displaced_parity",
     "double_factorial",
     "evolve",
-    "expect",
     "fig1_scan",
     "fig2_scan",
     "fig2_setting",

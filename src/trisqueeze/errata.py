@@ -2,8 +2,8 @@
 
 Each entry records a literal formula variant, the form actually implemented,
 and numeric evidence for the correction, measured against an independent
-route (the Fock oracle or the exact collective-mode reduction).  Entries
-whose literal and implemented forms agree at every probe point are dropped.
+route (the Fock oracle or the exact collective-mode reduction).  The probes
+are fixed, and at each of them the literal form is measurably off.
 """
 
 import math
@@ -140,16 +140,5 @@ def _collective_transform_entry() -> dict:
 
 
 def build_errata() -> list[dict]:
-    """All entries whose literal and implemented forms measurably disagree."""
-    entries = [_wigner_entry(), _gm_entry(), _collective_transform_entry()]
-    kept = []
-    for entry in entries:
-        literal_deltas = [
-            v
-            for k, v in entry["evidence"].items()
-            if k.startswith("literal_vs") or k.startswith("principal_vs")
-        ]
-        if literal_deltas and max(literal_deltas) == 0:
-            continue  # literal form agrees everywhere: not an erratum
-        kept.append(entry)
-    return kept
+    """The three entries, each with its literal and implemented forms and the evidence."""
+    return [_wigner_entry(), _gm_entry(), _collective_transform_entry()]

@@ -21,7 +21,6 @@ __all__ = [
     "build_arena",
     "evolve",
     "coherent_ket",
-    "expect",
     "ladder",
     "moment_x3",
     "moment_y3",
@@ -136,11 +135,12 @@ def coherent_ket(arena: FockArena, alpha) -> KetVector:
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
     if not np.all(np.isfinite(alpha.view(float))):
         raise InvalidParameterError("coherent amplitudes must be finite")
-    factors = []
+    # the tail guard |alpha|^2 <= cutoff/4, compared unsquared so that it cannot overflow
+    factors, limit = [], math.sqrt(arena.cutoff) / 2
     for amp in alpha:
-        if abs(amp) ** 2 > arena.cutoff / 4:
+        if abs(amp) > limit:
             raise TruncationError(
-                f"|alpha|^2 = {abs(amp)**2:.3f} too large for cutoff {arena.cutoff}"
+                f"|alpha| = {abs(amp):.4g} too large for cutoff {arena.cutoff} (limit {limit:.4g})"
             )
         n = np.arange(arena.cutoff)
         log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, arena.cutoff)))])
@@ -149,14 +149,6 @@ def coherent_ket(arena: FockArena, alpha) -> KetVector:
     ket = np.kron(np.kron(factors[0], factors[1]), factors[2])
     ket /= np.linalg.norm(ket)
     return KetVector(ket)
-
-
-def expect(arena: FockArena, ket: KetVector, observable) -> complex:
-    """<ket|O|ket> / <ket|ket> for a matrix observable."""
-    vec = ket.amplitudes
-    if observable.shape != (arena.dim, arena.dim) or vec.shape != (arena.dim,):
-        raise InvalidParameterError("operator/state dimensions do not match the arena")
-    return complex(np.vdot(vec, observable @ vec) / np.vdot(vec, vec))
 
 
 def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
@@ -213,10 +205,12 @@ def displaced_parity(arena: FockArena, ket: KetVector, betas) -> float | np.ndar
         raise InvalidParameterError("displacements must be finite triples")
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
-    inverse = {}
+    inverse, limit = {}, math.sqrt(c) / 2  # |beta|^2 <= c/4, as in coherent_ket
     for beta in np.unique(betas):
-        if abs(beta) ** 2 > c / 4:
-            raise TruncationError(f"|beta|^2 = {abs(beta)**2:.3f} too large for cutoff {c}")
+        if abs(beta) > limit:
+            raise TruncationError(
+                f"|beta| = {abs(beta):.4g} too large for cutoff {c} (limit {limit:.4g})"
+            )
         eps, vecs = np.linalg.eigh(1j * (beta * lower.T - np.conj(beta) * lower))
         inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T
     values, norm2 = [], np.vdot(ket.amplitudes, ket.amplitudes).real

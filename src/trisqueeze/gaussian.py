@@ -6,8 +6,11 @@ block-diag(q_map q_map^T, p_map p_map^T)/2.  Both maps are diagonal on the
 fixed normal modes of the coupling matrix, so the state is stored as three
 independent single-mode squeezers (the Bloch-Messiah form): the gains on the
 normal modes and the coherent displacement in that basis.  Moments, the
-Wigner function and the enhanced-squeezing laws follow from that, and each
-closed form is paired with a second, independently coded route.
+Wigner function and the enhanced-squeezing laws follow from that.  The
+Wigner exponent is evaluated twice, on the normal modes and from the
+circulant entries, and compared on every call; the central moments, the
+squeezing laws and the normal-ordered coefficients are computed once and
+checked by the tests against the closed forms and the Fock oracle.
 
 Conventions: hbar = 1, [Q, P] = i, a = (Q + iP)/sqrt(2); phase-space vectors
 are ordered (q1, q2, q3, p1, p2, p3).
@@ -180,39 +183,12 @@ def _mode_coefficients(state: GaussianState, coeffs: np.ndarray) -> np.ndarray:
     return coeffs.reshape(2, 3) @ _MODES * state.gains[::-1]
 
 
-def _moment_isserlis(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
-    # the variance is the sum of the normal-mode variances, nothing cancels
-    scaled = _mode_coefficients(state, coeffs)
-    sigma2 = float(np.vdot(scaled, scaled)) / 2
-    return double_factorial(order - 1) * sigma2 ** (order // 2)
-
-
-def _moment_normal_ordered(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
-    # Route the observable through the Heisenberg picture: in the coherent
-    # state the observable becomes sum_j (eta_j a_j + conj(eta_j) a_j^dag),
-    # and the ordering identity turns the central moment into a k-sum whose
-    # normally ordered factors vanish term by term.  (d, e) = (q_map c_q,
-    # p_map c_p), assembled from the scaled normal-mode coefficients.
-    d, e = _mode_coefficients(state, coeffs) @ _MODES.T
-    eta = (d - 1j * e) / math.sqrt(2)
-    pair_sum = float(np.vdot(eta, eta).real)
-    amplitude = complex(eta @ state.alpha)
-    mean = 2 * amplitude.real
-    centered = (amplitude + complex(np.conj(eta) @ np.conj(state.alpha))) - mean
-    m = order // 2
-    total = 0.0
-    for k in range(m + 1):
-        weight = math.factorial(order) / (math.factorial(order - 2 * k) * math.factorial(k))
-        total += weight * (pair_sum / 2) ** k * (centered ** (order - 2 * k)).real
-    return total
-
-
 def central_moment(state: GaussianState, query: MomentQuery) -> float:
     """Even-order central moment of the scalar observable in ``query``.
 
-    Computed twice (Gaussian pairing law on the normal-mode variances, and
-    the normal-ordered expansion); a relative disagreement above 1e-10
-    raises NumericError, and so does a moment that overflows.
+    The Gaussian pairing law (order-1)!! sigma2^(order/2); sigma2 is the sum
+    of the normal-mode variances, so nothing cancels.  A moment that
+    overflows double precision raises NumericError.
     """
     _one_strength(state, "central_moment")
     order = int(query.order)
@@ -222,19 +198,15 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
     coeffs = np.asarray(query.coeffs, dtype=float).reshape(6)
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            first = _moment_isserlis(state, coeffs, order)
-            second = _moment_normal_ordered(state, coeffs, order)
-        except OverflowError:
-            first = second = math.inf
-    if not math.isfinite(first + second):
+        scaled = _mode_coefficients(state, coeffs)
+        sigma2 = float(np.vdot(scaled, scaled)) / 2
+    try:
+        moment = double_factorial(order - 1) * sigma2 ** (order // 2)
+    except OverflowError:
+        moment = math.inf
+    if not math.isfinite(moment):
         raise NumericError(f"moment overflows double precision at {_strengths(state)}")
-    scale = max(abs(first), abs(second), 1e-300)
-    if abs(first - second) / scale > 1e-10:
-        raise NumericError(
-            f"moment routes disagree: pairing={first!r} normal-ordered={second!r}"
-        )
-    return first
+    return moment
 
 
 def hos_x(strength: float, m: int) -> float:

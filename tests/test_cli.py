@@ -209,6 +209,8 @@ def test_numeric_failure_exit_code(capsys):
     (["fig2", "--lambda", "0:1e-9:1"], 2),
     (["moments", "--lambda", "0.2", "--m-max", "0"], 2),
     (["moments", "--lambda", "0.2", "--m-max", "-3"], 2),
+    # a Fock tail guard that squared |alpha| overflowed and warned before exit 3
+    (["oracle-check", "--lambda", "0.2", "--alpha", "1e200,0,0", "--cutoffs", "8,10"], 3),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code

@@ -12,7 +12,6 @@ from trisqueeze import (
     convergence_report,
     displaced_parity,
     evolve,
-    expect,
     mean_power,
     moment_x3,
     normal_order_coefficients,
@@ -70,7 +69,9 @@ def test_number_operator_spectrum():
     ket = coherent_ket(arena, [0.5, 0.2j, 0])
     lowered = ladder(arena, ket.amplitudes, (1, 0, 0))
     mean_number = np.vdot(lowered, lowered).real
-    assert expect(arena, ket, number).real == pytest.approx(mean_number, abs=1e-14)
+    assert np.vdot(ket.amplitudes, number @ ket.amplitudes).real == pytest.approx(
+        mean_number, abs=1e-14
+    )
 
 
 def test_commutator_defect_confined_to_top_level():
@@ -198,12 +199,6 @@ def test_coherent_tail_guard():
         coherent_ket(arena, [2.0, 0, 0])
 
 
-def test_expect_dimension_check(arena8):
-    ket = coherent_ket(arena8, [0, 0, 0])
-    with pytest.raises(InvalidParameterError):
-        expect(arena8, ket, np.eye(7))
-
-
 def test_vacuum_quadrature_variance(arena8):
     vac = coherent_ket(arena8, [0, 0, 0])
     assert moment_x3(arena8, vac, 2) == pytest.approx(0.25, abs=1e-12)
@@ -269,6 +264,8 @@ def test_parity_tail_guard(arena8):
     vac = coherent_ket(arena8, [0, 0, 0])
     with pytest.raises(TruncationError):
         displaced_parity(arena8, vac, [2.0, 0, 0])
+    with pytest.raises(TruncationError):  # |beta|^2 would overflow, and warn
+        displaced_parity(arena8, vac, [1e200, 0, 0])
 
 
 def test_mean_power_validation(arena8):

@@ -21,7 +21,7 @@ from trisqueeze import (
     x3_query,
     y3_query,
 )
-from trisqueeze.gaussian import _moment_isserlis, _moment_normal_ordered
+from trisqueeze.fock import _central_moment, build_arena, coherent_ket, evolve, ladder
 from trisqueeze.matrices import circulant_maps
 
 
@@ -93,15 +93,35 @@ def test_moment_alpha_independence():
             assert central_moment(state, x3_query(2 * m)) == pytest.approx(expected, rel=1e-10)
 
 
-def test_engine_routes_agree_on_random_queries():
-    rng = np.random.default_rng(17)
-    for _ in range(25):
-        state = make_state(rng.uniform(-0.8, 0.8), rng.normal(size=3) + 1j * rng.normal(size=3))
+def test_central_moment_matches_fock_oracle_on_random_quadratures():
+    # c . (Q, P) with c a random unit vector over all six components is
+    # sum_j (down_j a_j + up_j a_j^dag), down = (c_q - i c_p)/sqrt(2) and
+    # up = (c_q + i c_p)/sqrt(2), applied to the propagated Fock ket
+    rng = np.random.default_rng(29)
+    arena = build_arena(20)
+    for _ in range(12):
+        strength = rng.uniform(-0.3, 0.3)
+        alpha = rng.uniform(-0.5, 0.5, 3) + 1j * rng.uniform(-0.5, 0.5, 3)
         coeffs = rng.normal(size=6)
-        for m in (1, 2, 4, 6):
-            a = _moment_isserlis(state, coeffs, 2 * m)
-            b = _moment_normal_ordered(state, coeffs, 2 * m)
-            assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))
+        coeffs /= np.linalg.norm(coeffs)
+        c_q, c_p = coeffs[:3], coeffs[3:]
+        down, up = (c_q - 1j * c_p) / math.sqrt(2), (c_q + 1j * c_p) / math.sqrt(2)
+        ket = evolve(arena, strength, coherent_ket(arena, alpha))
+        state = make_state(strength, alpha)
+        for order in (2, 4, 6):
+            oracle = _central_moment(lambda v: ladder(arena, v, down, up), ket, order)
+            assert central_moment(state, MomentQuery(coeffs, order)) == pytest.approx(
+                oracle, rel=1e-7
+            )
+
+
+def test_moment_overflow_raises():
+    for strength, queries in ((60.0, [y3_query(16)]), (-60.0, [x3_query(16)]),
+                              (100.0, [x3_query(16), y3_query(16)])):
+        state = make_state(strength, [0, 0, 0])
+        for query in queries:
+            with pytest.raises(NumericError, match="overflows"):
+                central_moment(state, query)
 
 
 def test_moment_validation():
