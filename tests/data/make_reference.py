@@ -1,5 +1,5 @@
-"""Write tests/data/reference_60digit.json: Wigner exponents and B(3) values
-evaluated with 60-digit mpmath arithmetic.
+"""Write tests/data/reference_60digit.json: Wigner exponents, B(3) values and
+collective-mode photon moments evaluated with 60-digit mpmath arithmetic.
 
 Run from the repository root (needs numpy and mpmath, not the package):
 
@@ -17,11 +17,18 @@ published setting beta = (0, 0, -b), beta' = (b, b, 0).
   mode, for strengths in [-6, 6];
 * ``b3``: every row of tests/data/fig2_default.csv at its printed b_star,
   plus the strengths 5 and 6 at the b_star that ``fig2 --lambda 5:1:5`` and
-  ``fig2 --lambda 6:1:6`` print.
+  ``fig2 --lambda 6:1:6`` print;
+* ``mean_power``: <A^dag^k A^k> of the collective mode A = (a1+a2+a3)/sqrt(3)
+  for k = 1..6, strengths in [-4, 4] and |alpha_j| <= 2.  A^k evolves to
+  (cA - tA^dag)^k with c = cosh 2s, t = sinh 2s; the product
+  (cA^dag - tA)^k (cA - tA^dag)^k is normal-ordered symbolically, term by
+  term, and its coherent expectation taken at a = sum(alpha)/sqrt(3).  This
+  shares no derivation with the package's closed-form Wick sum.
 """
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import mpmath as mp
@@ -33,6 +40,7 @@ FIG2_ALPHA = (0.4, 0.5, 0.6)
 STRENGTHS = (-6.0, -5.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 4.0, 5.0, 5.5, 6.0)
 POINTS_PER_STRENGTH = 6
 LARGE_STRENGTH_ROWS = (("5", "0.01"), ("6", "0.01"))
+POWER_CASES_PER_ORDER = 150
 
 
 def _maps(strength):
@@ -71,6 +79,42 @@ def b3(strength, b):
     return total
 
 
+def _add(poly, key, value):
+    poly[key] = poly.get(key, 0) + value
+
+
+def normal_ordered_power(k, c, t):
+    """{(m, n): coef} with B^dag^k B^k = sum coef A^dag^m A^n, B = cA - tA^dag."""
+    right = {(0, 0): mp.mpf(1)}
+    for _ in range(k):
+        # A^dag^m A^n (cA - tA^dag) = c A^dag^m A^(n+1) - t A^dag^(m+1) A^n
+        #                             - t n A^dag^m A^(n-1)
+        out = {}
+        for (m, n), coef in right.items():
+            _add(out, (m, n + 1), c * coef)
+            _add(out, (m + 1, n), -t * coef)
+            if n:
+                _add(out, (m, n - 1), -t * n * coef)
+        right = out
+    left = {(n, m): coef for (m, n), coef in right.items()}  # the adjoint; c, t are real
+    product = {}
+    for (m1, n1), c1 in left.items():
+        for (m2, n2), c2 in right.items():
+            # A^n1 A^dag^m2 = sum_j C(n1, j) C(m2, j) j! A^dag^(m2-j) A^(n1-j)
+            for j in range(min(n1, m2) + 1):
+                weight = math.comb(n1, j) * math.comb(m2, j) * math.factorial(j)
+                _add(product, (m1 + m2 - j, n1 + n2 - j), weight * c1 * c2)
+    return product
+
+
+def mean_power(k, strength, alpha):
+    """<A^dag^k A^k> in the squeezed coherent state, all inputs taken as exact."""
+    s2 = 2 * mp.mpf(strength)
+    amp = sum(mp.mpc(a.real, a.imag) for a in alpha) / mp.sqrt(3)
+    terms = normal_ordered_power(k, mp.cosh(s2), mp.sinh(s2))
+    return mp.re(sum(coef * mp.conj(amp) ** m * amp**n for (m, n), coef in terms.items()))
+
+
 def near_mean_points(rng, strength, count):
     """Points within 3 sd of the mean on every normal mode, in double precision."""
     modes = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]], dtype=float)
@@ -105,10 +149,23 @@ def main():
         rows = [(row["lambda"], row["b_star"]) for row in csv.DictReader(handle)]
     bell = [{"strength": float(s), "b": float(b), "b3": mp.nstr(b3(float(s), float(b)), 30)}
             for s, b in rows + list(LARGE_STRENGTH_ROWS)]
+    rng = np.random.default_rng(61)
+    powers = []
+    for k in range(1, 7):
+        for _ in range(POWER_CASES_PER_ORDER):
+            strength = float(rng.uniform(-4, 4))
+            alpha = 2 * np.sqrt(rng.uniform(0, 1, 3)) * np.exp(2j * np.pi * rng.uniform(0, 1, 3))
+            powers.append({
+                "k": k,
+                "strength": strength,
+                "alpha": [[a.real, a.imag] for a in alpha.tolist()],
+                "value": mp.nstr(mean_power(k, strength, alpha), 30),
+            })
     lines = lambda entries: ",\n".join("  " + json.dumps(entry) for entry in entries)
     (DATA / "reference_60digit.json").write_text(
         f'{{"mpmath": "{mp.__version__}", "dps": {mp.mp.dps},\n'
-        f' "wigner": [\n{lines(wigner)}\n ],\n "b3": [\n{lines(bell)}\n ]}}\n'
+        f' "wigner": [\n{lines(wigner)}\n ],\n "b3": [\n{lines(bell)}\n ],\n'
+        f' "mean_power": [\n{lines(powers)}\n ]}}\n'
     )
 
 

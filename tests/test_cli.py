@@ -62,6 +62,15 @@ def test_pk_json(capsys):
     assert payload[0]["exact_value"] == pytest.approx(1 + 1 / math.tanh(0.6) ** 2)
 
 
+def test_pk_answers_tiny_coherent_amplitudes(capsys):
+    # |alpha|^4 underflows, so the ratio <A^dag^2 A^2>/<A^dag A>^2 cannot be
+    # formed as written; P_2 of a coherent state is exactly 0
+    assert run(["pk", "--lambda", "0", "--alpha", "1e-160,0,0", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)[0]["exact_value"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_fig1_csv_file(tmp_path):
     out = tmp_path / "fig1.csv"
     assert run(["fig1", "--re=-0.2:0.2:0.2", "--im", "0:0.5:0.5", "--out", str(out)]) == 0

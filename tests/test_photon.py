@@ -176,12 +176,42 @@ def test_exact_route_against_three_mode_oracle(arena14):
 # P_k statistic
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("k", range(2, 7))
+def test_pk_single_amplitude_equals_its_grid_element(k):
+    # a single triple runs through the same arithmetic as a grid of them
+    rng = np.random.default_rng(40 + k)
+    grid = rng.uniform(-2, 2, (7, 3)) + 1j * rng.uniform(-2, 2, (7, 3))
+    for strength in (-1.3, 0.0, 0.4, 2.5):
+        batch = pk(k, grid, strength)
+        for i, alpha in enumerate(grid):
+            single = pk(k, alpha, strength)
+            assert isinstance(single.exact_value, float)
+            assert single.exact_value == batch.exact_value[i]
+            if strength:
+                assert single.paper_value == batch.paper_value[i]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_mean_power_exact_single_amplitude_equals_its_grid_element(k):
+    rng = np.random.default_rng(50 + k)
+    grid = rng.uniform(-2, 2, (2, 5, 3)) + 1j * rng.uniform(-2, 2, (2, 5, 3))
+    for strength in (-0.7, 0.0, 1.1, 3.0):
+        batch = mean_power_exact(k, grid, strength)
+        for index in np.ndindex(grid.shape[:2]):
+            assert mean_power_exact(k, grid[index], strength) == batch[index]
+
+
 def test_pk_poissonian_baseline():
-    for k in (2, 3, 4):
-        result = pk(k, [0.6, 0.2, -0.3], 0.0, path="exact")
-        assert result.exact_value == pytest.approx(0.0, abs=1e-12)
-        assert result.paper_value is None
-        assert result.discrepancy is None
+    # a coherent state has P_k = 0 at every amplitude scale: the exact route
+    # forms no power of the mean photon number, so nothing under- or overflows
+    for k in range(2, 7):
+        for magnitude in (1e-160, 1e-100, 1e-20, 1.0, 1e20, 1e100, 1e150):
+            for phase in (1, 1j, (1 - 1j) / math.sqrt(2)):
+                alpha = magnitude * phase * np.array([0.6, 0.2, -0.3])
+                result = pk(k, alpha, 0.0, path="exact")
+                assert result.exact_value == pytest.approx(0.0, abs=1e-12), (k, magnitude)
+                assert result.paper_value is None
+                assert result.discrepancy is None
 
 
 def test_pk_squeezed_vacuum_super_poissonian():
@@ -242,7 +272,7 @@ def test_pk_rejects_non_finite_amplitudes_and_overflow():
         pk(2, [1, 1, 1], 400)  # cosh(800) overflows
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError):
-            pk(2, [1, 1, 1], 100)  # the k-th power of the mean overflows
+            pk(2, [1, 1, 1], 100)  # the closed route overflows (the exact ratio is finite)
 
 
 def test_mean_powers_raise_on_overflow_without_warnings():

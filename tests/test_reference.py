@@ -1,4 +1,5 @@
-"""The Gaussian engine against values evaluated in 60-digit arithmetic.
+"""The Gaussian engine and the exact photon route against values evaluated in
+60-digit arithmetic.
 
 tests/data/reference_60digit.json is written by tests/data/make_reference.py
 (with mpmath); the suite only reads it.
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from trisqueeze import FIG2_ALPHA, b3, fig2_setting, make_state, wigner
+from trisqueeze import FIG2_ALPHA, b3, fig2_setting, make_state, mean_power_exact, wigner
 from trisqueeze.cli import run
 
 DATA = Path(__file__).parent / "data"
@@ -50,3 +51,14 @@ def test_printed_fig2_maxima_match_60_digit_values(capsys):
     assert len(rows) == len(reference) == 53
     for strength, b_star, b3_max in rows:
         assert abs(b3_max - reference[strength, b_star]) <= 1e-12, (strength, b_star)
+
+
+def test_exact_photon_moments_match_60_digit_values():
+    # <A^dag^k A^k> for k = 1..6, |s| <= 4, |alpha_j| <= 2; the reference
+    # normal-orders the operator product symbolically, the package sums Wick
+    # pairings in closed form
+    assert {entry["k"] for entry in REFERENCE["mean_power"]} == set(range(1, 7))
+    for entry in REFERENCE["mean_power"]:
+        alpha = [complex(re, im) for re, im in entry["alpha"]]
+        value = mean_power_exact(entry["k"], alpha, entry["strength"])
+        assert value == pytest.approx(float(entry["value"]), rel=1e-13, abs=0), entry
