@@ -10,7 +10,6 @@ oracle validating every closed form at small parameters.
 from .bell import FIG2_ALPHA, BellSetting, b3, b3_oracle_check, fig2_scan, fig2_setting
 from .errors import (
     DomainError,
-    FormulaInconsistencyError,
     InvalidParameterError,
     NumericError,
     SingularParameterError,
@@ -71,7 +70,6 @@ __all__ = [
     "DomainError",
     "FIG2_ALPHA",
     "FockArena",
-    "FormulaInconsistencyError",
     "GMPair",
     "GaussianState",
     "InvalidParameterError",

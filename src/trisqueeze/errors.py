@@ -27,14 +27,3 @@ class TruncationError(NumericError):
     """A truncated Fock-space computation is untrustworthy at the current
     cutoff (an amplitude too large for it, or too much evolved probability on
     the outermost occupation shell)."""
-
-
-class FormulaInconsistencyError(NumericError):
-    """A closed-form evaluation produced a non-negligible imaginary residue.
-
-    Carries the offending residue so callers can report it.
-    """
-
-    def __init__(self, message, residue):
-        super().__init__(message)
-        self.residue = float(residue)

@@ -23,7 +23,6 @@ __all__ = [
     "SqueezeMatrices",
     "build_squeeze_matrices",
     "mode_gains",
-    "circulant_entries",
     "circulant",
     "circulant_maps",
     "collective_factors",
@@ -79,14 +78,9 @@ def mode_gains(strength) -> np.ndarray:
     return np.array([[grow2, shrink, shrink], [shrink2, grow, grow]])
 
 
-def circulant_entries(gains):
-    """(diagonal, off-diagonal) entries of the circulant maps with normal-mode gains (..., 3)."""
-    return (gains[..., 0] + 2 * gains[..., 1]) / 3, (gains[..., 0] - gains[..., 1]) / 3
-
-
 def circulant(gains) -> np.ndarray:
     """The symmetric circulant 3x3 matrices with normal-mode eigenvalues ``gains`` (..., 3)."""
-    diag, off = circulant_entries(gains)
+    diag, off = (gains[..., 0] + 2 * gains[..., 1]) / 3, (gains[..., 0] - gains[..., 1]) / 3
     return np.where(np.eye(3, dtype=bool), diag[..., None, None], off[..., None, None])
 
 

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FormulaInconsistencyError,
-    InvalidParameterError,
-    NumericError,
-    SingularParameterError,
-)
+from .errors import DomainError, InvalidParameterError, NumericError, SingularParameterError
 from .matrices import collective_factors, hermite, hermite_table
 
 __all__ = [
@@ -147,7 +141,12 @@ def gm_pair(alpha, strength: float) -> GMPair:
 
 
 def _paper_power(k: int, table: list, strength: float) -> np.ndarray:
-    # the published k-sum, from a Hermite table of order k or higher
+    # the published k-sum, from a Hermite table of order k or higher.  Its
+    # imaginary part is rounding alone, so only the real part is kept: the
+    # branch-locked pair has m = conj(g) for s > 0 and m = -conj(g) for s < 0,
+    # so H_j(g/2) H_j(m/2) is |H_j(g/2)|^2 times 1 or (-1)^j (H_j is real and
+    # of parity j), and with the sign of (-2 coll_diff)^n every term of the
+    # sum has the sign of s^k: nothing cancels to leave a residue
     coll_sum, coll_diff = collective_factors(strength)
     value = 0j
     for n in range(k + 1):
@@ -158,23 +157,14 @@ def _paper_power(k: int, table: list, strength: float) -> np.ndarray:
         )
         h_g, h_m = table[k - n]
         value += coef * h_g * h_m
-    value = (-coll_sum * coll_diff / 2) ** k * value
-    residue = np.abs(value.imag)
-    if (residue > 1e-9 * np.maximum(1.0, np.abs(value.real))).any():
-        worst = residue.max()
-        raise FormulaInconsistencyError(
-            f"closed formula returned imaginary residue {worst:.3e}", worst
-        )
-    return value.real
+    return ((-coll_sum * coll_diff / 2) ** k * value).real
 
 
 def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
     """<A^dag^k A^k> from the published closed formula, taken verbatim.
 
-    The result must be real; an imaginary residue above 1e-9 (relative to
-    the magnitude) at any amplitude raises FormulaInconsistencyError
-    carrying the largest residue; a value that overflows raises NumericError.
-    Broadcasts over the leading axes of ``alpha``.
+    A value that overflows raises NumericError.  Broadcasts over the leading
+    axes of ``alpha``.
     """
     return _mean_power("paper", k, alpha, strength)
 
@@ -336,9 +326,6 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
                 value = _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
             else:
                 mean_photon, power = _powers(route, (1, k), total, strength)
-                if (mean_photon <= 0).any():
-                    bad = float(mean_photon[mean_photon <= 0][0])
-                    raise DomainError(f"mean photon number {bad!r} not positive")
                 value = power / mean_photon**k - 1
         if not np.isfinite(value).all():
             raise NumericError(f"P_{k} is not finite in double precision at strength {strength:g}")

@@ -14,7 +14,11 @@ E(b1',b2,b3) - E(b1',b2',b3') with E = pi^3 W at the displacement and the
 published setting beta = (0, 0, -b), beta' = (b, b, 0).
 
 * ``wigner``: points within 3 standard deviations of the mean, per normal
-  mode, for strengths in [-6, 6];
+  mode, for strengths in [-6, 6]; then, for |s| from 20 to 354, points and
+  amplitudes with no component on the modes the squeeze stretches (q on the
+  plane x1+x2+x3 = 0 and p along (1,1,1) for s > 0, the reverse for s < 0),
+  (1800, -1800, 0) among them.  There the map entries of order e^{2|s|}
+  cancel, so those are evaluated with 2|s|/ln 10 more digits;
 * ``b3``: every row of tests/data/fig2_default.csv at its printed b_star,
   plus the strengths 5 and 6 at the b_star that ``fig2 --lambda 5:1:5`` and
   ``fig2 --lambda 6:1:6`` print;
@@ -39,6 +43,8 @@ DATA = Path(__file__).parent
 FIG2_ALPHA = (0.4, 0.5, 0.6)
 STRENGTHS = (-6.0, -5.0, -3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0, 4.0, 5.0, 5.5, 6.0)
 POINTS_PER_STRENGTH = 6
+PLANE_STRENGTHS = (-350.0, -100.0, -20.0, 20.0, 100.0, 350.0, 354.0)
+PLANE_POINTS_PER_STRENGTH = 4
 LARGE_STRENGTH_ROWS = (("5", "0.01"), ("6", "0.01"))
 POWER_CASES_PER_ORDER = 150
 
@@ -133,6 +139,31 @@ def near_mean_points(rng, strength, count):
     return out
 
 
+def plane_points(rng, strength, count):
+    """Points and amplitudes off the stretched modes, exactly in double precision.
+
+    For s > 0 the squeeze stretches the (1,1,1) component of q and the plane
+    components of p by e^{2s} and e^{s}; q = (a, b, -(a+b)) and p = (c, c, c)
+    have none, and neither have Re alpha of the form of q and Im alpha of the
+    form of p.  For s < 0 the roles of q and p swap.  Every input is a multiple of 2^-10, so
+    a + b is exact.
+    """
+    dyadic = lambda bound, size: rng.integers(-bound * 2**10, bound * 2**10, size) / 2**10
+
+    def plane_and_line(bound):
+        a, b, c = dyadic(bound, 3)
+        return [a, b, -(a + b)], [c, c, c]
+
+    out = []
+    for _ in range(count):
+        q, p = plane_and_line(1024)
+        re, im = plane_and_line(1)
+        if strength < 0:
+            q, p, re, im = p, q, im, re
+        out.append((np.array(re) + 1j * np.array(im), q, p))
+    return out
+
+
 def main():
     rng = np.random.default_rng(60)
     wigner = []
@@ -144,6 +175,21 @@ def main():
                 "q": q.tolist(),
                 "p": p.tolist(),
                 "exponent": mp.nstr(exponent(strength, alpha, q, p), 30),
+            })
+    rng = np.random.default_rng(62)
+    for strength in PLANE_STRENGTHS:
+        cases = plane_points(rng, strength, PLANE_POINTS_PER_STRENGTH)
+        if strength == 354.0:
+            cases.append((cases[-1][0], [1800.0, -1800.0, 0.0], [0.0, 0.0, 0.0]))
+        for alpha, q, p in cases:
+            with mp.workdps(mp.mp.dps + math.ceil(2 * abs(strength) / math.log(10))):
+                value = mp.nstr(exponent(strength, alpha, q, p), 30)
+            wigner.append({
+                "strength": strength,
+                "alpha": [[a.real, a.imag] for a in alpha.tolist()],
+                "q": [float(x) for x in q],
+                "p": [float(x) for x in p],
+                "exponent": value,
             })
     with open(DATA / "fig2_default.csv", newline="") as handle:
         rows = [(row["lambda"], row["b_star"]) for row in csv.DictReader(handle)]

@@ -207,7 +207,7 @@ def test_numeric_failure_exit_code(capsys):
     (["wigner", "--lambda=-1e308"], 3),
     (["bell", "--lambda=1e308"], 3),
     (["fig2", "--lambda=1e308:1:1e308"], 3),
-    # a Wigner exponent or route gap that is not finite, refused without a warning
+    # a Wigner exponent that is not finite, refused without a warning
     (["wigner", "--lambda", "0.2", "--alpha", "1e200,0,0", "--q", "1,1,1"], 3),
     (["bell", "--lambda", "0", "--alpha", "1e-300,0,0", "--beta", "1,1,1",
       "--beta-prime", "1e200,0,0"], 3),
@@ -235,6 +235,8 @@ def test_non_finite_results_exit_with_message(argv, code, capsys):
     (["wigner", "--lambda=-200"], "0,0,0,0,0,0,0.0322515344332"),
     # the all-zero setting gives 2 exp(-2|alpha|^2), as at s = 0.2 and s = 5
     (["bell", "--lambda", "12"], "12,0.428762202854"),
+    # W is 1/pi^3 on the plane x1+x2+x3 = 0 too, which the e^{2s} gain does not reach
+    (["wigner", "--lambda", "354", "--q", "1800,-1800,0"], "1800,-1800,0,0,0,0,0.0322515344332"),
 ])
 def test_large_strengths_answer_exactly(argv, row, capsys):
     assert run(argv) == 0

@@ -338,8 +338,8 @@ def test_strength_batch_slices_equal_single_states():
 
 def test_wigner_exact_where_the_numeric_determinant_fails():
     # det(cov) evaluated in floating point is negative at this strength; the
-    # generic route takes the pure-state value 2^-6, so no NaN (a warning,
-    # made an error by the suite settings) skips the cross-check
+    # normal-mode exponent needs no determinant, so W at the mean is exactly
+    # 1/pi^3 with no NaN (a warning, made an error by the suite settings)
     state = make_state(6.4630967461221465, [0, 0, 0])
     assert wigner(state, np.zeros(3), np.zeros(3)) == 1 / math.pi**3
 
