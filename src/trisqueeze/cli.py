@@ -1,12 +1,12 @@
 """Command-line front end: scans and reports as CSV or JSON.
 
-All floating-point output is printed with 12 significant digits; CSV uses LF
-line endings and a header row.  Identical invocations produce byte-identical
-output.  Exit codes: 0 success, 2 invalid arguments, 3 numeric/truncation
-failure.
+CSV prints every float with 12 significant digits, uses LF line endings and
+has a header row.  Identical invocations produce byte-identical output.
+Exit codes: 0 success, 2 invalid arguments, 3 numeric/truncation failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -55,17 +55,24 @@ def _parse_real_triple(text: str) -> np.ndarray:
     return values.real.astype(float)
 
 
+def _spec(kind: type) -> str:
+    # 12 significant digits for a float (np.float64 included), str() for the rest
+    return "%.12g" if issubclass(kind, float) else "%s"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    return _spec(type(value)) % (value,)
+
+
+@functools.cache
+def _row_template(kinds: tuple) -> str:
+    return ",".join(map(_spec, kinds)) + "\n"
 
 
 def _write_table(stream, header, rows, fmt):
     if fmt == "csv":
         stream.write(",".join(header) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(cell) for cell in row) + "\n")
+        stream.writelines(_row_template(tuple(map(type, row))) % tuple(row) for row in rows)
     else:
         payload = [
             {key: cell.item() if isinstance(cell, np.generic) else cell
@@ -125,8 +132,8 @@ def _cmd_wigner(args, stream):
         q[:, 0] = grid[:, 0]
         p[:, 0] = grid[:, 1]
         values = gaussian.wigner(state, q, p)
-        rows = [(float(qv), float(pv), float(w)) for (qv, pv), w in zip(grid, values)]
-        _write_table(stream, ("q1", "p1", "w"), rows, args.format)
+        _write_table(stream, ("q1", "p1", "w"), np.column_stack([grid, values]).tolist(),
+                     args.format)
         if args.gnuplot and args.out:
             _write_gnuplot(args.gnuplot, args.out, (1, 3), "Wigner slice")
     else:

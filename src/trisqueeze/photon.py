@@ -118,6 +118,9 @@ def _gm(total: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
             f"closed route undefined at strength {strength:g}; use the exact route"
         )
     root_sd = cmath.sqrt(2 * coll_sum / (3 * coll_diff))
+    if root_sd == 0:  # 3 coll_diff overflowed and 2 coll_sum did not
+        raise NumericError(f"closed-route amplitude pair overflows double precision at "
+                           f"strength {strength:g}")
     root_ds = (2.0 / 3.0) / root_sd
     conj = np.conj(total)
     g = 1j * (root_sd * conj - root_ds * total)
@@ -130,6 +133,8 @@ def gm_pair(alpha, strength: float) -> GMPair:
 
     Singular where coll_diff = e^{-2s} - e^{2s} rounds to zero (zero
     strength, and |s| below about 1e-17): the square roots divide by it.
+    For |s| from about 354.34 to 354.54 their ratio is 0, because only
+    3 coll_diff overflows, and NumericError is raised.
     The two roots are branch-locked so that their product is 2/3: that
     choice reproduces the published expansions of G*M, G^2 and M^2 as real
     tanh/coth formulas, which a plain principal-branch pair does not.

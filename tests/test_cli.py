@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trisqueeze import make_state, wigner
-from trisqueeze.cli import _fmt, _parse_complex_triple, _parse_range, run
+from trisqueeze.cli import _fmt, _parse_complex_triple, _parse_range, _write_table, run
 from trisqueeze.errors import InvalidParameterError
 
 DATA = Path(__file__).parent / "data"
@@ -109,6 +111,52 @@ def test_wigner_slice_equals_point_values(tmp_path):
             value = wigner(state, [qv, -0.2, 0.3], [pv, 0.4, -0.1])
             expected.append(",".join(_fmt(float(v)) for v in (qv, pv, value)))
     assert out.read_text().split("\n") == expected + [""]
+
+
+def _per_cell_csv(header, rows):
+    # the writer's rule, one cell at a time: 12 significant digits for a float
+    return "".join(",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+                   for row in [header, *rows])
+
+
+def _csv(header, rows):
+    stream = io.StringIO()
+    _write_table(stream, header, rows, "csv")
+    return stream.getvalue()
+
+
+def test_csv_writer_matches_per_cell_rule():
+    header = ("a", "b", "c", "d")
+    rows = [
+        (8, 0.5, "", True),  # oracle-check's first delta is "", later ones floats
+        (10, np.float64(0.1) + 0.2, 0.1 + 0.2, False),
+        (np.int64(12), -0.0, np.float64(-0.0), np.bool_(True)),
+        ("exact", 5e-324, 1e16, 123456789012.5),
+        [math.inf, -math.inf, math.nan, np.float64(math.nan)],
+        (np.float64(1e16), np.float64(123456789012.5), 7, "x"),
+    ]
+    assert _csv(header, rows) == _per_cell_csv(header, rows)
+    assert _csv(header, rows).split("\n")[1:3] == ["8,0.5,,True", "10,0.3,0.3,False"]
+
+
+def test_csv_writer_float_bits():
+    # 300 float64 bit patterns from a fixed seed, as a float and as np.float64
+    bits = np.random.default_rng(0).integers(0, 2**64, 300, dtype=np.uint64)
+    for value in bits.view(np.float64).tolist():
+        rows = [(value, np.float64(value), "", value)]
+        assert _csv(("x", "y", "z", "w"), rows) == _per_cell_csv(("x", "y", "z", "w"), rows)
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "82dc390f600816cb2e887485a23a908c7a28b4eeea027fc1eb05d63b06dd30e8"),
+    ("json", "ff0365a3f08142613680de94faba604020e7c3a62be9ae29361637818fb4fbed"),
+])
+def test_wigner_slice_bytes_are_pinned(fmt, digest, capsys):
+    # the 3721-point slice that the benchmark runs, hashed from the output of
+    # the per-cell writer; any changed byte must be deliberate
+    assert run(["wigner", "--lambda", "0.2", "--q1=-3:0.1:3", "--p1=-3:0.1:3",
+                "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command", ["fig1", "fig2"])
@@ -220,6 +268,14 @@ def test_numeric_failure_exit_code(capsys):
     (["moments", "--lambda", "0.2", "--m-max", "-3"], 2),
     # a Fock tail guard that squared |alpha| overflowed and warned before exit 3
     (["oracle-check", "--lambda", "0.2", "--alpha", "1e200,0,0", "--cutoffs", "8,10"], 3),
+    # 3 coll_diff overflows while 2 coll_sum does not, so the closed route's
+    # amplitude ratio is 0 (it ended in a ZeroDivisionError traceback)
+    (["pk", "--lambda", "354.5"], 3),
+    (["pk", "--lambda=-354.5"], 3),
+    (["pk", "--lambda", "354.4"], 3),
+    (["pk", "--lambda", "354.5", "--path", "paper"], 3),
+    (["pk", "--lambda=-354.5", "--path", "paper"], 3),
+    (["pk", "--lambda", "354.4", "--path", "paper"], 3),
 ])
 def test_non_finite_results_exit_with_message(argv, code, capsys):
     assert run(argv) == code
