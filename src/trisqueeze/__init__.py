@@ -17,7 +17,6 @@ from .errors import (
 )
 from .fock import (
     FockArena,
-    KetVector,
     build_arena,
     coherent_ket,
     convergence_report,
@@ -73,7 +72,6 @@ __all__ = [
     "GMPair",
     "GaussianState",
     "InvalidParameterError",
-    "KetVector",
     "MomentQuery",
     "NumericError",
     "PkResult",

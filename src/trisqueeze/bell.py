@@ -21,7 +21,7 @@ __all__ = [
     "b3",
     "fig2_scan",
     "b3_oracle_check",
-    "maximize_b3_full",
+    "max_b3",
 ]
 
 FIG2_ALPHA = (0.4, 0.5, 0.6)
@@ -142,37 +142,45 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
     return analytic, oracle
 
 
-def maximize_b3_full(strength_seed: float, alpha=FIG2_ALPHA, b_seed: float = 0.3,
-                     max_iterations: int = 4000):
-    """Heuristic Nelder-Mead ascent over all 13 variables (12 displacement
-    components plus the strength), seeded from the published pattern.
+def max_b3(strengths) -> list[tuple[float, float, float, float]]:
+    """Per strength: the largest B(3) over symmetric settings about the mean.
 
-    Makes no global-optimality claim.  Returns (best_value, setting, strength).
+    The settings are beta = mu + (a, a, a) and beta' = mu + (b, b, b), mu the
+    mean amplitude (mean_q + i mean_p)/sqrt(2) per mode; for s < 0 the same
+    numbers apply along p, beta = mu + i(a, a, a).  A coherent amplitude
+    only translates the Wigner function, so the maximum does not depend on
+    it.  Three correlations sit at offsets (a, a, b) and one at (b, b, b),
+    so with the gains of ``matrices.mode_gains`` (the symmetric q mode
+    scaled by e^{2s}, the two plane modes by e^{-s}), for s >= 0,
+
+        B(a, b) = 3 exp(-(2/3) e^{4s} (2a+b)^2 - (4/3) e^{-2s} (a-b)^2)
+                  - exp(-6 e^{4s} b^2).
+
+    In the gain-scaled coordinates x = sqrt(2/3) e^{2s} (2a+b) and
+    y = (2/sqrt(3)) e^{-s} (a-b) this is 3 e^{-x^2-y^2} - e^{-(x - k y)^2},
+    k^2 = 2 e^{6s}.  At fixed radius r the second term is smallest along
+    (x, y) = r (1, -k)/sqrt(1+k^2), which leaves 3 e^{-u} - e^{-(1+k^2) u}
+    in u = r^2: its derivative changes sign once, at u* = L/k^2 with
+    L = ln((1+k^2)/3) = 6s + ln(1 + (e^{-6s}-1)/3) >= 0, so
+
+        max B = 3 k^2/(1+k^2) e^{-u*},  a - b = R e^{-2s},  2a + b = -R e^{-8s},
+
+    R = (sqrt(3)/2) sqrt(L/(2 + e^{-6s})).  It is 2 at s = 0 (u* = 0) and
+    tends to 3 (with b -> -2a) as the squeezing grows.  (a, b) and (-a, -b)
+    give the same B; rows take a >= 0.  The reported maximum is ``b3`` of one
+    state batched over the strengths at alpha = 0, mu = 0, at these settings.
+    Returns rows (strength, a, b, b3_max).
     """
-    seed_setting = fig2_setting(b_seed)
-    x0 = np.concatenate([
-        np.asarray(seed_setting.beta, dtype=complex).view(float),
-        np.asarray(seed_setting.beta_prime, dtype=complex).view(float),
-        [strength_seed],
-    ])
-
-    def negative(x):
-        setting = BellSetting(
-            beta=tuple(np.ascontiguousarray(x[0:6]).view(complex)),
-            beta_prime=tuple(np.ascontiguousarray(x[6:12]).view(complex)),
-        )
-        state = make_state(float(x[12]), alpha)
-        return -b3(state, setting)
-
-    from scipy import optimize  # imported on first call: about 0.4 s no CLI command needs
-
-    result = optimize.minimize(
-        negative, x0, method="Nelder-Mead",
-        options={"maxiter": max_iterations, "xatol": 1e-9, "fatol": 1e-12},
-    )
-    x = result.x
-    setting = BellSetting(
-        beta=tuple(np.ascontiguousarray(x[0:6]).view(complex)),
-        beta_prime=tuple(np.ascontiguousarray(x[6:12]).view(complex)),
-    )
-    return -result.fun, setting, float(x[12])
+    strengths = np.asarray(strengths, dtype=float).reshape(-1)
+    if strengths.size == 0:
+        raise InvalidParameterError("empty strength grid")
+    state = make_state(strengths, (0, 0, 0))
+    s = np.abs(strengths)
+    log_ratio = 6 * s + np.log1p(np.expm1(-6 * s) / 3)  # L, accurate as s -> 0
+    radius = math.sqrt(3) / 2 * np.sqrt(log_ratio / (2 + np.exp(-6 * s)))
+    plane, symmetric = radius * np.exp(-2 * s), radius * np.exp(-8 * s)  # a - b, -(2a + b)
+    a = (plane - symmetric) / 3
+    b = a - plane
+    axis = np.where(strengths < 0, 1j, 1)[:, None] * np.ones(3)
+    best = b3(state, BellSetting(beta=a[:, None] * axis, beta_prime=b[:, None] * axis))
+    return [(float(s), float(x), float(y), float(v)) for s, x, y, v in zip(strengths, a, b, best)]

@@ -183,7 +183,7 @@ def _cmd_oracle_check(args, stream):
                 return fock.moment_x3(arena, ket, 2)
             if args.quantity == "parity":
                 return fock.displaced_parity(arena, ket, (0, 0, 0))
-            return ket.amplitudes[0].real  # vacuum-amp: <0|U|0>
+            return ket[0].real  # vacuum-amp: <0|U|0>
 
     rows = [
         (row["cutoff"], row["value"],

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .fock import KetVector, build_arena, coherent_ket, displaced_parity, evolve, ladder
+from .fock import build_arena, coherent_ket, displaced_parity, evolve, ladder
 from .gaussian import make_state, wigner
 from .matrices import build_squeeze_matrices, collective_factors
 from .photon import gm_pair, mean_power_exact
@@ -107,9 +107,9 @@ def _collective_transform_entry() -> dict:
     alpha = (0.4, -0.2 + 0.3j, 0.1)
     arena = build_arena(_PROBE_CUTOFF)
     ket = coherent_ket(arena, alpha)
-    lowered = ladder(arena, evolve(arena, strength, ket).amplitudes, 1 / math.sqrt(3))  # A U|ket>
-    moved = evolve(arena, -strength, KetVector(lowered))  # U^dag = e^{-K}, same truncated K
-    oracle = complex(np.vdot(ket.amplitudes, moved.amplitudes))
+    lowered = ladder(arena, evolve(arena, strength, ket), 1 / math.sqrt(3))  # A U|ket>
+    moved = evolve(arena, -strength, lowered)  # U^dag = e^{-K}, same truncated K
+    oracle = complex(np.vdot(ket, moved))
 
     amp = sum(alpha) / math.sqrt(3)
     coll_sum, coll_diff = collective_factors(strength)

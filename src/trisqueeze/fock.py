@@ -4,9 +4,10 @@ Ground truth for every closed form in the package at small parameters: a
 state is propagated by applying the exponential of the squeeze generator,
 written in the truncated ladder operators, to its ket, so nothing here
 shares code (or derivation steps) with the Gaussian modules.
-Kronecker ordering is mode1 (x) mode2 (x) mode3; basis index of the number
-state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3, so a ladder operator of
-mode i shifts the flat index by its stride (cutoff^2, cutoff, 1).
+A ket is a flat complex array of cutoff^3 amplitudes.  Kronecker ordering
+is mode1 (x) mode2 (x) mode3; basis index of the number state |n1 n2 n3> is
+(n1*cutoff + n2)*cutoff + n3, so a ladder operator of mode i shifts the flat
+index by its stride (cutoff^2, cutoff, 1).
 """
 
 import math
@@ -17,7 +18,6 @@ from .errors import InvalidParameterError, TruncationError
 
 __all__ = [
     "FockArena",
-    "KetVector",
     "build_arena",
     "evolve",
     "coherent_ket",
@@ -40,17 +40,6 @@ BOUNDARY_MASS_LIMIT = 1e-2
 # step exceeds theta^theta/theta! = 416 times its input), and most steps taken.
 TAYLOR_THETA, MAX_TAYLOR_STEPS = 8.0, 1000
 _ROOT12 = 1 / math.sqrt(12)  # (Q1+Q2+Q3)/sqrt(6) = sum_i (a_i + a_i^dag) / sqrt(12)
-
-
-class KetVector:
-    """State vector in the truncated three-mode Fock space."""
-
-    def __init__(self, amplitudes: np.ndarray):
-        self.amplitudes = np.asarray(amplitudes, dtype=complex)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 class FockArena:
@@ -82,7 +71,7 @@ def build_arena(cutoff: int) -> FockArena:
     return FockArena(cutoff)
 
 
-def evolve(arena: FockArena, strength: float, ket: KetVector) -> KetVector:
+def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     """e^{K}|ket> with K = i*strength*[Q1(P2+P3) + Q2(P1+P3) + Q3(P1+P2)].
 
     Modes commute even when truncated, so i(Q_i P_j + Q_j P_i) = a_i a_j -
@@ -106,7 +95,7 @@ def evolve(arena: FockArena, strength: float, ket: KetVector) -> KetVector:
         raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
     steps = max(1, math.ceil(norm1 / TAYLOR_THETA))
     rho, scale = norm1 / steps, strength / steps
-    moved = ket.amplitudes
+    moved = ket
     for _ in range(steps):
         term, total, k = moved, moved.copy(), 0
         while k + 1 <= rho or (np.linalg.norm(term) * rho
@@ -127,10 +116,10 @@ def evolve(arena: FockArena, strength: float, ket: KetVector) -> KetVector:
             f"{boundary:.3e} of the probability sits on the outermost Fock shell "
             f"(limit {BOUNDARY_MASS_LIMIT:g}); increase the cutoff or reduce the strength"
         )
-    return KetVector(moved)
+    return moved
 
 
-def coherent_ket(arena: FockArena, alpha) -> KetVector:
+def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
     if not np.all(np.isfinite(alpha.view(float))):
@@ -147,8 +136,7 @@ def coherent_ket(arena: FockArena, alpha) -> KetVector:
         vec = np.exp(-abs(amp) ** 2 / 2) * amp**n / np.exp(log_fact / 2)
         factors.append(vec)
     ket = np.kron(np.kron(factors[0], factors[1]), factors[2])
-    ket /= np.linalg.norm(ket)
-    return KetVector(ket)
+    return ket / np.linalg.norm(ket)
 
 
 def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
@@ -160,10 +148,9 @@ def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
     return out
 
 
-def _central_moment(quadrature, ket: KetVector, order: int) -> float:
+def _central_moment(quadrature, vec: np.ndarray, order: int) -> float:
     if order < 2 or order % 2:
         raise InvalidParameterError(f"order must be even and >= 2, got {order}")
-    vec = ket.amplitudes
     norm2 = float(np.vdot(vec, vec).real)
     mean = float(np.vdot(vec, quadrature(vec)).real) / norm2
     half = vec
@@ -172,27 +159,27 @@ def _central_moment(quadrature, ket: KetVector, order: int) -> float:
     return float(np.vdot(half, half).real) / norm2
 
 
-def moment_x3(arena: FockArena, ket: KetVector, order: int) -> float:
+def moment_x3(arena: FockArena, ket: np.ndarray, order: int) -> float:
     """Central moment <(X3 - <X3>)^order> of (Q1+Q2+Q3)/sqrt(6) = sum_i (a_i + a_i^dag)/sqrt(12)."""
     return _central_moment(lambda v: ladder(arena, v, _ROOT12, _ROOT12), ket, order)
 
 
-def moment_y3(arena: FockArena, ket: KetVector, order: int) -> float:
+def moment_y3(arena: FockArena, ket: np.ndarray, order: int) -> float:
     """Central moment of (P1+P2+P3)/sqrt(6) = sum_i (a_i - a_i^dag)/(i sqrt(12))."""
     return _central_moment(lambda v: ladder(arena, v, -1j * _ROOT12, 1j * _ROOT12), ket, order)
 
 
-def mean_power(arena: FockArena, ket: KetVector, k: int) -> float:
+def mean_power(arena: FockArena, ket: np.ndarray, k: int) -> float:
     """<A^dag^k A^k> for the collective mode A = (a1+a2+a3)/sqrt(3)."""
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
-    vec = ket.amplitudes
+    vec = ket
     for _ in range(k):
         vec = ladder(arena, vec, 1 / math.sqrt(3))
-    return float(np.vdot(vec, vec).real / np.vdot(ket.amplitudes, ket.amplitudes).real)
+    return float(np.vdot(vec, vec).real / np.vdot(ket, ket).real)
 
 
-def displaced_parity(arena: FockArena, ket: KetVector, betas) -> float | np.ndarray:
+def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.ndarray:
     """Expectation of the product of displaced parity operators at (beta1, beta2, beta3).
 
     One value per triple of ``betas`` (shape (..., 3)).  D(beta)^dag of each
@@ -213,9 +200,9 @@ def displaced_parity(arena: FockArena, ket: KetVector, betas) -> float | np.ndar
             )
         eps, vecs = np.linalg.eigh(1j * (beta * lower.T - np.conj(beta) * lower))
         inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T
-    values, norm2 = [], np.vdot(ket.amplitudes, ket.amplitudes).real
+    values, norm2 = [], np.vdot(ket, ket).real
     for triple in betas.reshape(-1, 3):
-        moved = ket.amplitudes.reshape(c, c, c)
+        moved = ket.reshape(c, c, c)
         for axis, beta in enumerate(triple):
             moved = np.moveaxis(np.tensordot(inverse[beta], moved, axes=(1, axis)), 0, axis)
         values.append((arena.parity_signs * np.abs(moved.reshape(-1)) ** 2).sum() / norm2)

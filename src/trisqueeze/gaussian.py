@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .matrices import circulant, circulant_maps, double_factorial, mode_gains
+from .matrices import _exponentials, circulant, circulant_maps, double_factorial, mode_gains
 
 __all__ = [
     "GaussianState",
@@ -234,9 +234,8 @@ def hos_y(strength: float, m: int) -> float:
 
 def two_mode_baseline_variance(strength: float) -> tuple[float, float]:
     """Quadrature variances (e^{-2s}/4, e^{2s}/4) of the two-mode benchmark squeezer."""
-    if not math.isfinite(strength):
-        raise InvalidParameterError("strength must be finite")
-    return math.exp(-2 * strength) / 4, math.exp(2 * strength) / 4
+    shrink2, grow2, _, _ = _exponentials(strength)
+    return shrink2 / 4, grow2 / 4
 
 
 def wigner(state: GaussianState, q, p) -> float | np.ndarray:

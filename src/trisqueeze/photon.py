@@ -328,6 +328,12 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
                 root = np.hypot(np.abs(beta), t)
                 if (root == 0).any():
                     raise DomainError("mean photon number 0.0 not positive")
+                # 1/root overflows for a subnormal root; t = 0 there (|t| >= 1e-16 otherwise), so
+                # P_k does not depend on the scale of beta, and 2^64 lifts it exactly; m is then 0
+                small = root < 2.0**-1022
+                if small.any():
+                    beta = np.where(small, beta * 2.0**64, beta)
+                    root = np.where(small, np.abs(beta), root)
                 value = _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
             else:
                 mean_photon, power = _powers(route, (1, k), total, strength)

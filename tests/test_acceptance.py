@@ -99,7 +99,7 @@ def test_criterion_05_normal_ordered_form(arena14):
     checks = []
     for strength in (0.1, 0.2):
         prefactor, pair = tz.normal_order_coefficients(strength)
-        vacuum_column = tz.evolve(arena14, strength, tz.coherent_ket(arena14, [0, 0, 0])).amplitudes
+        vacuum_column = tz.evolve(arena14, strength, tz.coherent_ket(arena14, [0, 0, 0]))
         amp0 = vacuum_column[0]
         checks.append(abs(amp0 - prefactor) < 1e-5)
         for j in range(3):

@@ -1,20 +1,39 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from trisqueeze import (
     FIG2_ALPHA,
     BellSetting,
     InvalidParameterError,
+    NumericError,
     b3,
     b3_oracle_check,
+    build_arena,
+    coherent_ket,
+    displaced_parity,
+    evolve,
     fig2_scan,
     fig2_setting,
     make_state,
     wigner,
 )
-from trisqueeze.bell import maximize_b3_full
+from trisqueeze.bell import max_b3
+
+DATA = Path(__file__).parent / "data"
+
+# max B(3) over symmetric settings, found numerically on the two-variable
+# B(a, b) of max_b3's docstring: by BFGS and by Newton steps, which agree to
+# 1e-11 (at s = 1e-3 by BFGS and by Nelder-Mead, where Newton stalled at 2)
+MAX_B3_TABLE = {
+    1e-3: 2.00001196010, 0.01: 2.00116100971, 0.05: 2.02556535289, 0.1: 2.08801280467,
+    0.2: 2.26494547547, 0.3: 2.45316796298, 0.5: 2.74237492779, 0.7: 2.89398904301,
+    1.0: 2.97557831618, 2.0: 2.99988392699, 4.0: 2.99999999861,
+}
 
 
 def test_all_zero_setting_doubles_origin_value():
@@ -173,10 +192,67 @@ def test_oracle_check_regime_guard():
         b3_oracle_check(0.5, FIG2_ALPHA, fig2_setting(0.3), cutoff=10)
 
 
-def test_full_search_does_not_regress_seed():
-    seed_state = make_state(0.4, FIG2_ALPHA)
-    seed_value = b3(seed_state, fig2_setting(0.3))
-    best, setting, strength = maximize_b3_full(0.4, b_seed=0.3, max_iterations=400)
-    assert best >= seed_value - 1e-12
-    assert abs(best) < 4
-    assert len(setting.beta) == 3 and len(setting.beta_prime) == 3
+def test_max_b3_table():
+    rows = max_b3(list(MAX_B3_TABLE))
+    assert [row[0] for row in rows] == list(MAX_B3_TABLE)
+    for (_, a, b, value), expected in zip(rows, MAX_B3_TABLE.values()):
+        assert value == pytest.approx(expected, abs=1e-9)
+        assert 2 < value < 3
+        assert a >= 0 > b
+    assert max_b3([0.0]) == [(0.0, 0.0, 0.0, 2.0)]
+    (_, *negative), (_, *positive) = max_b3([-0.5, 0.5])
+    assert negative == positive  # the same numbers along p, bit for bit
+    for bad, error in (([], InvalidParameterError), ([math.nan], InvalidParameterError),
+                       ([400.0], NumericError)):
+        with pytest.raises(error):
+            max_b3(bad)
+
+
+def test_max_b3_not_beaten_by_random_full_search():
+    # BFGS over all 12 real setting components from random starts never
+    # climbs above the symmetric maximum
+    rng = np.random.default_rng(7)
+    for strength in (0.2, 0.5):
+        state = make_state(strength, (0, 0, 0))
+        best = max_b3([strength])[0][3]
+
+        def negative(x):
+            z = x.view(complex)
+            return -b3(state, BellSetting(beta=z[:3], beta_prime=z[3:]))
+
+        for _ in range(5):
+            result = optimize.minimize(negative, rng.normal(scale=0.3, size=12), method="BFGS")
+            assert -result.fun <= best + 1e-9
+
+
+def test_max_b3_against_fock_oracle():
+    (_, a, b, value), = max_b3([0.3])
+    setting = BellSetting(beta=(a, a, a), beta_prime=(b, b, b))
+    analytic, oracle = b3_oracle_check(0.3, (0, 0, 0), setting, cutoff=20)
+    assert analytic == value
+    assert oracle == pytest.approx(value, abs=1e-10)
+    # past b3_oracle_check's strength limit, from the Fock engine directly
+    (_, a, b, value), = max_b3([0.5])
+    arena = build_arena(26)
+    ket = evolve(arena, 0.5, coherent_ket(arena, (0, 0, 0)))
+    corr = displaced_parity(arena, ket, [[a, a, b], [a, b, a], [b, a, a], [b, b, b]])
+    assert corr[0] + corr[1] + corr[2] - corr[3] == pytest.approx(value, abs=1e-7)
+
+
+def test_max_b3_independent_of_alpha():
+    # a coherent amplitude translates the Wigner function: settings shifted
+    # by the mean amplitude give the alpha = 0 maximum
+    strengths = [-0.5, 0.3, 0.5, 1.0]
+    for strength, a, b, value in max_b3(strengths):
+        state = make_state(strength, FIG2_ALPHA)
+        mu = (state.mean[:3] + 1j * state.mean[3:]) / math.sqrt(2)
+        axis = 1j if strength < 0 else 1
+        setting = BellSetting(beta=mu + a * axis, beta_prime=mu + b * axis)
+        assert b3(state, setting) == pytest.approx(value, rel=1e-12)
+
+
+def test_max_b3_beats_printed_pattern_on_fig2_rows():
+    with open(DATA / "fig2_default.csv", newline="") as handle:
+        rows = [(float(row["lambda"]), float(row["b3_max"])) for row in csv.DictReader(handle)]
+    symmetric = max_b3([strength for strength, _ in rows])
+    assert all(best[3] >= printed for best, (_, printed) in zip(symmetric, rows))

@@ -66,11 +66,13 @@ def test_pk_json(capsys):
 
 def test_pk_answers_tiny_coherent_amplitudes(capsys):
     # |alpha|^4 underflows, so the ratio <A^dag^2 A^2>/<A^dag A>^2 cannot be
-    # formed as written; P_2 of a coherent state is exactly 0
-    assert run(["pk", "--lambda", "0", "--alpha", "1e-160,0,0", "--format", "json"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out)[0]["exact_value"] == pytest.approx(0.0, abs=1e-12)
+    # formed as written; P_2 of a coherent state is exactly 0.  A subnormal
+    # amplitude sum puts 1/<A^dag A>^(1/2) past the double range
+    for alpha in ("1e-160,0,0", "1e-320,1e-320j,0"):
+        assert run(["pk", "--lambda", "0", "--alpha", alpha, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)[0]["exact_value"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fig1_csv_file(tmp_path):
@@ -318,13 +320,26 @@ def test_determinism_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_runs_without_scipy():
+    # with scipy unimportable, the Bell maximum, a fig2 scan and the default
+    # oracle check still answer: numpy is the only runtime dependency
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys; sys.modules['scipy'] = None; import trisqueeze; "
+             "from trisqueeze import bell, cli; bell.max_b3([0.3]); "
+             "codes = (cli.run(['fig2', '--lambda', '0:0.5:1', '--b', '0.1:0.1:1']), "
+             "cli.run(['oracle-check'])); sys.exit(codes != (0, 0))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
 def test_startup_imports_and_module_entry_point(capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = ("import sys, trisqueeze.cli; "
              "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     loaded = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    # the package imports only numpy; scipy.optimize loads inside maximize_b3_full
+    # the package imports only numpy (test_runs_without_scipy blocks scipy outright)
     assert loaded.stdout == "False\n"
 
     argv = ["fig1", "--re=-1:1:1", "--im=0:1:0"]

@@ -186,6 +186,9 @@ def test_two_mode_baseline():
     assert y == pytest.approx(math.e / 4, rel=1e-14)
     for strength in np.linspace(0.05, 1.0, 20):
         assert hos_x(strength, 1) < two_mode_baseline_variance(strength)[0]
+    for strength in (400.0, -400.0):
+        with pytest.raises(NumericError):
+            two_mode_baseline_variance(strength)
 
 
 # ---------------------------------------------------------------------------
