@@ -40,23 +40,13 @@ from .gaussian import (
     x3_query,
     y3_query,
 )
-from .matrices import (
-    SqueezeMatrices,
-    build_squeeze_matrices,
-    collective_factors,
-    coupling_matrix,
-    double_factorial,
-    hermite,
-)
+from .matrices import collective_factors, double_factorial
 from .photon import (
-    CollectiveMode,
     GMPair,
     PkResult,
-    collective_mode,
     fig1_scan,
     gm_pair,
     mean_power_exact,
-    mean_power_exact_fock,
     mean_power_paper,
     pk,
 )
@@ -65,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BellSetting",
-    "CollectiveMode",
     "DomainError",
     "FIG2_ALPHA",
     "FockArena",
@@ -76,18 +65,14 @@ __all__ = [
     "NumericError",
     "PkResult",
     "SingularParameterError",
-    "SqueezeMatrices",
     "TruncationError",
     "b3",
     "b3_oracle_check",
     "build_arena",
-    "build_squeeze_matrices",
     "central_moment",
     "coherent_ket",
     "collective_factors",
-    "collective_mode",
     "convergence_report",
-    "coupling_matrix",
     "displaced_parity",
     "double_factorial",
     "evolve",
@@ -95,13 +80,11 @@ __all__ = [
     "fig2_scan",
     "fig2_setting",
     "gm_pair",
-    "hermite",
     "hos_x",
     "hos_y",
     "make_state",
     "mean_power",
     "mean_power_exact",
-    "mean_power_exact_fock",
     "mean_power_paper",
     "moment_x3",
     "moment_y3",

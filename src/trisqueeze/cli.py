@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -198,8 +199,24 @@ def _cmd_errata(args, stream):
     stream.write(json.dumps(errata.build_errata(), indent=2, default=_fmt) + "\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with one-line errors, taking -1:0.05:1 or -0.5j,0,0 as option values.
+
+    argparse reads an argument that starts with "-" as an option name unless it
+    is a plain negative number; here "-" followed by a digit or "." is a value.
+    Subparsers are built with the same class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trisqueeze",
         description="Three-mode enhanced squeezing: moments, photon statistics, "
                     "Wigner functions, Bell tests and oracle checks.",

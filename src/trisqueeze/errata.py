@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock import build_arena, coherent_ket, displaced_parity, evolve, ladder
 from .gaussian import make_state, wigner
-from .matrices import build_squeeze_matrices, collective_factors
+from .matrices import circulant_maps, collective_factors, mode_gains
 from .photon import gm_pair, mean_power_exact
 
 __all__ = ["build_errata"]
@@ -32,8 +32,8 @@ def _wigner_entry() -> dict:
 
     implemented = float(math.pi**3 * wigner(state, q, p))
     # literal matrix attachment: contracting exponential on q, expanding on p
-    mats = build_squeeze_matrices(strength)
-    swapped = math.exp(-np.sum((mats.q_map @ q - sig) ** 2) - np.sum((mats.p_map @ p - chi) ** 2))
+    q_map, p_map = circulant_maps(mode_gains(strength))
+    swapped = math.exp(-np.sum((q_map @ q - sig) ** 2) - np.sum((p_map @ p - chi) ** 2))
 
     arena = build_arena(_PROBE_CUTOFF)
     ket = evolve(arena, strength, coherent_ket(arena, _PROBE_ALPHA))

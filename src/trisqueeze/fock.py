@@ -126,13 +126,13 @@ def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
         raise InvalidParameterError("coherent amplitudes must be finite")
     # the tail guard |alpha|^2 <= cutoff/4, compared unsquared so that it cannot overflow
     factors, limit = [], math.sqrt(arena.cutoff) / 2
+    n = np.arange(arena.cutoff)
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, arena.cutoff)))])
     for amp in alpha:
         if abs(amp) > limit:
             raise TruncationError(
                 f"|alpha| = {abs(amp):.4g} too large for cutoff {arena.cutoff} (limit {limit:.4g})"
             )
-        n = np.arange(arena.cutoff)
-        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, arena.cutoff)))])
         vec = np.exp(-abs(amp) ** 2 / 2) * amp**n / np.exp(log_fact / 2)
         factors.append(vec)
     ket = np.kron(np.kron(factors[0], factors[1]), factors[2])

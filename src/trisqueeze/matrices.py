@@ -12,43 +12,19 @@ function of e^{+-s} and e^{+-2s}, evaluated here under one overflow guard.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
 
 __all__ = [
-    "coupling_matrix",
-    "SqueezeMatrices",
-    "build_squeeze_matrices",
     "mode_gains",
     "circulant",
     "circulant_maps",
     "collective_factors",
-    "hermite",
     "hermite_table",
     "double_factorial",
 ]
-
-
-def coupling_matrix() -> np.ndarray:
-    """3x3 matrix with 0 on the diagonal and 1 off it (eigenvalues 2, -1, -1)."""
-    return np.ones((3, 3)) - np.eye(3)
-
-
-@dataclass(frozen=True)
-class SqueezeMatrices:
-    """Matrix data of the three-mode squeeze at a given strength.
-
-    q_map = exp(-strength*coupling) maps the position quadratures, p_map =
-    exp(+strength*coupling) the momenta; they are mutual inverses.  Each is
-    circulant, so entries [0, 0] and [0, 1] determine it.
-    """
-
-    strength: float
-    q_map: np.ndarray
-    p_map: np.ndarray
 
 
 def _exponentials(strength) -> tuple[float, float, float, float]:
@@ -90,11 +66,6 @@ def circulant_maps(gains) -> tuple[np.ndarray, np.ndarray]:
     return maps[..., 1, :, :], maps[..., 0, :, :]
 
 
-def build_squeeze_matrices(strength: float) -> SqueezeMatrices:
-    """Both circulant maps at ``strength``; NumericError where e^{2|strength|} overflows."""
-    return SqueezeMatrices(float(strength), *circulant_maps(mode_gains(strength)))
-
-
 def hermite_table(m: int, x) -> list:
     """[H_0(x), ..., H_m(x)], physicists' Hermite polynomials by the
     three-term recurrence.
@@ -103,18 +74,12 @@ def hermite_table(m: int, x) -> list:
     their shape).
     """
     if m < 0:
-        raise InvalidParameterError("hermite order must be non-negative")
+        raise InvalidParameterError("Hermite order must be non-negative")
     x = np.asarray(x)
     table = [np.ones_like(x), 2 * x]
     for k in range(1, m):
         table.append(2 * x * table[k] - 2 * k * table[k - 1])
     return table[: m + 1]
-
-
-def hermite(m: int, x):
-    """Physicists' Hermite polynomial H_m(x): the last entry of :func:`hermite_table`."""
-    h = hermite_table(m, x)[m]
-    return h[()] if np.ndim(h) == 0 else h
 
 
 def double_factorial(n: int) -> int:

@@ -23,31 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, NumericError, SingularParameterError
-from .matrices import collective_factors, hermite, hermite_table
+from .matrices import collective_factors, hermite_table
 
 __all__ = [
-    "CollectiveMode",
     "GMPair",
     "PkResult",
-    "collective_mode",
     "gm_pair",
     "mean_power_paper",
     "mean_power_exact",
-    "mean_power_exact_fock",
     "pk",
     "fig1_scan",
 ]
 
 MAX_POWER = 6
-
-
-@dataclass(frozen=True)
-class CollectiveMode:
-    """Symmetric-mode reduction: amplitude (alpha1+alpha2+alpha3)/sqrt(3),
-    squeeze = twice the three-mode strength."""
-
-    amplitude: complex
-    squeeze: float
 
 
 @dataclass(frozen=True)
@@ -103,12 +91,6 @@ def _plain(values: np.ndarray, single: bool):
 
 def _amplitude_sum(triples: np.ndarray) -> np.ndarray:
     return triples[..., 0] + triples[..., 1] + triples[..., 2]
-
-
-def collective_mode(alpha, strength: float) -> CollectiveMode:
-    triples, single = _triples(alpha)
-    return CollectiveMode(amplitude=_plain(_amplitude_sum(triples) / math.sqrt(3), single),
-                          squeeze=2.0 * strength)
 
 
 def _gm(total: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,25 +154,6 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
     axes of ``alpha``.
     """
     return _mean_power("paper", k, alpha, strength)
-
-
-def _paper_k1(alpha, strength: float) -> float:
-    """k=1 specialization as printed: (GM - tanh(-2s)/8) sinh(4s)."""
-    pair = gm_pair(alpha, strength)
-    gm = (pair.g * pair.m).real
-    return (gm - math.tanh(-2 * strength) / 8) * math.sinh(4 * strength)
-
-
-def _paper_k2(alpha, strength: float) -> float:
-    """k=2 specialization as printed (Hermite form of the bracket)."""
-    pair = gm_pair(alpha, strength)
-    coll_sum, coll_diff = collective_factors(strength)
-    bracket = (
-        coll_diff**2 / (2**5 * coll_sum**2)
-        - coll_diff / (2 * coll_sum) * hermite(1, pair.g / 2) * hermite(1, pair.m / 2)
-        + hermite(2, pair.g / 2) * hermite(2, pair.m / 2)
-    )
-    return ((coll_sum * coll_diff) ** 2 / 4 * bracket).real
 
 
 # ---------------------------------------------------------------------------
@@ -267,38 +230,6 @@ def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     triples, single = _triples(alpha)
     return _plain(_powers(path, (k,), _amplitude_sum(triples), strength)[0], single)
-
-
-def mean_power_exact_fock(
-    k: int, alpha, strength: float, tol: float = 1e-10, max_cutoff: int = 512
-) -> float:
-    """Same quantity measured on a truncated single-mode Fock grid.
-
-    Grows the cutoff until two successive values agree to ``tol`` relative;
-    provides the brute-force half of the internal consistency check.
-    """
-    if not 1 <= k <= MAX_POWER:
-        raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
-    mode = collective_mode(alpha, strength)
-    cosh2s, sinh2s = math.cosh(mode.squeeze), math.sinh(mode.squeeze)
-    previous = None
-    cutoff = 32
-    while cutoff <= max_cutoff:
-        lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
-        op = cosh2s * lower - sinh2s * lower.conj().T
-        n = np.arange(cutoff)
-        log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, cutoff)))])
-        ket = np.exp(-abs(mode.amplitude) ** 2 / 2) * mode.amplitude**n / np.exp(log_fact / 2)
-        ket = ket.astype(complex)
-        vec = ket.copy()
-        for _ in range(k):
-            vec = op @ vec
-        value = float((vec.conj() @ vec).real / (ket.conj() @ ket).real)
-        if previous is not None and abs(value - previous) <= tol * max(1.0, abs(value)):
-            return value
-        previous = value
-        cutoff *= 2
-    raise NumericError(f"single-mode Fock value did not settle below cutoff {max_cutoff}")
 
 
 def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:

@@ -27,7 +27,12 @@ published setting beta = (0, 0, -b), beta' = (b, b, 0).
   (cA - tA^dag)^k with c = cosh 2s, t = sinh 2s; the product
   (cA^dag - tA)^k (cA - tA^dag)^k is normal-ordered symbolically, term by
   term, and its coherent expectation taken at a = sum(alpha)/sqrt(3).  This
-  shares no derivation with the package's closed-form Wick sum.
+  shares no derivation with the package's closed-form Wick sum;
+* ``mean_power_grid``: the same moments, by the same symbolic normal
+  ordering, on the fixed grid k = 1, 2, 3, strengths 0, 0.2, 0.25 and 0.5,
+  alpha = (0, 0, 0), (0.8, 0.8, 0.8) and (1.2, -0.9, 0.5+1.5j) that
+  acceptance criterion 06 and tests/test_photon.py check.  It is written
+  before ``mean_power`` so that the earlier entries keep their lines.
 """
 
 import csv
@@ -47,6 +52,9 @@ PLANE_STRENGTHS = (-350.0, -100.0, -20.0, 20.0, 100.0, 350.0, 354.0)
 PLANE_POINTS_PER_STRENGTH = 4
 LARGE_STRENGTH_ROWS = (("5", "0.01"), ("6", "0.01"))
 POWER_CASES_PER_ORDER = 150
+GRID_ORDERS = (1, 2, 3)
+GRID_STRENGTHS = (0.0, 0.2, 0.25, 0.5)
+GRID_ALPHAS = ((0, 0, 0), (0.8, 0.8, 0.8), (1.2, -0.9, 0.5 + 1.5j))
 
 
 def _maps(strength):
@@ -195,6 +203,10 @@ def main():
         rows = [(row["lambda"], row["b_star"]) for row in csv.DictReader(handle)]
     bell = [{"strength": float(s), "b": float(b), "b3": mp.nstr(b3(float(s), float(b)), 30)}
             for s, b in rows + list(LARGE_STRENGTH_ROWS)]
+    grid = [{"k": k, "strength": strength, "alpha": [[a.real, a.imag] for a in alpha],
+             "value": mp.nstr(mean_power(k, strength, alpha), 30)}
+            for k in GRID_ORDERS for strength in GRID_STRENGTHS
+            for alpha in ([complex(a) for a in triple] for triple in GRID_ALPHAS)]
     rng = np.random.default_rng(61)
     powers = []
     for k in range(1, 7):
@@ -211,6 +223,7 @@ def main():
     (DATA / "reference_60digit.json").write_text(
         f'{{"mpmath": "{mp.__version__}", "dps": {mp.mp.dps},\n'
         f' "wigner": [\n{lines(wigner)}\n ],\n "b3": [\n{lines(bell)}\n ],\n'
+        f' "mean_power_grid": [\n{lines(grid)}\n ],\n'
         f' "mean_power": [\n{lines(powers)}\n ]}}\n'
     )
 

@@ -25,6 +25,7 @@ import scipy.linalg
 import trisqueeze as tz
 from trisqueeze.cli import run
 from trisqueeze.fock import moment_y3
+from trisqueeze.matrices import circulant_maps, mode_gains
 
 
 def _report(number, ok, message):
@@ -41,14 +42,15 @@ def test_criterion_01_matrix_identities():
     start = time.perf_counter()
     checks = []
     for strength in (-1.0, -0.3, 0.0, 0.3, 1.0):
-        m = tz.build_squeeze_matrices(strength)
-        checks.append(np.abs(m.q_map @ m.p_map - np.eye(3)).max() < 1e-10)
-        checks.append(np.abs(m.q_map - m.q_map.T).max() < 1e-10)
-        checks.append(abs((m.q_map @ m.q_map).sum() - 3 * math.exp(-4 * strength)) < 1e-10)
+        q_map, p_map = circulant_maps(mode_gains(strength))
+        checks.append(np.abs(q_map @ p_map - np.eye(3)).max() < 1e-10)
+        checks.append(np.abs(q_map - q_map.T).max() < 1e-10)
+        checks.append(abs((q_map @ q_map).sum() - 3 * math.exp(-4 * strength)) < 1e-10)
+    coupling = np.ones((3, 3)) - np.eye(3)
     for strength in (0.1, 0.5, 1.0):
-        m = tz.build_squeeze_matrices(strength)
-        series = scipy.linalg.expm(-strength * tz.coupling_matrix())
-        checks.append(np.abs(series - m.q_map).max() < 1e-12)
+        q_map, _ = circulant_maps(mode_gains(strength))
+        series = scipy.linalg.expm(-strength * coupling)
+        checks.append(np.abs(series - q_map).max() < 1e-12)
     _finish(1, f"matrix identities ({time.perf_counter()-start:.2f}s)", checks)
 
 
@@ -117,25 +119,25 @@ def test_criterion_05_normal_ordered_form(arena14):
     _finish(5, f"normal-ordered amplitude + pair matrix vs Fock oracle ({time.perf_counter()-start:.1f}s)", checks)
 
 
-def test_criterion_06_photon_exact_paths(arena14):
+def test_criterion_06_photon_exact_paths(mean_power_grid):
     start = time.perf_counter()
     checks = []
-    # internal consistency: symbolic normal ordering vs single-mode Fock
-    for k in (1, 2, 3):
-        for strength in (0.0, 0.25, 0.5):
-            for alpha in ([0, 0, 0], [0.8, 0.8, 0.8], [1.2, -0.9, 0.5 + 1.5j]):
-                symbolic = tz.mean_power_exact(k, alpha, strength)
-                brute = tz.mean_power_exact_fock(k, alpha, strength)
-                checks.append(abs(symbolic - brute) <= 1e-8 * max(1.0, abs(symbolic)))
+    # the Wick sum against 60-digit symbolic normal ordering
+    for k, strength, alpha, reference in mean_power_grid:
+        if strength in (0.0, 0.25, 0.5):
+            exact = tz.mean_power_exact(k, alpha, strength)
+            checks.append(abs(exact - reference) <= 1e-13 * max(1.0, abs(reference)))
+    checks.append(len(checks) == 27)
     # cross-check against the three-mode oracle
+    arena = tz.build_arena(20)
     for strength in (0.2, 0.3):
         for alpha in ([0, 0, 0], [0.3, 0.3, 0.3]):
-            ket = tz.evolve(arena14, strength, tz.coherent_ket(arena14, alpha))
+            ket = tz.evolve(arena, strength, tz.coherent_ket(arena, alpha))
             for k in (1, 2):
-                oracle = tz.mean_power(arena14, ket, k)
+                oracle = tz.mean_power(arena, ket, k)
                 exact = tz.mean_power_exact(k, alpha, strength)
-                checks.append(abs(oracle - exact) <= 1e-4 * max(1.0, abs(exact)))
-    _finish(6, f"exact photon routes internally consistent + oracle-backed ({time.perf_counter()-start:.1f}s)", checks)
+                checks.append(abs(oracle - exact) <= 1e-9 * abs(exact))
+    _finish(6, f"exact photon route vs 60-digit values + oracle-backed ({time.perf_counter()-start:.1f}s)", checks)
 
 
 def test_criterion_06c_printed_squeezed_vacuum_p2():

@@ -210,6 +210,35 @@ def test_invalid_arguments_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("split, joined", [
+    (["fig1", "--re", "-1:0.05:1"], ["fig1", "--re=-1:0.05:1"]),
+    (["pk", "--lambda", "-1e-3"], ["pk", "--lambda=-1e-3"]),
+    (["bell", "--lambda", "0.3", "--beta", "-0.5j,0,0"],
+     ["bell", "--lambda", "0.3", "--beta=-0.5j,0,0"]),
+])
+def test_values_starting_with_a_dash(split, joined, capsys):
+    # argparse alone reads these values as option names and exits 2
+    assert run(joined) == 0
+    expected = capsys.readouterr()
+    assert run(split) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out and expected.err == ""
+
+
+@pytest.mark.parametrize("argv", [["pk"], ["fig1", "--bogus"]])
+def test_argument_errors_are_one_line(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    assert run(["pk", "-h"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: trisqueeze pk") and captured.err == ""
+
+
 def test_numeric_failure_exit_code(capsys):
     for argv in (
         # coherent amplitude far beyond the truncation guard

@@ -8,7 +8,6 @@ from trisqueeze import (
     InvalidParameterError,
     MomentQuery,
     NumericError,
-    build_squeeze_matrices,
     central_moment,
     double_factorial,
     hos_x,
@@ -22,7 +21,7 @@ from trisqueeze import (
     y3_query,
 )
 from trisqueeze.fock import _central_moment, build_arena, coherent_ket, evolve, ladder
-from trisqueeze.matrices import circulant_maps
+from trisqueeze.matrices import circulant_maps, mode_gains
 
 
 def test_vacuum_state():
@@ -225,8 +224,8 @@ def test_wigner_normalization():
 def test_wigner_q_marginal():
     # integrating over p on a grid reproduces the Gaussian q-marginal
     state = make_state(0.3, [0.4, 0.2 - 0.1j, -0.3j])
-    mats = build_squeeze_matrices(0.3)
-    cov_q = mats.q_map @ mats.q_map.T / 2
+    q_map, _ = circulant_maps(mode_gains(0.3))
+    cov_q = q_map @ q_map.T / 2
     inv_q = np.linalg.inv(cov_q)
     mean_q = state.mean[:3]
 
@@ -334,8 +333,8 @@ def test_strength_batch_slices_equal_single_states():
         part = batch[i]
         for name in ("strength", "alpha", "gains", "displacement"):
             assert np.array_equal(getattr(part, name), getattr(single, name))
-        mats = build_squeeze_matrices(strengths[i])
-        for batch_map, single_map in zip(circulant_maps(batch.gains), (mats.q_map, mats.p_map)):
+        single_maps = circulant_maps(mode_gains(strengths[i]))
+        for batch_map, single_map in zip(circulant_maps(batch.gains), single_maps):
             assert np.array_equal(batch_map[i], single_map)
 
 

@@ -8,21 +8,38 @@ from trisqueeze import (
     InvalidParameterError,
     NumericError,
     SingularParameterError,
-    collective_mode,
+    build_arena,
+    coherent_ket,
+    collective_factors,
+    evolve,
     fig1_scan,
     gm_pair,
+    mean_power,
     mean_power_exact,
-    mean_power_exact_fock,
     mean_power_paper,
     pk,
 )
-from trisqueeze.photon import _paper_k1, _paper_k2
+from trisqueeze.matrices import hermite_table
 
 
-def test_collective_mode_reduction():
-    mode = collective_mode([1, 1j, -0.5], 0.4)
-    assert mode.amplitude == pytest.approx((0.5 + 1j) / math.sqrt(3))
-    assert mode.squeeze == pytest.approx(0.8)
+def _paper_k1(alpha, strength: float) -> float:
+    """k=1 specialization as printed: (GM - tanh(-2s)/8) sinh(4s)."""
+    pair = gm_pair(alpha, strength)
+    gm = (pair.g * pair.m).real
+    return (gm - math.tanh(-2 * strength) / 8) * math.sinh(4 * strength)
+
+
+def _paper_k2(alpha, strength: float) -> float:
+    """k=2 specialization as printed (Hermite form of the bracket)."""
+    pair = gm_pair(alpha, strength)
+    coll_sum, coll_diff = collective_factors(strength)
+    h_g, h_m = hermite_table(2, pair.g / 2), hermite_table(2, pair.m / 2)
+    bracket = (
+        coll_diff**2 / (2**5 * coll_sum**2)
+        - coll_diff / (2 * coll_sum) * h_g[1] * h_m[1]
+        + h_g[2] * h_m[2]
+    )
+    return ((coll_sum * coll_diff) ** 2 / 4 * bracket).real
 
 
 # ---------------------------------------------------------------------------
@@ -145,24 +162,31 @@ def test_exact_route_squeezed_vacuum_moments():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("strength", [0.0, 0.2, 0.5])
-def test_exact_routes_internally_consistent(k, strength):
-    for alpha in ([0, 0, 0], [0.8, 0.8, 0.8], [1.2, -0.9, 0.5 + 1.5j]):
-        symbolic = mean_power_exact(k, alpha, strength)
-        brute = mean_power_exact_fock(k, alpha, strength)
-        assert brute == pytest.approx(symbolic, rel=1e-8, abs=1e-8)
+def test_exact_routes_internally_consistent(k, strength, mean_power_grid):
+    # the Wick sum against 60-digit symbolic normal ordering of (cA^dag - tA)^k (cA - tA^dag)^k
+    cases = [(alpha, value) for order, s, alpha, value in mean_power_grid if (order, s) == (k, strength)]
+    assert len(cases) == 3
+    for alpha, reference in cases:
+        assert mean_power_exact(k, alpha, strength) == pytest.approx(reference, rel=1e-13, abs=1e-13)
+
+
+HIGH_POWER_ALPHA = [0.8, 0.4, 0.2 - 0.3j]
+
+
+@pytest.fixture(scope="module")
+def oracle32():
+    arena = build_arena(32)
+    return arena, evolve(arena, 0.3, coherent_ket(arena, HIGH_POWER_ALPHA))
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
-def test_exact_routes_consistent_at_high_powers(k):
-    alpha = [0.8, 0.4, 0.2 - 0.3j]
-    symbolic = mean_power_exact(k, alpha, 0.3)
-    brute = mean_power_exact_fock(k, alpha, 0.3)
-    assert brute == pytest.approx(symbolic, rel=1e-8)
+def test_exact_routes_consistent_at_high_powers(k, oracle32):
+    # the three-mode Fock oracle at its largest cutoff: 1.6e-13 relative at k = 6
+    brute = mean_power(*oracle32, k)
+    assert brute == pytest.approx(mean_power_exact(k, HIGH_POWER_ALPHA, 0.3), rel=1e-11)
 
 
 def test_exact_route_against_three_mode_oracle(arena14):
-    from trisqueeze import coherent_ket, evolve, mean_power
-
     strength = 0.2
     alpha = [0.3, 0.3, 0.3]
     ket = evolve(arena14, strength, coherent_ket(arena14, alpha))
