@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
-from .gaussian import GaussianState, make_state, wigner
+from .gaussian import GaussianState, _mode_sums, _wigner_modes, make_state, wigner
 
 __all__ = [
     "BellSetting",
@@ -43,12 +43,10 @@ def fig2_setting(b) -> BellSetting:
     evaluates in one call.
     """
     b = np.asarray(b, dtype=float)
-    if not np.all(b > 0):
-        bad = b.flat[np.argmin(b > 0)]
-        raise InvalidParameterError(f"displacement magnitude must be positive, got {bad}")
-    zero = np.zeros_like(b)
-    beta = np.stack([zero, zero, -b], axis=-1).astype(complex)
-    beta_prime = np.stack([b, b, zero], axis=-1).astype(complex)
+    if not (ok := (b > 0) & (b < math.inf)).all():
+        bad = b.flat[np.argmin(ok)]
+        raise InvalidParameterError(f"displacement magnitude must be positive and finite, got {bad}")
+    beta, beta_prime = ((b[..., None] * unit).astype(complex) for unit in _FIG2_UNIT)
     if b.ndim == 0:  # a single setting keeps its plain-tuple form
         return BellSetting(beta=tuple(beta), beta_prime=tuple(beta_prime))
     return BellSetting(beta=beta, beta_prime=beta_prime)
@@ -57,6 +55,10 @@ def fig2_setting(b) -> BellSetting:
 # Which of the four correlation points of B(3) takes the primed amplitude
 # in each mode: (b1,b2,b3'), (b1,b2',b3), (b1',b2,b3), (b1',b2',b3').
 _PRIMED = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
+# beta and beta' of fig2_setting(1), and sqrt(2) (q, p) of its four correlation points, shape
+# (4, 2, 3): b times them holds the bits that b3 forms from fig2_setting(b)
+_FIG2_UNIT = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
+_FIG2_POINTS = math.sqrt(2) * np.stack([np.where(_PRIMED, *_FIG2_UNIT[::-1]), np.zeros((4, 3))], 1)
 
 
 def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
@@ -76,47 +78,59 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     return total if total.ndim else float(total)
 
 
+def _fig2_b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
+    # b3(state, fig2_setting(b)) from points = b * _FIG2_POINTS and modes = _mode_sums(points),
+    # formed here when not given; the caller ignores overflow and invalid values
+    modes = _mode_sums(points) if modes is None else modes
+    corr = math.pi**3 * _wigner_modes(state, points, modes)
+    return corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
+
+
 def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float, float]]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
-    Builds one state batched over the strengths.  Grid-brackets the maximum
-    over ``b_values`` (one batched B(3) call per strength, on its slice of
-    the state), then refines it by golden section inside the bracketing cell
-    down to a width of 1e-10 (first/grid-lowest maximizer wins ties; the
-    grid point wins when it beats the refined point).  All strengths refine
-    in lockstep: each step is one B(3) call on the whole batch, and a row
-    whose bracket is narrow enough keeps its values while the others step
-    on, so every row equals a scan of its strength alone.  Returns rows
+    Builds one state batched over the strengths and projects the points of
+    the b grid (positive, strictly increasing) onto the normal modes once.
+    Grid-brackets the maximum (one strength at a time, on that projection),
+    then refines it by golden section inside the bracketing cell down to a
+    width of 1e-10 (first/grid-lowest maximizer wins ties; the grid point
+    wins when it beats the refined point), all strengths in lockstep, one
+    evaluation per step; a row whose bracket is narrow enough keeps its
+    values, so every row equals a scan of its strength alone, and each
+    value is ``b3(state, fig2_setting(b))`` bit for bit.  Returns rows
     (strength, b_star, b3_max).
     """
-    b_values = np.asarray(b_values, dtype=float)
+    b_values = np.asarray(b_values, dtype=float).reshape(-1)
     strengths = np.asarray(strengths, dtype=float)
     if b_values.size == 0 or strengths.size == 0:
         raise InvalidParameterError("empty scan grid")
-    grid = fig2_setting(b_values)
+    if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
+        raise InvalidParameterError("b grid must be positive and strictly increasing")
     state = make_state(strengths, alpha)
-    values = np.array([b3(state[i], grid) for i in range(strengths.size)])
-    top = np.argmax(values, axis=1)
-    grid_best = values[np.arange(strengths.size), top]
-    a = b_values[np.maximum(top - 1, 0)]
-    b = b_values[np.minimum(top + 1, b_values.size - 1)]
-
-    fn = lambda x: b3(state, fig2_setting(x))
-    ratio = (math.sqrt(5) - 1) / 2
-    x1 = b - ratio * (b - a)
-    x2 = a + ratio * (b - a)
-    f1, f2 = fn(np.stack([x1, x2], axis=-1)).T
-    while (active := b - a > 1e-10).any():
-        left = f1 >= f2  # keep the left interval on ties
-        a_new, b_new = np.where(left, a, x1), np.where(left, x2, b)
-        probe = np.where(left, b_new - ratio * (b_new - a_new), a_new + ratio * (b_new - a_new))
-        f_probe = fn(probe)
-        step = (a_new, b_new, np.where(left, probe, x2), np.where(left, x1, probe),
-                np.where(left, f_probe, f2), np.where(left, f1, f_probe))
-        a, b, x1, x2, f1, f2 = (np.where(active, new, old)
-                                for new, old in zip(step, (a, b, x1, x2, f1, f2)))
-    b_star = (a + b) / 2
-    best = fn(b_star)
+    fn = lambda b: _fig2_b3(state, b[..., None, None, None] * _FIG2_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
+        grid = b_values[:, None, None, None] * _FIG2_POINTS
+        modes = _mode_sums(grid)
+        values = np.array([_fig2_b3(state[i], grid, modes) for i in range(strengths.size)])
+        top = np.argmax(values, axis=1)
+        grid_best = values[np.arange(strengths.size), top]
+        a = b_values[np.maximum(top - 1, 0)]
+        b = b_values[np.minimum(top + 1, b_values.size - 1)]
+        ratio = (math.sqrt(5) - 1) / 2
+        x1 = b - ratio * (b - a)
+        x2 = a + ratio * (b - a)
+        f1, f2 = fn(np.stack([x1, x2], axis=-1)).T
+        while (active := b - a > 1e-10).any():
+            left = f1 >= f2  # keep the left interval on ties
+            a_new, b_new = np.where(left, a, x1), np.where(left, x2, b)
+            probe = np.where(left, b_new - ratio * (b_new - a_new), a_new + ratio * (b_new - a_new))
+            f_probe = fn(probe)
+            step = (a_new, b_new, np.where(left, probe, x2), np.where(left, x1, probe),
+                    np.where(left, f_probe, f2), np.where(left, f1, f_probe))
+            a, b, x1, x2, f1, f2 = (np.where(active, new, old)
+                                    for new, old in zip(step, (a, b, x1, x2, f1, f2)))
+        b_star = (a + b) / 2
+        best = fn(b_star)
     use_grid = grid_best > best  # grid point beat the refined interior point
     b_star = np.where(use_grid, b_values[top], b_star)
     best = np.where(use_grid, grid_best, best)

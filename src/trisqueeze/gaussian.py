@@ -265,20 +265,24 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     if q.shape != p.shape:
         q, p = np.broadcast_arrays(q, p)
     x = np.concatenate([q, p], axis=-1).reshape(q.shape[:-1] + (2, 3))
-    batch = state.gains.shape[:-2]
-    if q.ndim - 1 < len(batch):
+    if q.ndim + 1 < state.gains.ndim:
         raise InvalidParameterError("points need a leading axis for each strength axis of the state")
-    # state axes in front of the remaining leading axes of the points
-    gains = state.gains.reshape(batch + (1,) * (q.ndim - 1 - len(batch)) + (2, 3))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        t = _mode_sums(x) * (gains / _NORMS) - state.displacement
-        exponent = _total(t * t)
+        out = _wigner_modes(state, x, _mode_sums(x))
+    return out if out.ndim else float(out)
+
+
+def _wigner_modes(state: GaussianState, x: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    # W at the points x (..., 2, 3) from modes = _mode_sums(x), which does not depend on the state;
+    # the state axes go in front of the points' leading axes.  The caller ignores over/invalid.
+    gains = state.gains.reshape(state.gains.shape[:-2] + (1,) * (x.ndim - state.gains.ndim) + (2, 3))
+    t = modes * (gains / _NORMS) - state.displacement
+    exponent = _total(t * t)
     if not np.isfinite(exponent).all():
         if not np.isfinite(x).all():
             raise InvalidParameterError("phase-space points must be finite")
         raise NumericError(f"wigner exponent overflows double precision at {_strengths(state)}")
-    out = np.exp(-exponent) / math.pi**3
-    return out if out.ndim else float(out)
+    return np.exp(-exponent) / math.pi**3
 
 
 def wigner_normalization(state: GaussianState, points: int = 41, width: float = 6.0) -> float:

@@ -93,8 +93,9 @@ def _amplitude_sum(triples: np.ndarray) -> np.ndarray:
     return triples[..., 0] + triples[..., 1] + triples[..., 2]
 
 
-def _gm(total: np.ndarray, strength: float) -> tuple[np.ndarray, np.ndarray]:
-    coll_sum, coll_diff = collective_factors(strength)
+def _gm(total: np.ndarray, strength: float, factors: tuple) -> tuple[np.ndarray, np.ndarray]:
+    # ``factors`` is collective_factors(strength), as in every helper below that takes it
+    coll_sum, coll_diff = factors
     if coll_diff == 0:
         raise SingularParameterError(
             f"closed route undefined at strength {strength:g}; use the exact route"
@@ -123,18 +124,18 @@ def gm_pair(alpha, strength: float) -> GMPair:
     Broadcasts over the leading axes of ``alpha``.
     """
     triples, single = _triples(alpha)
-    g, m = _gm(_amplitude_sum(triples), strength)
+    g, m = _gm(_amplitude_sum(triples), strength, collective_factors(strength))
     return GMPair(g=_plain(g, single), m=_plain(m, single))
 
 
-def _paper_power(k: int, table: list, strength: float) -> np.ndarray:
+def _paper_power(k: int, table: list, factors: tuple) -> np.ndarray:
     # the published k-sum, from a Hermite table of order k or higher.  Its
     # imaginary part is rounding alone, so only the real part is kept: the
     # branch-locked pair has m = conj(g) for s > 0 and m = -conj(g) for s < 0,
     # so H_j(g/2) H_j(m/2) is |H_j(g/2)|^2 times 1 or (-1)^j (H_j is real and
     # of parity j), and with the sign of (-2 coll_diff)^n every term of the
     # sum has the sign of s^k: nothing cancels to leave a residue
-    coll_sum, coll_diff = collective_factors(strength)
+    coll_sum, coll_diff = factors
     value = 0j
     for n in range(k + 1):
         coef = (
@@ -177,11 +178,10 @@ def _wick_sum(k: int, beta: np.ndarray, n, m) -> np.ndarray:
     return np.cumsum(w * n**j * m**l12 * np.conj(beta) ** r1 * beta**r2, axis=-1)[..., -1].real
 
 
-def _collective_mean(total: np.ndarray, strength: float) -> tuple[np.ndarray, float, float]:
+def _collective_mean(total: np.ndarray, factors: tuple) -> tuple[np.ndarray, float, float]:
     # beta = c*a - t*conj(a) at collective amplitudes a = total/sqrt(3), with a
-    # trailing axis for the Wick terms, and c and t
-    coll_sum, coll_diff = collective_factors(strength)
-    c, t, amp = coll_sum / 2, -coll_diff / 2, total[..., None] / math.sqrt(3)
+    # trailing axis for the Wick terms, and c and t (half the sum and minus half the difference)
+    c, t, amp = factors[0] / 2, -factors[1] / 2, total[..., None] / math.sqrt(3)
     return c * amp - t * np.conj(amp), c, t
 
 
@@ -206,16 +206,16 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
     return _mean_power("exact", k, alpha, strength)
 
 
-def _powers(path: str, orders: tuple, total: np.ndarray, strength: float) -> list:
+def _powers(path: str, orders: tuple, total: np.ndarray, strength: float, factors: tuple) -> list:
     # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums
     # ``total``; NumericError where a value overflows or is not finite
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
             if path == "paper":
-                table = hermite_table(max(orders), np.array(_gm(total, strength)) / 2)
-                values = [_paper_power(k, table, strength) for k in orders]
+                table = hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
+                values = [_paper_power(k, table, factors) for k in orders]
             else:
-                beta, c, t = _collective_mean(total, strength)
+                beta, c, t = _collective_mean(total, factors)
                 values = [_wick_sum(k, beta, t * t, -c * t) for k in orders]
     except OverflowError:
         values = [math.inf]  # raised below with the non-finite values
@@ -229,7 +229,8 @@ def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     triples, single = _triples(alpha)
-    return _plain(_powers(path, (k,), _amplitude_sum(triples), strength)[0], single)
+    total = _amplitude_sum(triples)
+    return _plain(_powers(path, (k,), total, strength, collective_factors(strength))[0], single)
 
 
 def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
@@ -248,6 +249,7 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
     triples, single = _triples(alpha)
     total = _amplitude_sum(triples)
+    factors = collective_factors(strength)
 
     def statistic(route):
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
@@ -255,7 +257,7 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
                 # each Wick term has degree 2k in (beta, sqrt(n), sqrt(m)), so dividing beta by
                 # sqrt(N) and n, m by N, N = <A^dag A> = |beta|^2 + t^2, gives P_k + 1; no
                 # square is formed unscaled, so tiny amplitudes do not underflow
-                beta, c, t = _collective_mean(total, strength)
+                beta, c, t = _collective_mean(total, factors)
                 root = np.hypot(np.abs(beta), t)
                 if (root == 0).any():
                     raise DomainError("mean photon number 0.0 not positive")
@@ -267,7 +269,7 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
                     root = np.where(small, np.abs(beta), root)
                 value = _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
             else:
-                mean_photon, power = _powers(route, (1, k), total, strength)
+                mean_photon, power = _powers(route, (1, k), total, strength, factors)
                 value = power / mean_photon**k - 1
         if not np.isfinite(value).all():
             raise NumericError(f"P_{k} is not finite in double precision at strength {strength:g}")

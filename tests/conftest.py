@@ -5,7 +5,13 @@ cutoff-8 and cutoff-14 arenas are still built once per session and shared.
 """
 
 import json
+import os
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads: on a small box, extra threads only
+# make the timings of the suite swing
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import pytest
 

@@ -22,6 +22,7 @@ from trisqueeze import (
     make_state,
     wigner,
 )
+from trisqueeze import bell
 from trisqueeze.bell import max_b3
 
 DATA = Path(__file__).parent / "data"
@@ -127,6 +128,8 @@ def test_b3_batch_equals_scalar_calls():
 def test_fig2_setting_batch_validation():
     with pytest.raises(InvalidParameterError, match="got -0.2"):
         fig2_setting(np.array([0.1, -0.2, 0.3]))
+    with pytest.raises(InvalidParameterError, match="got inf"):
+        fig2_setting(np.array([0.1, math.inf]))
     with pytest.raises(InvalidParameterError):
         b3(make_state(0.1, FIG2_ALPHA), BellSetting(beta=np.zeros((2, 2)), beta_prime=(0, 0, 0)))
 
@@ -180,6 +183,49 @@ def test_fig2_scan_lockstep_rows_equal_single_strength_scans():
 def test_fig2_scan_validation():
     with pytest.raises(InvalidParameterError):
         fig2_scan([], [0.1])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+def test_fig2_setting_is_the_unit_pattern_scaled_bit_for_bit():
+    # fig2_setting(b) is (0, 0, -b), (b, b, 0), and b times the scan's unit
+    # points are sqrt(2) (q, p) of the four points b3 forms from it
+    bs = np.exp(np.random.default_rng(43).uniform(-20, 20, size=64))
+    setting = fig2_setting(bs)
+    zero = np.zeros_like(bs)
+    assert np.array_equal(_bits(setting.beta), _bits(np.stack([zero, zero, -bs], axis=-1)))
+    assert np.array_equal(_bits(setting.beta_prime), _bits(np.stack([bs, bs, zero], axis=-1)))
+    for b in bs[:8]:
+        single = fig2_setting(b)
+        assert single.beta == (0j, 0j, complex(-b))
+        assert single.beta_prime == (complex(b), complex(b), 0j)
+    points = np.where(bell._PRIMED, setting.beta_prime[:, None, :], setting.beta[:, None, :])
+    formed = math.sqrt(2) * np.stack([points.real, points.imag], axis=-2)
+    assert np.array_equal(_bits(formed), _bits(bs[:, None, None, None] * bell._FIG2_POINTS))
+
+
+@pytest.mark.parametrize("alpha", [FIG2_ALPHA, (0.3 - 0.2j, -0.1, 0.5j)])
+def test_fig2_scan_values_equal_b3(alpha):
+    # the scan projects its points itself, without b3, yet each value is
+    # b3 at fig2_setting bit for bit; on a one-point grid both the grid
+    # stage and the refinement evaluate that point
+    for s in (0.0, -0.4, 1.2, 5.0, -300.0):
+        state = make_state(s, alpha)
+        for b in (1e-3, 0.1, 0.3, 1.7):
+            assert fig2_scan([s], [b], alpha)[0] == (s, b, b3(state, fig2_setting(b)))
+
+
+@pytest.mark.parametrize("bs", [[0.3, 0.25, 0.2, 0.1], [0.1, 0.2, 0.2, 0.3], [0.0, 0.1],
+                                [-0.1], [0.1, math.nan, 0.3]])
+def test_fig2_scan_rejects_b_grid_not_positive_and_increasing(bs):
+    # a descending grid used to skip the refinement silently: (0.2, 0.61869)
+    # in place of the ascending grid's maximum
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        fig2_scan([1.2], bs)
+    ((_, b_star, best),) = fig2_scan([1.2], [0.1, 0.2, 0.25, 0.3])
+    assert b_star == pytest.approx(0.20914, abs=1e-5) and best == pytest.approx(0.61930, abs=1e-5)
 
 
 def test_oracle_check_agreement():

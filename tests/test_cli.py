@@ -340,6 +340,20 @@ def test_fig2_answers_at_large_strength(capsys):
     assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["fig2", "--lambda", "5:1:6"], "5,0.01,0.643125963022\n6,0.01,0.643136926508\n"),
+    (["fig2", "--lambda", "100:1:101"],
+     "100,0.0100000000354,0.643143304281\n101,0.0100000000354,0.643143304281\n"),
+    (["fig2", "--lambda=-300:1:-299", "--b", "0.1:0.1:0.3"],
+     "-300,0.100000000032,0.214381101427\n-299,0.100000000032,0.214381101427\n"),
+])
+def test_fig2_far_strengths_keep_their_bytes(argv, out, capsys):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "lambda,b_star,b3_max\n" + out
+
+
 def test_determinism_byte_identical(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
