@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
-from .gaussian import GaussianState, _mode_sums, _wigner_modes, make_state, wigner
+from .gaussian import GaussianState, _mode_sums, _wigner_modes, make_state
 
 __all__ = [
     "BellSetting",
@@ -66,20 +66,22 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
 
     ``beta`` and ``beta_prime`` have shape (..., 3); the leading axes
     broadcast, and the result has their shape (a float for one setting).
-    The four correlations of every setting come from one Wigner call.
+    The four correlations of every setting come from one call of the fig2_scan kernel.
     """
     beta = np.asarray(setting.beta, dtype=complex)
     beta_prime = np.asarray(setting.beta_prime, dtype=complex)
     if beta.shape[-1:] != (3,) or beta_prime.shape[-1:] != (3,):
         raise InvalidParameterError("beta and beta_prime must have 3 components each")
     points = np.where(_PRIMED, beta_prime[..., None, :], beta[..., None, :])
-    corr = math.pi**3 * wigner(state, math.sqrt(2) * points.real, math.sqrt(2) * points.imag)
-    total = corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
+    if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
+        raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
+        total = _b3(state, math.sqrt(2) * np.stack([points.real, points.imag], axis=-2))
     return total if total.ndim else float(total)
 
 
-def _fig2_b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
-    # b3(state, fig2_setting(b)) from points = b * _FIG2_POINTS and modes = _mode_sums(points),
+def _b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
+    # B(3) from the correlation points (..., 4, 2, 3) in phase space and modes = _mode_sums(points),
     # formed here when not given; the caller ignores overflow and invalid values
     modes = _mode_sums(points) if modes is None else modes
     corr = math.pi**3 * _wigner_modes(state, points, modes)
@@ -101,17 +103,17 @@ def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float,
     (strength, b_star, b3_max).
     """
     b_values = np.asarray(b_values, dtype=float).reshape(-1)
-    strengths = np.asarray(strengths, dtype=float)
+    strengths = np.asarray(strengths, dtype=float).reshape(-1)
     if b_values.size == 0 or strengths.size == 0:
         raise InvalidParameterError("empty scan grid")
     if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
         raise InvalidParameterError("b grid must be positive and strictly increasing")
     state = make_state(strengths, alpha)
-    fn = lambda b: _fig2_b3(state, b[..., None, None, None] * _FIG2_POINTS)
+    fn = lambda b: _b3(state, b[..., None, None, None] * _FIG2_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         grid = b_values[:, None, None, None] * _FIG2_POINTS
         modes = _mode_sums(grid)
-        values = np.array([_fig2_b3(state[i], grid, modes) for i in range(strengths.size)])
+        values = np.array([_b3(state[i], grid, modes) for i in range(strengths.size)])
         top = np.argmax(values, axis=1)
         grid_best = values[np.arange(strengths.size), top]
         a = b_values[np.maximum(top - 1, 0)]

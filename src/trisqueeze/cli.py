@@ -56,38 +56,26 @@ def _parse_real_triple(text: str) -> np.ndarray:
     return values.real.astype(float)
 
 
-def _spec(kind: type) -> str:
-    # 12 significant digits for a float (np.float64 included), str() for the rest
-    return "%.12g" if issubclass(kind, float) else "%s"
-
-
-def _fmt(value) -> str:
-    return _spec(type(value)) % (value,)
-
-
 @functools.cache
 def _row_template(kinds: tuple) -> str:
-    return ",".join(map(_spec, kinds)) + "\n"
+    # 12 significant digits for a float (np.float64 included), str() for the rest
+    return ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
 
 
 def _write_table(stream, header, rows, fmt):
     if fmt == "csv":
         stream.write(",".join(header) + "\n")
         stream.writelines(_row_template(tuple(map(type, row))) % tuple(row) for row in rows)
-    else:
-        payload = [
-            {key: cell.item() if isinstance(cell, np.generic) else cell
-             for key, cell in zip(header, row)}
-            for row in rows
-        ]
-        stream.write(json.dumps(payload, indent=2, default=_fmt) + "\n")
+    else:  # every cell is an int, str, bool or float (np.float64 is one), which json writes as is
+        stream.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
 
 
-def _write_gnuplot(path: str, data_path: str, columns: tuple[int, int], title: str):
+def _write_gnuplot(path: str, data_path: str, title: str):
+    # plots column 3 of the table against column 1
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("set datafile separator ','\n")
         handle.write(f"set title '{title}'\n")
-        handle.write(f"plot '{data_path}' every ::1 using {columns[0]}:{columns[1]} with lines\n")
+        handle.write(f"plot '{data_path}' every ::1 using 1:3 with lines\n")
 
 
 def _cmd_moments(args, stream):
@@ -104,53 +92,40 @@ def _cmd_moments(args, stream):
 def _cmd_pk(args, stream):
     result = photon.pk(args.k, _parse_complex_triple(args.alpha), args.lam, path=args.path)
     header = ("k", "path", "paper_value", "exact_value", "discrepancy")
-    row = (
-        result.k,
-        result.path,
-        "" if result.paper_value is None else result.paper_value,
-        result.exact_value,
-        "" if result.discrepancy is None else result.discrepancy,
-    )
+    row = (result.k, result.path, "" if result.paper_value is None else result.paper_value,
+           result.exact_value, "" if result.discrepancy is None else result.discrepancy)
     _write_table(stream, header, [row], args.format)
 
 
 def _cmd_fig1(args, stream):
     rows = photon.fig1_scan(_parse_range(args.re), _parse_range(args.im))
     _write_table(stream, ("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), rows, args.format)
-    if args.gnuplot and args.out:
-        _write_gnuplot(args.gnuplot, args.out, (1, 3), "P2 along Re(alpha3)")
 
 
 def _cmd_wigner(args, stream):
     state = gaussian.make_state(args.lam, _parse_complex_triple(args.alpha))
+    q, p = _parse_real_triple(args.q), _parse_real_triple(args.p)
     if args.q1 or args.p1:
         q1 = _parse_range(args.q1 or "0:1:0")
         p1 = _parse_range(args.p1 or "0:1:0")
         # one row per grid point, q1 outer and p1 inner
         grid = np.stack(np.meshgrid(q1, p1, indexing="ij"), axis=-1).reshape(-1, 2)
-        q = np.tile(_parse_real_triple(args.q), (len(grid), 1))
-        p = np.tile(_parse_real_triple(args.p), (len(grid), 1))
+        q, p = np.tile(q, (len(grid), 1)), np.tile(p, (len(grid), 1))
         q[:, 0] = grid[:, 0]
         p[:, 0] = grid[:, 1]
         values = gaussian.wigner(state, q, p)
         _write_table(stream, ("q1", "p1", "w"), np.column_stack([grid, values]).tolist(),
                      args.format)
-        if args.gnuplot and args.out:
-            _write_gnuplot(args.gnuplot, args.out, (1, 3), "Wigner slice")
+    elif args.gnuplot:
+        raise InvalidParameterError("--gnuplot needs a slice (--q1 or --p1)")
     else:
-        q = _parse_real_triple(args.q)
-        p = _parse_real_triple(args.p)
-        value = gaussian.wigner(state, q, p)
         _write_table(stream, ("q1", "q2", "q3", "p1", "p2", "p3", "w"),
-                     [(*q, *p, value)], args.format)
+                     [(*q, *p, gaussian.wigner(state, q, p))], args.format)
 
 
 def _cmd_bell(args, stream):
     state = gaussian.make_state(args.lam, _parse_complex_triple(args.alpha))
-    setting = bell.BellSetting(
-        beta=tuple(_parse_complex_triple(args.beta)),
-        beta_prime=tuple(_parse_complex_triple(args.beta_prime)),
-    )
+    setting = bell.BellSetting(_parse_complex_triple(args.beta), _parse_complex_triple(args.beta_prime))
     value = bell.b3(state, setting)
     _write_table(stream, ("lambda", "b3"), [(args.lam, value)], args.format)
 
@@ -158,8 +133,6 @@ def _cmd_bell(args, stream):
 def _cmd_fig2(args, stream):
     rows = bell.fig2_scan(_parse_range(args.lam_range), _parse_range(args.b))
     _write_table(stream, ("lambda", "b_star", "b3_max"), rows, args.format)
-    if args.gnuplot and args.out:
-        _write_gnuplot(args.gnuplot, args.out, (1, 3), "max B(3) vs strength")
 
 
 def _cmd_oracle_check(args, stream):
@@ -196,7 +169,7 @@ def _cmd_oracle_check(args, stream):
 
 
 def _cmd_errata(args, stream):
-    stream.write(json.dumps(errata.build_errata(), indent=2, default=_fmt) + "\n")
+    stream.write(json.dumps(errata.build_errata(), indent=2) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--im", default="-1:0.05:1")
     p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
     common(p)
-    p.set_defaults(fn=_cmd_fig1)
+    p.set_defaults(fn=_cmd_fig1, plot="P2 along Re(alpha3)")
 
     p = sub.add_parser("wigner", help="Wigner function at a point or on a (q1, p1) slice")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -257,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", help="range start:step:end for a slice along p1")
     p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
     common(p)
-    p.set_defaults(fn=_cmd_wigner)
+    p.set_defaults(fn=_cmd_wigner, plot="Wigner slice")
 
     p = sub.add_parser("bell", help="single B(3) evaluation")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -272,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", default="0.01:0.01:2")
     p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
     common(p)
-    p.set_defaults(fn=_cmd_fig2)
+    p.set_defaults(fn=_cmd_fig2, plot="max B(3) vs strength")
 
     p = sub.add_parser("oracle-check", help="Fock-oracle convergence table")
     p.add_argument("--quantity", choices=("var-x3", "vacuum-amp", "parity", "b3"),
@@ -297,12 +270,17 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    gnuplot = getattr(args, "gnuplot", None)  # fig1, fig2 and wigner have the option
     try:
-        if getattr(args, "out", None):
+        if gnuplot and not args.out:
+            raise InvalidParameterError("--gnuplot needs --out, the table it plots")
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as stream:
                 args.fn(args, stream)
         else:
             args.fn(args, stream=sys.stdout)
+        if gnuplot:
+            _write_gnuplot(gnuplot, args.out, args.plot)
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 MAX_MOMENT_ORDER = 16  # double factorials stay well inside float64 range
+_NORMALIZATION_WIDTH, _NORMALIZATION_POINTS = 6.0, 41  # standard deviations, points per mode
 
 # The normal modes are the integer vectors (1,1,1), (1,-1,0), (1,1,-2), the
 # columns of _INTEGER_MODES, over their norms; _MODES has the unit vectors.
@@ -133,10 +134,13 @@ def make_state(strength, alpha) -> GaussianState:
     in one call.  Its gains are built strength by strength with the scalar
     code and stacked, so every slice holds the same bits as a
     single-strength state.  Raises NumericError when e^{2|strength|}
-    overflows double precision.
+    overflows double precision or a part of ``alpha`` exceeds 7e307 in size
+    (sqrt(6) times it, the largest normal-mode displacement, is finite).
     """
     alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    if not np.all(np.isfinite(alpha.view(float))):
+    if not all(abs(part) <= 7e307 for part in alpha.view(float).tolist()):  # nan fails too
+        if np.isfinite(alpha).all():
+            raise NumericError("coherent amplitudes above 7e307 overflow double precision")
         raise InvalidParameterError("coherent amplitudes must be finite")
     if not isinstance(strength, (int, float)) and np.ndim(strength):  # np.ndim(float) costs
         strength = np.array(strength, dtype=float)
@@ -285,8 +289,8 @@ def _wigner_modes(state: GaussianState, x: np.ndarray, modes: np.ndarray) -> np.
     return np.exp(-exponent) / math.pi**3
 
 
-def wigner_normalization(state: GaussianState, points: int = 41, width: float = 6.0) -> float:
-    """Tensor trapezoid of W over a box of +-width standard deviations per normal mode.
+def wigner_normalization(state: GaussianState) -> float:
+    """Tensor trapezoid of W over a box of +-6 standard deviations per normal mode, 41 points each.
 
     Mode k of each block is a Gaussian of centre a_k/g_k and standard
     deviation 1/(sqrt(2) g_k) (see :func:`wigner`).  W is a q factor times a
@@ -294,11 +298,9 @@ def wigner_normalization(state: GaussianState, points: int = 41, width: float = 
     the p centre) and over the p box (at the q centre).
     """
     _one_strength(state, "wigner_normalization")
-    if points < 3:
-        raise InvalidParameterError("need at least 3 points per axis")
     centres, sigmas = state.displacement / state.gains, 1 / (math.sqrt(2) * state.gains)
-    rule = np.linspace(-width, width, points)
-    weights = np.full(points, rule[1] - rule[0])
+    rule = np.linspace(-_NORMALIZATION_WIDTH, _NORMALIZATION_WIDTH, _NORMALIZATION_POINTS)
+    weights = np.full(_NORMALIZATION_POINTS, rule[1] - rule[0])
     weights[[0, -1]] /= 2
     q_centre, p_centre = centres @ _MODES.T
     total = math.pi**3

@@ -117,14 +117,18 @@ def gm_pair(alpha, strength: float) -> GMPair:
     Singular where coll_diff = e^{-2s} - e^{2s} rounds to zero (zero
     strength, and |s| below about 1e-17): the square roots divide by it.
     For |s| from about 354.34 to 354.54 their ratio is 0, because only
-    3 coll_diff overflows, and NumericError is raised.
+    3 coll_diff overflows, and NumericError is raised, as where G or M overflows.
     The two roots are branch-locked so that their product is 2/3: that
     choice reproduces the published expansions of G*M, G^2 and M^2 as real
     tanh/coth formulas, which a plain principal-branch pair does not.
     Broadcasts over the leading axes of ``alpha``.
     """
     triples, single = _triples(alpha)
-    g, m = _gm(_amplitude_sum(triples), strength, collective_factors(strength))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        g, m = _gm(_amplitude_sum(triples), strength, collective_factors(strength))
+    if not np.isfinite([g, m]).all():
+        raise NumericError(f"closed-route amplitude pair overflows double precision at "
+                           f"strength {strength:g}")
     return GMPair(g=_plain(g, single), m=_plain(m, single))
 
 
@@ -208,15 +212,14 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
 
 def _powers(path: str, orders: tuple, total: np.ndarray, strength: float, factors: tuple) -> list:
     # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums
-    # ``total``; NumericError where a value overflows or is not finite
+    # ``total``, under the caller's np.errstate; NumericError where a value is not finite
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-            if path == "paper":
-                table = hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
-                values = [_paper_power(k, table, factors) for k in orders]
-            else:
-                beta, c, t = _collective_mean(total, factors)
-                values = [_wick_sum(k, beta, t * t, -c * t) for k in orders]
+        if path == "paper":
+            table = hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
+            values = [_paper_power(k, table, factors) for k in orders]
+        else:
+            beta, c, t = _collective_mean(total, factors)
+            values = [_wick_sum(k, beta, t * t, -c * t) for k in orders]
     except OverflowError:
         values = [math.inf]  # raised below with the non-finite values
     if not all(np.isfinite(value).all() for value in values):
@@ -229,8 +232,9 @@ def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     triples, single = _triples(alpha)
-    total = _amplitude_sum(triples)
-    return _plain(_powers(path, (k,), total, strength, collective_factors(strength))[0], single)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
+        values = _powers(path, (k,), _amplitude_sum(triples), strength, collective_factors(strength))
+    return _plain(values[0], single)
 
 
 def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
@@ -248,40 +252,40 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     if path not in ("paper", "exact"):
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
     triples, single = _triples(alpha)
-    total = _amplitude_sum(triples)
     factors = collective_factors(strength)
 
     def statistic(route):
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-            if route == "exact":
-                # each Wick term has degree 2k in (beta, sqrt(n), sqrt(m)), so dividing beta by
-                # sqrt(N) and n, m by N, N = <A^dag A> = |beta|^2 + t^2, gives P_k + 1; no
-                # square is formed unscaled, so tiny amplitudes do not underflow
-                beta, c, t = _collective_mean(total, factors)
-                root = np.hypot(np.abs(beta), t)
-                if (root == 0).any():
-                    raise DomainError("mean photon number 0.0 not positive")
-                # 1/root overflows for a subnormal root; t = 0 there (|t| >= 1e-16 otherwise), so
-                # P_k does not depend on the scale of beta, and 2^64 lifts it exactly; m is then 0
-                small = root < 2.0**-1022
-                if small.any():
-                    beta = np.where(small, beta * 2.0**64, beta)
-                    root = np.where(small, np.abs(beta), root)
-                value = _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
-            else:
-                mean_photon, power = _powers(route, (1, k), total, strength, factors)
-                value = power / mean_photon**k - 1
+        if route == "exact":
+            # each Wick term has degree 2k in (beta, sqrt(n), sqrt(m)), so dividing beta by
+            # sqrt(N) and n, m by N, N = <A^dag A> = |beta|^2 + t^2, gives P_k + 1; no
+            # square is formed unscaled, so tiny amplitudes do not underflow
+            beta, c, t = _collective_mean(total, factors)
+            root = np.hypot(np.abs(beta), t)
+            if (root == 0).any():
+                raise DomainError("mean photon number 0.0 not positive")
+            # 1/root overflows for a subnormal root; t = 0 there (|t| >= 1e-16 otherwise), so
+            # P_k does not depend on the scale of beta, and 2^64 lifts it exactly; m is then 0
+            small = root < 2.0**-1022
+            if small.any():
+                beta = np.where(small, beta * 2.0**64, beta)
+                root = np.where(small, np.abs(beta), root)
+            value = _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
+        else:
+            mean_photon, power = _powers(route, (1, k), total, strength, factors)
+            value = power / mean_photon**k - 1
         if not np.isfinite(value).all():
             raise NumericError(f"P_{k} is not finite in double precision at strength {strength:g}")
         return value
 
-    exact_value = statistic("exact")
-    try:
-        paper_value = statistic("paper")
-    except SingularParameterError:
-        if path == "paper":
-            raise
-        paper_value = None
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise in statistic
+        total = _amplitude_sum(triples)
+        exact_value = statistic("exact")
+        try:
+            paper_value = statistic("paper")
+        except SingularParameterError:
+            if path == "paper":
+                raise
+            paper_value = None
     discrepancy = None if paper_value is None else _plain(np.abs(paper_value - exact_value), single)
     return PkResult(k=k, paper_value=None if paper_value is None else _plain(paper_value, single),
                     exact_value=_plain(exact_value, single), discrepancy=discrepancy, path=path)

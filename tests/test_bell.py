@@ -185,6 +185,31 @@ def test_fig2_scan_validation():
         fig2_scan([], [0.1])
 
 
+def test_fig2_scan_takes_a_plain_strength():
+    # a 0-d strength ended in "TypeError: 'float' object is not subscriptable"
+    assert fig2_scan(0.5, [0.1, 0.2]) == fig2_scan([0.5], [0.1, 0.2])
+
+
+def test_b3_refuses_settings_without_an_axis_per_strength():
+    # the four correlation points are no strength axis: four strengths and one
+    # setting gave one float that mixed the four states' correlations
+    for strengths in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2]):
+        batch = make_state(np.array(strengths), FIG2_ALPHA)
+        with pytest.raises(InvalidParameterError, match="leading axis for each strength axis"):
+            b3(batch, fig2_setting(0.3))
+    batch = make_state(np.array([0.1, 0.2, 0.3, 0.4]), FIG2_ALPHA)
+    values = b3(batch, fig2_setting(np.full(4, 0.3)))
+    assert values.tolist() == [b3(batch[i], fig2_setting(0.3)) for i in range(4)]
+
+
+def test_b3_refuses_displacements_that_overflow_without_a_warning():
+    # sqrt(2) beta overflowed outside any np.errstate, and numpy warned first
+    state = make_state(0.0, (0, 0, 0))
+    for setting in (BellSetting((1.7e308, 0, 0), (0, 0, 0)), fig2_setting(1.7e308)):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            b3(state, setting)
+
+
 def _bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64)
 

@@ -12,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trisqueeze import make_state, wigner
-from trisqueeze.cli import _fmt, _parse_complex_triple, _parse_range, _write_table, run
+from trisqueeze.cli import _parse_complex_triple, _parse_range, _write_table, run
 from trisqueeze.errors import InvalidParameterError
 
 DATA = Path(__file__).parent / "data"
@@ -111,7 +111,7 @@ def test_wigner_slice_equals_point_values(tmp_path):
     for qv in _parse_range("-1:0.25:1"):
         for pv in _parse_range("-0.5:0.5:0.5"):
             value = wigner(state, [qv, -0.2, 0.3], [pv, 0.4, -0.1])
-            expected.append(",".join(_fmt(float(v)) for v in (qv, pv, value)))
+            expected.append(",".join(f"{v:.12g}" for v in (qv, pv, value)))
     assert out.read_text().split("\n") == expected + [""]
 
 
@@ -161,6 +161,30 @@ def test_wigner_slice_bytes_are_pinned(fmt, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["moments", "--lambda", "0.2"], "5b2b76d6612b538f650526fa78885640f13b5f745d5a4955932ab63dd129a70a"),
+    (["pk", "--lambda", "0.3"], "8e56a1edbf3016a7065fff60a2ba1ccf49708fba22f5d4e8ee008a7d427c900c"),
+    (["pk", "--lambda", "0"], "62b3b2b9ceedf58e072602314b894bd1383d5914fc7ab7045aa53929a169eea8"),
+    (["bell", "--lambda", "0.5", "--beta", "0,0,-0.3", "--beta-prime", "0.3,0.3,0"],
+     "56c5a6452d0f691ffbfa167e599decc1a2e1991f5cfd1c0ff8506801a830d09f"),
+    (["wigner", "--lambda", "0.3", "--alpha", "0.2+0.1j,0,-0.3", "--q", "0.1,-0.2,0.3",
+      "--p", "0,0.4,-0.1"], "208a39e6ed5d08ea36b9ce80784d076aba6cdb2beac2aa42a9f03d0125182591"),
+    (["oracle-check"], "2e134b3bf2a2f139c3b96a983719065fd764ad6739fa8f4f2a878117964d285f"),
+    (["fig1", "--re=-0.2:0.2:0.2", "--im", "0:0.5:0.5"],
+     "b33c0f42f6771f444f88edd45877c488e64dac2fa13fc2c15d4767907a6a7197"),
+    (["fig2", "--lambda", "0:0.5:1", "--b", "0.05:0.05:0.5"],
+     "78b29f4c8d3261189de09b520bc427df8a721070aedeca4c38c6f2f9b2c4a81a"),
+    (["errata"], "81fbf13ab5e06f27eb04a4faaa22d1abe08c29ec6a640534f818937b9d6b0167"),
+])
+def test_json_bytes_are_pinned(argv, digest, capsys):
+    # json.dumps writes every cell as it is (np.float64 through float.__repr__);
+    # the digests are of the output of the writer that converted cells first
+    assert run([*argv, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command", ["fig1", "fig2"])
 def test_default_scan_matches_golden_file(command, tmp_path):
     # tests/data holds the default-grid output captured before the scans
@@ -195,13 +219,19 @@ def test_oracle_check_table(capsys):
     assert float(lines[-1].split(",")[1]) == pytest.approx(math.exp(-0.8) / 4, abs=1e-3)
 
 
-def test_gnuplot_script_emission(tmp_path):
-    out = tmp_path / "fig2.csv"
-    script = tmp_path / "fig2.gp"
-    assert run(["fig2", "--lambda", "0:1:1", "--b", "0.1:0.1:0.3",
-                "--out", str(out), "--gnuplot", str(script)]) == 0
-    text = script.read_text()
-    assert "plot" in text and out.name in text
+def test_gnuplot_script_emission(tmp_path, capsys):
+    # the script plots column 3 of the --out table against column 1
+    out = tmp_path / "table.csv"
+    script = tmp_path / "plot.gp"
+    for argv, title in (
+        (["fig2", "--lambda", "0:1:1", "--b", "0.1:0.1:0.3"], "max B(3) vs strength"),
+        (["fig1", "--re=-0.2:0.2:0.2", "--im", "0:0.5:0.5"], "P2 along Re(alpha3)"),
+        (["wigner", "--lambda", "0.2", "--q1=-1:0.5:1"], "Wigner slice"),
+    ):
+        assert run([*argv, "--out", str(out), "--gnuplot", str(script)]) == 0
+        assert capsys.readouterr() == ("", "") and out.read_text().count("\n") > 1
+        assert script.read_text() == (f"set datafile separator ','\nset title '{title}'\n"
+                                      f"plot '{out}' every ::1 using 1:3 with lines\n")
 
 
 def test_invalid_arguments_exit_code(capsys):
@@ -307,8 +337,19 @@ def test_numeric_failure_exit_code(capsys):
     (["pk", "--lambda", "354.5", "--path", "paper"], 3),
     (["pk", "--lambda=-354.5", "--path", "paper"], 3),
     (["pk", "--lambda", "354.4", "--path", "paper"], 3),
+    # sqrt(2) beta, sqrt(2) alpha and the sum of the amplitudes overflowed
+    # outside any np.errstate, so numpy warned before the one-line message
+    (["bell", "--lambda", "0", "--beta", "1.7e308,0,0"], 2),
+    (["oracle-check", "--quantity", "b3", "--b", "1.7e308"], 2),
+    (["wigner", "--lambda", "0", "--alpha", "1.7e308,0,0"], 3),
+    (["bell", "--lambda", "0", "--alpha", "1.7e308,0,0"], 3),
+    (["pk", "--lambda", "0.3", "--alpha", "1e308,1e308,0"], 3),
+    # --gnuplot plots the --out table of a slice; it was ignored silently
+    (["fig1", "--gnuplot", "p.gp"], 2),
+    (["wigner", "--lambda", "0.2", "--out", "w.csv", "--gnuplot", "w.gp"], 2),
 ])
-def test_non_finite_results_exit_with_message(argv, code, capsys):
+def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # for the argv that name files
     assert run(argv) == code
     captured = capsys.readouterr()
     assert captured.out == ""

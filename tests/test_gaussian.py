@@ -133,6 +133,19 @@ def test_moment_validation():
         make_state(0.1, [float("nan"), 0, 0])
 
 
+def test_make_state_refuses_amplitudes_whose_displacement_overflows():
+    # sqrt(6) times 7e307, the largest displacement on a normal mode, is finite;
+    # larger parts printed a numpy overflow warning before the refusal
+    for alpha in ([7e307, 7e307, 7e307], [-7e307j, -7e307j, -7e307j], [7e307 - 7e307j, 0, 1e-320]):
+        assert np.isfinite(make_state(0.0, alpha).displacement).all()
+    for alpha in ([1.7e308, 0, 0], [0, 7.1e307j, 0], [1e308, 1e308, 1e308]):
+        with pytest.raises(NumericError, match="7e307"):
+            make_state(0.1, alpha)
+    for alpha in ([math.inf, 0, 0], [0, complex(0, math.nan), 0], [1.7e308, math.nan, 0]):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make_state(0.1, alpha)
+
+
 # ---------------------------------------------------------------------------
 # closed-form moment laws
 # ---------------------------------------------------------------------------

@@ -309,6 +309,21 @@ def test_mean_powers_raise_on_overflow_without_warnings():
         mean_power_exact(2, [1, 1, 1], math.nan)
 
 
+def test_amplitude_sums_that_overflow_raise_without_warnings():
+    # the sum of the three amplitudes overflowed outside any np.errstate
+    big = [1e308, 1e308, 0]
+    for route in (mean_power_exact, mean_power_paper):
+        with pytest.raises(NumericError):
+            route(2, big, 0.3)
+    for path in ("exact", "paper"):
+        with pytest.raises(NumericError):
+            pk(2, big, 0.3, path=path)
+    with pytest.raises(NumericError, match="amplitude pair overflows"):
+        gm_pair(big, 0.3)
+    with pytest.raises(NumericError, match="amplitude pair overflows"):
+        gm_pair([1e308, 0, 0], 0.01)  # the sum is finite, G and M are not
+
+
 def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
     # e^{-2s} - e^{2s} is exactly 0 in double precision at s = 1e-300
     result = pk(2, [1, 1, 1], 1e-300)
