@@ -42,7 +42,6 @@ from .gaussian import (
 )
 from .matrices import collective_factors, double_factorial
 from .photon import (
-    GMPair,
     PkResult,
     fig1_scan,
     gm_pair,
@@ -58,7 +57,6 @@ __all__ = [
     "DomainError",
     "FIG2_ALPHA",
     "FockArena",
-    "GMPair",
     "GaussianState",
     "InvalidParameterError",
     "MomentQuery",

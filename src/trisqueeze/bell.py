@@ -88,11 +88,11 @@ def _b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
     return corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
 
 
-def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float, float]]:
+def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
-    Builds one state batched over the strengths and projects the points of
-    the b grid (positive, strictly increasing) onto the normal modes once.
+    Builds one state at ``FIG2_ALPHA`` batched over the strengths and
+    projects the b grid (positive, strictly increasing) onto the normal modes once.
     Grid-brackets the maximum (one strength at a time, on that projection),
     then refines it by golden section inside the bracketing cell down to a
     width of 1e-10 (first/grid-lowest maximizer wins ties; the grid point
@@ -108,7 +108,7 @@ def fig2_scan(strengths, b_values, alpha=FIG2_ALPHA) -> list[tuple[float, float,
         raise InvalidParameterError("empty scan grid")
     if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
         raise InvalidParameterError("b grid must be positive and strictly increasing")
-    state = make_state(strengths, alpha)
+    state = make_state(strengths, FIG2_ALPHA)
     fn = lambda b: _b3(state, b[..., None, None, None] * _FIG2_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         grid = b_values[:, None, None, None] * _FIG2_POINTS
@@ -188,8 +188,6 @@ def max_b3(strengths) -> list[tuple[float, float, float, float]]:
     Returns rows (strength, a, b, b3_max).
     """
     strengths = np.asarray(strengths, dtype=float).reshape(-1)
-    if strengths.size == 0:
-        raise InvalidParameterError("empty strength grid")
     state = make_state(strengths, (0, 0, 0))
     s = np.abs(strengths)
     log_ratio = 6 * s + np.log1p(np.expm1(-6 * s) / 3)  # L, accurate as s -> 0

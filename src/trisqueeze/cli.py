@@ -1,14 +1,19 @@
 """Command-line front end: scans and reports as CSV or JSON.
 
 CSV prints every float with 12 significant digits, uses LF line endings and
-has a header row.  Identical invocations produce byte-identical output.
-Exit codes: 0 success, 2 invalid arguments, 3 numeric/truncation failure.
+has a header row.  Identical invocations produce byte-identical output.  Each
+command returns its whole output as text; ``run`` writes it once, after the
+command has answered, so a refused command writes no file.
+Exit codes: 0 success, 2 invalid arguments or an output that cannot be
+written (an --out or --gnuplot path, a closed stdout), 3 numeric/truncation
+failure.  Each refusal is one line on stderr.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -62,23 +67,20 @@ def _row_template(kinds: tuple) -> str:
     return ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
 
 
-def _write_table(stream, header, rows, fmt):
+def _table(header, rows, fmt) -> str:
     if fmt == "csv":
-        stream.write(",".join(header) + "\n")
-        stream.writelines(_row_template(tuple(map(type, row))) % tuple(row) for row in rows)
-    else:  # every cell is an int, str, bool or float (np.float64 is one), which json writes as is
-        stream.write(json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n")
+        return ",".join(header) + "\n" + "".join(
+            _row_template(tuple(map(type, row))) % tuple(row) for row in rows)
+    # every cell is an int, str, bool or float (np.float64 is one), which json writes as is
+    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
 
 
-def _write_gnuplot(path: str, data_path: str, title: str):
-    # plots column 3 of the table against column 1
+def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("set datafile separator ','\n")
-        handle.write(f"set title '{title}'\n")
-        handle.write(f"plot '{data_path}' every ::1 using 1:3 with lines\n")
+        handle.write(text)
 
 
-def _cmd_moments(args, stream):
+def _cmd_moments(args):
     if args.m_max < 1:
         raise InvalidParameterError(f"--m-max must be at least 1, got {args.m_max}")
     rows = []
@@ -86,23 +88,23 @@ def _cmd_moments(args, stream):
         x = gaussian.hos_x(args.lam, m)
         y = gaussian.hos_y(args.lam, m)
         rows.append((m, x, y, x * y))
-    _write_table(stream, ("m", "hos_x", "hos_y", "product"), rows, args.format)
+    return _table(("m", "hos_x", "hos_y", "product"), rows, args.format)
 
 
-def _cmd_pk(args, stream):
+def _cmd_pk(args):
     result = photon.pk(args.k, _parse_complex_triple(args.alpha), args.lam, path=args.path)
     header = ("k", "path", "paper_value", "exact_value", "discrepancy")
     row = (result.k, result.path, "" if result.paper_value is None else result.paper_value,
            result.exact_value, "" if result.discrepancy is None else result.discrepancy)
-    _write_table(stream, header, [row], args.format)
+    return _table(header, [row], args.format)
 
 
-def _cmd_fig1(args, stream):
+def _cmd_fig1(args):
     rows = photon.fig1_scan(_parse_range(args.re), _parse_range(args.im))
-    _write_table(stream, ("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), rows, args.format)
+    return _table(("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), rows, args.format)
 
 
-def _cmd_wigner(args, stream):
+def _cmd_wigner(args):
     state = gaussian.make_state(args.lam, _parse_complex_triple(args.alpha))
     q, p = _parse_real_triple(args.q), _parse_real_triple(args.p)
     if args.q1 or args.p1:
@@ -114,28 +116,26 @@ def _cmd_wigner(args, stream):
         q[:, 0] = grid[:, 0]
         p[:, 0] = grid[:, 1]
         values = gaussian.wigner(state, q, p)
-        _write_table(stream, ("q1", "p1", "w"), np.column_stack([grid, values]).tolist(),
-                     args.format)
-    elif args.gnuplot:
+        return _table(("q1", "p1", "w"), np.column_stack([grid, values]).tolist(), args.format)
+    if args.gnuplot:
         raise InvalidParameterError("--gnuplot needs a slice (--q1 or --p1)")
-    else:
-        _write_table(stream, ("q1", "q2", "q3", "p1", "p2", "p3", "w"),
-                     [(*q, *p, gaussian.wigner(state, q, p))], args.format)
+    return _table(("q1", "q2", "q3", "p1", "p2", "p3", "w"),
+                  [(*q, *p, gaussian.wigner(state, q, p))], args.format)
 
 
-def _cmd_bell(args, stream):
+def _cmd_bell(args):
     state = gaussian.make_state(args.lam, _parse_complex_triple(args.alpha))
     setting = bell.BellSetting(_parse_complex_triple(args.beta), _parse_complex_triple(args.beta_prime))
     value = bell.b3(state, setting)
-    _write_table(stream, ("lambda", "b3"), [(args.lam, value)], args.format)
+    return _table(("lambda", "b3"), [(args.lam, value)], args.format)
 
 
-def _cmd_fig2(args, stream):
+def _cmd_fig2(args):
     rows = bell.fig2_scan(_parse_range(args.lam_range), _parse_range(args.b))
-    _write_table(stream, ("lambda", "b_star", "b3_max"), rows, args.format)
+    return _table(("lambda", "b_star", "b3_max"), rows, args.format)
 
 
-def _cmd_oracle_check(args, stream):
+def _cmd_oracle_check(args):
     try:
         cutoffs = [int(c) for c in args.cutoffs.split(",")]
     except ValueError as exc:
@@ -165,11 +165,11 @@ def _cmd_oracle_check(args, stream):
          row["shrinking"])
         for row in fock.convergence_report(quantity, cutoffs)
     ]
-    _write_table(stream, ("cutoff", "value", "delta", "shrinking"), rows, args.format)
+    return _table(("cutoff", "value", "delta", "shrinking"), rows, args.format)
 
 
-def _cmd_errata(args, stream):
-    stream.write(json.dumps(errata.build_errata(), indent=2) + "\n")
+def _cmd_errata(args):
+    return json.dumps(errata.build_errata(), indent=2) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,19 +274,26 @@ def run(argv=None) -> int:
     try:
         if gnuplot and not args.out:
             raise InvalidParameterError("--gnuplot needs --out, the table it plots")
+        text = args.fn(args)  # nothing is written before the command has answered
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as stream:
-                args.fn(args, stream)
+            _write(args.out, text)
         else:
-            args.fn(args, stream=sys.stdout)
-        if gnuplot:
-            _write_gnuplot(gnuplot, args.out, args.plot)
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        if gnuplot:  # plots column 3 of the table against column 1
+            _write(gnuplot, f"set datafile separator ','\nset title '{args.plot}'\n"
+                            f"plot '{args.out}' every ::1 using 1:3 with lines\n")
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out or --gnuplot path that cannot be written, or a closed stdout
+        if isinstance(exc, BrokenPipeError):  # so that the flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -28,7 +28,7 @@ def _wigner_entry() -> dict:
     betas = np.array([0.25 + 0.1j, -0.15, 0.1 - 0.2j])
     q = math.sqrt(2) * betas.real
     p = math.sqrt(2) * betas.imag
-    sig, chi = math.sqrt(2) * state.alpha.real, math.sqrt(2) * state.alpha.imag
+    sig, chi = math.sqrt(2) * np.real(_PROBE_ALPHA), math.sqrt(2) * np.imag(_PROBE_ALPHA)
 
     implemented = float(math.pi**3 * wigner(state, q, p))
     # literal matrix attachment: contracting exponential on q, expanding on p
@@ -65,8 +65,8 @@ def _wigner_entry() -> dict:
 def _gm_entry() -> dict:
     strength = 1.0
     alpha = (1.0, 1.0, 1.0)
-    pair = gm_pair(alpha, strength)
-    product = float((pair.g * pair.m).real)
+    g, m = gm_pair(alpha, strength)
+    product = float((g * m).real)
     total = sum(alpha)
     printed_expansion = (2 / 3) * (2 * total**2) - (4 / 3) * (1 / math.tanh(-4 * strength)) * abs(
         total

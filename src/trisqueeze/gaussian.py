@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericError
-from .matrices import _exponentials, circulant, circulant_maps, double_factorial, mode_gains
+from .matrices import _exponentials, circulant, double_factorial, mode_gains
 
 __all__ = [
     "GaussianState",
@@ -87,7 +87,6 @@ class GaussianState:
     Attributes
     ----------
     strength : squeezing strength of the three-mode unitary
-    alpha : the three coherent amplitudes before squeezing
     gains : (2, 3) eigenvalues of p_map (row 0) and q_map (row 1) on the
         normal modes, symmetric mode first (``matrices.mode_gains``)
     displacement : (2, 3) sqrt(2) (Re alpha, Im alpha) on the normal modes;
@@ -95,26 +94,25 @@ class GaussianState:
     """
 
     strength: float | np.ndarray
-    alpha: np.ndarray
     gains: np.ndarray
     displacement: np.ndarray
 
     def __getitem__(self, index) -> "GaussianState":
         """Index ``index`` of the strength axes of a batched state."""
-        return GaussianState(self.strength[index], self.alpha, self.gains[index], self.displacement)
+        return GaussianState(self.strength[index], self.gains[index], self.displacement)
 
     @property
     def mean(self) -> np.ndarray:
         """Phase-space mean (q1, q2, q3, p1, p2, p3) (formed on each access, as is ``cov``)."""
-        (q_map, p_map), (sigma, chi) = circulant_maps(self.gains), _coherent(self.alpha)
-        return np.concatenate([q_map @ sigma, p_map @ chi], axis=-1)
+        on_modes = self.displacement * self.gains[..., ::-1, :]  # (q, p) on the normal modes
+        return (on_modes @ _MODES.T).reshape(self.gains.shape[:-2] + (6,))
 
     @property
     def cov(self) -> np.ndarray:
         """6x6 covariance; q and p blocks never mix, det(cov) = (1/2)**6."""
-        cov = np.zeros(np.shape(self.strength) + (6, 6))
-        for block, m in zip((slice(0, 3), slice(3, 6)), circulant_maps(self.gains)):
-            cov[..., block, block] = m @ np.swapaxes(m, -1, -2) / 2
+        blocks = (_MODES * self.gains[..., ::-1, None, :] ** 2) @ _MODES.T / 2  # q block, p block
+        cov = np.zeros(self.gains.shape[:-2] + (6, 6))
+        cov[..., :3, :3], cov[..., 3:, 3:] = blocks[..., 0, :, :], blocks[..., 1, :, :]
         return cov
 
 
@@ -151,7 +149,7 @@ def make_state(strength, alpha) -> GaussianState:
         gains = mode_gains(strength)
         strength = float(strength)
     displacement = _coherent(alpha) @ _MODES
-    return GaussianState(strength=strength, alpha=alpha, gains=gains, displacement=displacement)
+    return GaussianState(strength=strength, gains=gains, displacement=displacement)
 
 
 def _one_strength(state: GaussianState, operation: str) -> None:

@@ -26,7 +26,6 @@ from .errors import DomainError, InvalidParameterError, NumericError, SingularPa
 from .matrices import collective_factors, hermite_table
 
 __all__ = [
-    "GMPair",
     "PkResult",
     "gm_pair",
     "mean_power_paper",
@@ -36,14 +35,6 @@ __all__ = [
 ]
 
 MAX_POWER = 6
-
-
-@dataclass(frozen=True)
-class GMPair:
-    """The two conjugate amplitude combinations entering the closed route."""
-
-    g: complex
-    m: complex
 
 
 @dataclass(frozen=True)
@@ -111,7 +102,7 @@ def _gm(total: np.ndarray, strength: float, factors: tuple) -> tuple[np.ndarray,
     return g, m
 
 
-def gm_pair(alpha, strength: float) -> GMPair:
+def gm_pair(alpha, strength: float) -> tuple:
     """Amplitude pair (G, M) of the closed route.
 
     Singular where coll_diff = e^{-2s} - e^{2s} rounds to zero (zero
@@ -129,7 +120,7 @@ def gm_pair(alpha, strength: float) -> GMPair:
     if not np.isfinite([g, m]).all():
         raise NumericError(f"closed-route amplitude pair overflows double precision at "
                            f"strength {strength:g}")
-    return GMPair(g=_plain(g, single), m=_plain(m, single))
+    return _plain(g, single), _plain(m, single)
 
 
 def _paper_power(k: int, table: list, factors: tuple) -> np.ndarray:

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import math
 import os
@@ -12,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trisqueeze import make_state, wigner
-from trisqueeze.cli import _parse_complex_triple, _parse_range, _write_table, run
+from trisqueeze.cli import _parse_complex_triple, _parse_range, _table, run
 from trisqueeze.errors import InvalidParameterError
 
 DATA = Path(__file__).parent / "data"
@@ -121,12 +120,6 @@ def _per_cell_csv(header, rows):
                    for row in [header, *rows])
 
 
-def _csv(header, rows):
-    stream = io.StringIO()
-    _write_table(stream, header, rows, "csv")
-    return stream.getvalue()
-
-
 def test_csv_writer_matches_per_cell_rule():
     header = ("a", "b", "c", "d")
     rows = [
@@ -137,8 +130,8 @@ def test_csv_writer_matches_per_cell_rule():
         [math.inf, -math.inf, math.nan, np.float64(math.nan)],
         (np.float64(1e16), np.float64(123456789012.5), 7, "x"),
     ]
-    assert _csv(header, rows) == _per_cell_csv(header, rows)
-    assert _csv(header, rows).split("\n")[1:3] == ["8,0.5,,True", "10,0.3,0.3,False"]
+    assert _table(header, rows, "csv") == _per_cell_csv(header, rows)
+    assert _table(header, rows, "csv").split("\n")[1:3] == ["8,0.5,,True", "10,0.3,0.3,False"]
 
 
 def test_csv_writer_float_bits():
@@ -146,7 +139,7 @@ def test_csv_writer_float_bits():
     bits = np.random.default_rng(0).integers(0, 2**64, 300, dtype=np.uint64)
     for value in bits.view(np.float64).tolist():
         rows = [(value, np.float64(value), "", value)]
-        assert _csv(("x", "y", "z", "w"), rows) == _per_cell_csv(("x", "y", "z", "w"), rows)
+        assert _table(("x", "y", "z", "w"), rows, "csv") == _per_cell_csv(("x", "y", "z", "w"), rows)
 
 
 @pytest.mark.parametrize("fmt, digest", [
@@ -347,6 +340,11 @@ def test_numeric_failure_exit_code(capsys):
     # --gnuplot plots the --out table of a slice; it was ignored silently
     (["fig1", "--gnuplot", "p.gp"], 2),
     (["wigner", "--lambda", "0.2", "--out", "w.csv", "--gnuplot", "w.gp"], 2),
+    # an output that cannot be written ended in a traceback with exit 1
+    (["moments", "--lambda", "0.2", "--out", "missing/x.csv"], 2),
+    (["fig1", "--re", "0:1:0", "--im", "0:1:0", "--out", "."], 2),
+    (["fig2", "--lambda", "0:1:0", "--b", "0.1:0.1:0.2", "--out", "t.csv",
+      "--gnuplot", "missing/x.gp"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for the argv that name files
@@ -354,6 +352,44 @@ def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["wigner", "--lambda", "0.2", "--out", "w.csv", "--gnuplot", "w.gp"], 2),
+    (["bell", "--lambda", "400", "--out", "b.csv"], 3),
+])
+def test_refused_command_writes_no_file(argv, code, tmp_path, monkeypatch, capsys):
+    # --out used to be opened before the command ran, leaving an empty file
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table_kept_when_only_the_script_fails(tmp_path, monkeypatch, capsys):
+    # the table is written in full before the gnuplot script is opened
+    monkeypatch.chdir(tmp_path)
+    argv = ["fig2", "--lambda", "0:1:0", "--b", "0.1:0.1:0.2"]
+    assert run(argv) == 0
+    table = capsys.readouterr().out
+    assert run([*argv, "--out", "t.csv", "--gnuplot", "missing/x.gp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert (tmp_path / "t.csv").read_text() == table
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_closed_stdout_is_one_line():
+    # the reader is gone before the child writes, so the write fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    child = subprocess.Popen([sys.executable, "-m", "trisqueeze.cli", "moments", "--lambda", "0.2"],
+                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 @pytest.mark.parametrize("argv, row", [

@@ -1,10 +1,14 @@
 """Random argv for every subcommand: each run ends in exit 0 with finite
-output, or in exit 2/3 with one line on stderr, and never in a warning."""
+output, or in exit 2/3 with one line on stderr, and never in a warning.
+Outputs go to stdout or to --out, each path writable or not, and a refused
+command leaves no --out file."""
 
 import contextlib
 import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +58,11 @@ ARGV = st.one_of(
     _command("fig1", ("--re", REAL.map(lambda x: f"{x!r}:1:{x!r}")),
              ("--im", REAL.map(lambda y: f"{y!r}:1:{y!r}"))),
 )
+# paths under a fresh directory: a new file, a file under a missing directory,
+# the directory itself; --gnuplot is drawn for the commands that take it
+OUT = st.sampled_from([None, "t.csv", "missing/t.csv", "."])
+GNUPLOT = st.sampled_from([None, "p.gp", "missing/p.gp"])
+PLOTTED = ("fig1", "fig2", "wigner")
 
 
 def _finite(cell: str) -> bool:
@@ -64,16 +73,25 @@ def _finite(cell: str) -> bool:
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(ARGV)
-def test_every_argv_ends_in_an_answer_or_one_line(argv):
+@given(ARGV, OUT, GNUPLOT)
+def test_every_argv_ends_in_an_answer_or_one_line(argv, out_name, plot_name):
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
+    with tempfile.TemporaryDirectory() as root:
+        out_path = out_name and Path(root, out_name)
+        plot_path = plot_name and argv[0] in PLOTTED and Path(root, plot_name)
+        argv = [*argv, *(["--out", str(out_path)] if out_path else []),
+                *(["--gnuplot", str(plot_path)] if plot_path else [])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        written = out_path.read_text(encoding="utf-8") if out_path and out_path.is_file() else None
     if code == 0:
-        assert out.getvalue() and err.getvalue() == ""
-        assert all(_finite(cell) for line in out.getvalue().splitlines() for cell in line.split(","))
+        text = written if out_path else out.getvalue()
+        assert text and err.getvalue() == "" and out.getvalue() == ("" if out_path else text)
+        assert all(_finite(cell) for line in text.splitlines() for cell in line.split(","))
     else:
         assert code in (2, 3) and out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        # only a script that fails after its table was written leaves that table
+        assert written is None or (code == 2 and repr(str(plot_path)) in err.getvalue())

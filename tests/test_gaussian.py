@@ -344,7 +344,7 @@ def test_strength_batch_slices_equal_single_states():
     singles = [make_state(s, alpha) for s in strengths]
     for i, single in enumerate(singles):
         part = batch[i]
-        for name in ("strength", "alpha", "gains", "displacement"):
+        for name in ("strength", "gains", "displacement"):
             assert np.array_equal(getattr(part, name), getattr(single, name))
         single_maps = circulant_maps(mode_gains(strengths[i]))
         for batch_map, single_map in zip(circulant_maps(batch.gains), single_maps):

@@ -24,16 +24,16 @@ from trisqueeze.matrices import hermite_table
 
 def _paper_k1(alpha, strength: float) -> float:
     """k=1 specialization as printed: (GM - tanh(-2s)/8) sinh(4s)."""
-    pair = gm_pair(alpha, strength)
-    gm = (pair.g * pair.m).real
+    g, m = gm_pair(alpha, strength)
+    gm = (g * m).real
     return (gm - math.tanh(-2 * strength) / 8) * math.sinh(4 * strength)
 
 
 def _paper_k2(alpha, strength: float) -> float:
     """k=2 specialization as printed (Hermite form of the bracket)."""
-    pair = gm_pair(alpha, strength)
+    g, m = gm_pair(alpha, strength)
     coll_sum, coll_diff = collective_factors(strength)
-    h_g, h_m = hermite_table(2, pair.g / 2), hermite_table(2, pair.m / 2)
+    h_g, h_m = hermite_table(2, g / 2), hermite_table(2, m / 2)
     bracket = (
         coll_diff**2 / (2**5 * coll_sum**2)
         - coll_diff / (2 * coll_sum) * h_g[1] * h_m[1]
@@ -47,24 +47,22 @@ def _paper_k2(alpha, strength: float) -> float:
 # ---------------------------------------------------------------------------
 
 def test_gm_vanishes_at_zero_amplitude():
-    pair = gm_pair([0, 0, 0], 0.7)
-    assert pair.g == 0
-    assert pair.m == 0
+    assert gm_pair([0, 0, 0], 0.7) == (0, 0)
 
 
 def test_gm_product_real_for_real_amplitudes():
     for strength in (0.3, 1.0, -0.6):
-        pair = gm_pair([0.4, -0.2, 0.9], strength)
-        assert abs((pair.g * pair.m).imag) < 1e-12
+        g, m = gm_pair([0.4, -0.2, 0.9], strength)
+        assert abs((g * m).imag) < 1e-12
 
 
 def test_gm_product_matches_printed_expansion():
     # direct evaluation of the printed expansion at alpha=(1,1,1), strength 1:
     # (2/3)*sum_{jk}(a*_k a*_j + a_k a_j) - (4/3)*coth(-4)*sum_{jk} a*_j a_k
     # = 12 + 12*coth(4)
-    pair = gm_pair([1, 1, 1], 1.0)
+    g, m = gm_pair([1, 1, 1], 1.0)
     expected = 12 + 12 / math.tanh(4.0)
-    assert (pair.g * pair.m).real == pytest.approx(expected, rel=1e-12)
+    assert (g * m).real == pytest.approx(expected, rel=1e-12)
 
 
 def test_gm_product_matches_printed_expansion_generic():
@@ -73,11 +71,11 @@ def test_gm_product_matches_printed_expansion_generic():
         strength = rng.uniform(0.2, 1.2)
         alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
         total = alpha.sum()
-        pair = gm_pair(alpha, strength)
+        g, m = gm_pair(alpha, strength)
         printed = (2 / 3) * (np.conj(total) ** 2 + total**2) - (4 / 3) * (
             1 / math.tanh(-4 * strength)
         ) * abs(total) ** 2
-        assert complex(pair.g * pair.m) == pytest.approx(complex(printed), rel=1e-10)
+        assert complex(g * m) == pytest.approx(complex(printed), rel=1e-10)
 
 
 def test_gm_squares_match_printed_expansions():
@@ -88,7 +86,7 @@ def test_gm_squares_match_printed_expansions():
         strength = rng.uniform(0.2, 1.1)
         alpha = rng.normal(size=3) + 1j * rng.normal(size=3)
         total = alpha.sum()
-        pair = gm_pair(alpha, strength)
+        g, m = gm_pair(alpha, strength)
         t, c = math.tanh(2 * strength), 1 / math.tanh(2 * strength)
         printed_g2 = (4 / 3) * abs(total) ** 2 + (2 / 3) * (
             total**2 * t + np.conj(total) ** 2 * c
@@ -96,8 +94,8 @@ def test_gm_squares_match_printed_expansions():
         printed_m2 = (4 / 3) * abs(total) ** 2 + (2 / 3) * (
             total**2 * c + np.conj(total) ** 2 * t
         )
-        assert complex(pair.g**2) == pytest.approx(complex(printed_g2), rel=1e-10)
-        assert complex(pair.m**2) == pytest.approx(complex(printed_m2), rel=1e-10)
+        assert complex(g**2) == pytest.approx(complex(printed_g2), rel=1e-10)
+        assert complex(m**2) == pytest.approx(complex(printed_m2), rel=1e-10)
 
 
 def test_gm_singular_at_zero_strength():
