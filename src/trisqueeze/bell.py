@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
-from .gaussian import GaussianState, _mode_sums, _wigner_modes, make_state
+from .gaussian import GaussianState, _mode_sums, _quadratures, _wigner_modes, make_state
 
 __all__ = [
     "BellSetting",
@@ -58,7 +58,7 @@ _PRIMED = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
 # beta and beta' of fig2_setting(1), and sqrt(2) (q, p) of its four correlation points, shape
 # (4, 2, 3): b times them holds the bits that b3 forms from fig2_setting(b)
 _FIG2_UNIT = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
-_FIG2_POINTS = math.sqrt(2) * np.stack([np.where(_PRIMED, *_FIG2_UNIT[::-1]), np.zeros((4, 3))], 1)
+_FIG2_POINTS = _quadratures(np.where(_PRIMED, *_FIG2_UNIT[::-1]))
 
 
 def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
@@ -76,7 +76,7 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
         raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        total = _b3(state, math.sqrt(2) * np.stack([points.real, points.imag], axis=-2))
+        total = _b3(state, _quadratures(points))
     return total if total.ndim else float(total)
 
 
@@ -142,11 +142,11 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
 def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -> tuple[float, float]:
     """B(3) from the Gaussian engine next to the Fock parity measurement.
 
-    Returns (analytic, oracle); restricted to strengths <= 0.3 where the
+    Returns (analytic, oracle); restricted to |strength| <= 0.3 where the
     truncated oracle is trustworthy at reachable cutoffs.
     """
-    if strength > 0.3:
-        raise InvalidParameterError("oracle regime is strength <= 0.3")
+    if abs(strength) > 0.3:
+        raise InvalidParameterError("oracle regime is |strength| <= 0.3")
     state = make_state(strength, alpha)
     analytic = b3(state, setting)
 

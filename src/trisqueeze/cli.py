@@ -173,7 +173,7 @@ def _cmd_errata(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with one-line errors, taking -1:0.05:1 or -0.5j,0,0 as option values.
+    """argparse that raises InvalidParameterError and takes -1:0.05:1 or -0.5j,0,0 as values.
 
     argparse reads an argument that starts with "-" as an option name unless it
     is a plain negative number; here "-" followed by a digit or "." is a value.
@@ -185,7 +185,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-[\d.]")
 
     def error(self, message):
-        self.exit(2, f"error: {message}\n")
+        raise InvalidParameterError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -265,15 +265,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    gnuplot = getattr(args, "gnuplot", None)  # fig1, fig2 and wigner have the option
-    try:
+        args = _build_parser().parse_args(argv)
+        gnuplot = getattr(args, "gnuplot", None)  # fig1, fig2 and wigner have the option
         if gnuplot and not args.out:
             raise InvalidParameterError("--gnuplot needs --out, the table it plots")
+        if gnuplot and os.path.realpath(gnuplot) == os.path.realpath(args.out):
+            raise InvalidParameterError("--gnuplot and --out name the same file")
         text = args.fn(args)  # nothing is written before the command has answered
         if args.out:
             _write(args.out, text)
@@ -281,14 +279,14 @@ def run(argv=None) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
         if gnuplot:  # plots column 3 of the table against column 1
+            table = args.out.replace("'", "''")  # how gnuplot writes ' inside '...'
             _write(gnuplot, f"set datafile separator ','\nset title '{args.plot}'\n"
-                            f"plot '{args.out}' every ::1 using 1:3 with lines\n")
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+                            f"plot '{table}' every ::1 using 1:3 with lines\n")
+    except SystemExit:  # --help, printed in full
+        return 0
+    except (InvalidParameterError, NumericError) as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # an --out or --gnuplot path that cannot be written, or a closed stdout
         if isinstance(exc, BrokenPipeError):  # so that the flush at exit writes nowhere
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .fock import build_arena, coherent_ket, displaced_parity, evolve, ladder
-from .gaussian import make_state, wigner
+from .gaussian import _quadratures, make_state, wigner
 from .matrices import circulant_maps, collective_factors, mode_gains
 from .photon import gm_pair, mean_power_exact
 
@@ -26,9 +26,8 @@ def _wigner_entry() -> dict:
     strength = _PROBE_STRENGTH
     state = make_state(strength, _PROBE_ALPHA)
     betas = np.array([0.25 + 0.1j, -0.15, 0.1 - 0.2j])
-    q = math.sqrt(2) * betas.real
-    p = math.sqrt(2) * betas.imag
-    sig, chi = math.sqrt(2) * np.real(_PROBE_ALPHA), math.sqrt(2) * np.imag(_PROBE_ALPHA)
+    q, p = _quadratures(betas)
+    sig, chi = _quadratures(_PROBE_ALPHA)
 
     implemented = float(math.pi**3 * wigner(state, q, p))
     # literal matrix attachment: contracting exponential on q, expanding on p

@@ -1,12 +1,24 @@
-"""Exception types shared across the package.
+"""Exception types and the parameter domain, which no other module checks itself.
 
-The CLI maps InvalidParameterError (and argparse failures) to exit code 2
-and NumericError subclasses to exit code 3.
+A squeezing strength must be finite (:func:`check_strength`).  Coherent amplitudes and
+displacements are finite complex triples, shape (..., 3); a real or imaginary part above
+7e307 in size raises NumericError, since sqrt(6) times it, the largest displacement on a
+normal mode, must stay finite (:func:`check_amplitudes`).  A result that is not finite
+raises NumericError "<what> overflows double precision at strength <s>"
+(:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its CLI exit code
+and stderr prefix: 2 and "error" for InvalidParameterError (argparse failures too), 3 and
+"numeric failure" for NumericError.
 """
+
+import math
+
+import numpy as np
 
 
 class InvalidParameterError(ValueError):
     """An argument is outside the documented domain of an operation."""
+
+    exit_code, prefix = 2, "error"
 
 
 class SingularParameterError(InvalidParameterError):
@@ -22,8 +34,49 @@ class DomainError(InvalidParameterError):
 class NumericError(RuntimeError):
     """A numeric procedure failed to deliver the requested accuracy."""
 
+    exit_code, prefix = 3, "numeric failure"
+
 
 class TruncationError(NumericError):
     """A truncated Fock-space computation is untrustworthy at the current
     cutoff (an amplitude too large for it, or too much evolved probability on
     the outermost occupation shell)."""
+
+
+def check_strength(strength) -> float:
+    s = float(strength)
+    if not math.isfinite(s):
+        raise InvalidParameterError(f"squeezing strength must be finite, got {s!r}")
+    return s
+
+
+def check_amplitudes(values, what: str, name: str = "coherent amplitudes") -> np.ndarray:
+    """``values`` as a complex array; ``what`` names what a part above 7e307 would overflow."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape[-1:] != (3,):
+        raise InvalidParameterError(f"{name} must have shape (..., 3), got {values.shape}")
+    largest = np.abs(np.ascontiguousarray(values).view(float)).max(initial=0.0)
+    if not largest <= 7e307:  # nan fails too
+        if np.isfinite(values).all():
+            raise NumericError(f"{what} overflows double precision: {name} above 7e307")
+        raise InvalidParameterError(f"{name} must be finite")
+    return values
+
+
+def overflow_error(what: str, strength) -> NumericError:
+    at = f"strength {strength:g}" if np.ndim(strength) == 0 else \
+        f"strengths {np.min(strength):g} to {np.max(strength):g}"
+    return NumericError(f"{what} overflows double precision at {at}")
+
+
+def refuse_overflow(what: str, strength, compute, *args):
+    """``compute(*args)`` if every value of it is finite, else :func:`overflow_error`; numpy does
+    not warn inside, and a Python ArithmeticError counts as an infinite result."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = compute(*args)
+        except ArithmeticError:
+            result = math.inf
+    if not np.isfinite(result).all():
+        raise overflow_error(what, strength)
+    return result

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, TruncationError
+from .errors import InvalidParameterError, TruncationError, check_amplitudes, check_strength
 
 __all__ = [
     "FockArena",
@@ -88,8 +88,7 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     below 2^-53 of its sum.  Raises TruncationError past MAX_TAYLOR_STEPS, or
     with over BOUNDARY_MASS_LIMIT of the evolved ket on the outermost shell.
     """
-    if not math.isfinite(strength):
-        raise InvalidParameterError("strength must be finite")
+    strength = check_strength(strength)
     norm1 = abs(strength) * (6 * arena.cutoff - 9)
     if norm1 > MAX_TAYLOR_STEPS * TAYLOR_THETA:
         raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
@@ -121,9 +120,7 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
 
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
-    alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    if not np.all(np.isfinite(alpha.view(float))):
-        raise InvalidParameterError("coherent amplitudes must be finite")
+    alpha = check_amplitudes(alpha, "coherent ket").reshape(3)
     # the tail guard |alpha|^2 <= cutoff/4, compared unsquared so that it cannot overflow
     factors, limit = [], math.sqrt(arena.cutoff) / 2
     n = np.arange(arena.cutoff)
@@ -187,9 +184,7 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
     of the Hermitian i(beta a^dag - beta* a), and moves its mode; the parity is
     then read off the diagonal signs.
     """
-    betas = np.asarray(betas, dtype=complex)
-    if betas.shape[-1:] != (3,) or not np.all(np.isfinite(betas)):
-        raise InvalidParameterError("displacements must be finite triples")
+    betas = check_amplitudes(betas, "displaced parity", "displacements")
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
     inverse, limit = {}, math.sqrt(c) / 2  # |beta|^2 <= c/4, as in coherent_ket

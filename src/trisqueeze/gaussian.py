@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import (InvalidParameterError, check_amplitudes, check_strength, overflow_error,
+                     refuse_overflow)
 from .matrices import _exponentials, circulant, double_factorial, mode_gains
 
 __all__ = [
@@ -65,9 +66,10 @@ def _mode_sums(x):
     return (pair + x[..., 2:3] * _INTEGER_MODES[2]) + error
 
 
-def _coherent(alpha: np.ndarray) -> np.ndarray:
-    # (sigma, chi) = sqrt(2) (Re alpha, Im alpha), shape (2, 3)
-    return math.sqrt(2) * alpha.view(float).reshape(3, 2).T
+def _quadratures(amplitudes) -> np.ndarray:
+    # the phase-space points (q, p) = sqrt(2) (Re, Im) of amplitudes (..., 3), as (..., 2, 3)
+    parts = np.ascontiguousarray(amplitudes, dtype=complex)[..., None].view(float)
+    return (math.sqrt(2) * parts).swapaxes(-1, -2).copy()
 
 
 def _total(squares):
@@ -131,15 +133,9 @@ def make_state(strength, alpha) -> GaussianState:
     :class:`GaussianState`), which :func:`wigner` and ``bell.b3`` evaluate
     in one call.  Its gains are built strength by strength with the scalar
     code and stacked, so every slice holds the same bits as a
-    single-strength state.  Raises NumericError when e^{2|strength|}
-    overflows double precision or a part of ``alpha`` exceeds 7e307 in size
-    (sqrt(6) times it, the largest normal-mode displacement, is finite).
+    single-strength state.  ``errors`` checks the strength and the amplitudes.
     """
-    alpha = np.asarray(alpha, dtype=complex).reshape(3)
-    if not all(abs(part) <= 7e307 for part in alpha.view(float).tolist()):  # nan fails too
-        if np.isfinite(alpha).all():
-            raise NumericError("coherent amplitudes above 7e307 overflow double precision")
-        raise InvalidParameterError("coherent amplitudes must be finite")
+    alpha = check_amplitudes(alpha, "coherent displacement").reshape(3)
     if not isinstance(strength, (int, float)) and np.ndim(strength):  # np.ndim(float) costs
         strength = np.array(strength, dtype=float)
         if not strength.size:
@@ -148,20 +144,13 @@ def make_state(strength, alpha) -> GaussianState:
     else:
         gains = mode_gains(strength)
         strength = float(strength)
-    displacement = _coherent(alpha) @ _MODES
+    displacement = _quadratures(alpha) @ _MODES
     return GaussianState(strength=strength, gains=gains, displacement=displacement)
 
 
 def _one_strength(state: GaussianState, operation: str) -> None:
     if state.gains.ndim > 2:
         raise InvalidParameterError(f"{operation} takes a state of one strength, not a batch")
-
-
-def _strengths(state: GaussianState) -> str:
-    # for messages; formatting a plain float skips numpy's reductions
-    if state.gains.ndim == 2:
-        return f"strength {state.strength:g}"
-    return f"strengths {np.min(state.strength):g} to {np.max(state.strength):g}"
 
 
 def x3_query(order: int = 2) -> MomentQuery:
@@ -174,10 +163,11 @@ def y3_query(order: int = 2) -> MomentQuery:
     return MomentQuery(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]) / math.sqrt(6), order)
 
 
-def _mode_coefficients(state: GaussianState, coeffs: np.ndarray) -> np.ndarray:
-    # the observable's q and p parts on the normal modes, each scaled by the
-    # gain its quadrature picks up: q_map's (row 1) on q, p_map's (row 0) on p
-    return coeffs.reshape(2, 3) @ _MODES * state.gains[::-1]
+def _moment(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
+    # (order-1)!! sigma2^(order/2) from the observable's q and p parts on the normal modes, each
+    # scaled by the gain its quadrature picks up: q_map's (row 1) on q, p_map's (row 0) on p
+    scaled = coeffs.reshape(2, 3) @ _MODES * state.gains[::-1]
+    return double_factorial(order - 1) * (float(np.vdot(scaled, scaled)) / 2) ** (order // 2)
 
 
 def central_moment(state: GaussianState, query: MomentQuery) -> float:
@@ -194,16 +184,7 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     if order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
     coeffs = np.asarray(query.coeffs, dtype=float).reshape(6)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = _mode_coefficients(state, coeffs)
-        sigma2 = float(np.vdot(scaled, scaled)) / 2
-    try:
-        moment = double_factorial(order - 1) * sigma2 ** (order // 2)
-    except OverflowError:
-        moment = math.inf
-    if not math.isfinite(moment):
-        raise NumericError(f"moment overflows double precision at {_strengths(state)}")
-    return moment
+    return refuse_overflow("moment", state.strength, _moment, state, coeffs, order)
 
 
 def hos_x(strength: float, m: int) -> float:
@@ -212,26 +193,22 @@ def hos_x(strength: float, m: int) -> float:
     Equals (1/4)^m (2m-1)!! e^{-4 m strength}; independent of the coherent
     amplitudes.
     """
-    if not math.isfinite(strength):
-        raise InvalidParameterError("strength must be finite")
-    if m < 1:
-        raise InvalidParameterError("moment half-order m must be >= 1")
-    if 2 * m > MAX_MOMENT_ORDER:
-        raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}")
-    try:
-        value = 0.25**m * double_factorial(2 * m - 1) * math.exp(-4 * m * strength)
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise NumericError(
-            f"moment of order {2 * m} overflows double precision at |strength| = {abs(strength):g}"
-        )
-    return value
+    return _hos(strength, m, -4)
 
 
 def hos_y(strength: float, m: int) -> float:
     """Companion of :func:`hos_x` for the collective momentum: grows as e^{4 m s}."""
-    return hos_x(-strength, m)
+    return _hos(strength, m, 4)
+
+
+def _hos(strength: float, m: int, rate: int) -> float:
+    strength = check_strength(strength)
+    if m < 1:
+        raise InvalidParameterError("moment half-order m must be >= 1")
+    if 2 * m > MAX_MOMENT_ORDER:
+        raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}")
+    return refuse_overflow(f"moment of order {2 * m}", strength, lambda: 0.25**m
+                           * double_factorial(2 * m - 1) * math.exp(rate * m * strength))
 
 
 def two_mode_baseline_variance(strength: float) -> tuple[float, float]:
@@ -283,7 +260,7 @@ def _wigner_modes(state: GaussianState, x: np.ndarray, modes: np.ndarray) -> np.
     if not np.isfinite(exponent).all():
         if not np.isfinite(x).all():
             raise InvalidParameterError("phase-space points must be finite")
-        raise NumericError(f"wigner exponent overflows double precision at {_strengths(state)}")
+        raise overflow_error("wigner exponent", state.strength)
     return np.exp(-exponent) / math.pi**3
 
 

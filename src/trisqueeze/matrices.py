@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, check_strength, overflow_error
 
 __all__ = [
     "mode_gains",
@@ -28,14 +28,12 @@ __all__ = [
 
 
 def _exponentials(strength) -> tuple[float, float, float, float]:
-    # (e^{-2s}, e^{2s}, e^{-s}, e^{s}); NumericError where one overflows
-    s = float(strength)
-    if not math.isfinite(s):
-        raise InvalidParameterError(f"squeezing strength must be finite, got {strength!r}")
+    # (e^{-2s}, e^{2s}, e^{-s}, e^{s}); math.exp raises where one overflows, with no numpy scope
+    s = check_strength(strength)
     try:
         return math.exp(-2 * s), math.exp(2 * s), math.exp(-s), math.exp(s)
     except OverflowError:
-        raise NumericError(f"squeeze matrices overflow double precision at strength {s:g}") from None
+        raise overflow_error("squeeze factor", s) from None
 
 
 def collective_factors(strength: float) -> tuple[float, float]:

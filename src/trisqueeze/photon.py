@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, NumericError, SingularParameterError
+from .errors import (DomainError, InvalidParameterError, SingularParameterError, check_amplitudes,
+                     check_strength, refuse_overflow)
 from .matrices import collective_factors, hermite_table
 
 __all__ = [
@@ -59,21 +60,18 @@ class PkResult:
         return self.exact_value if self.path == "exact" else self.paper_value
 
 
-def _triples(alpha) -> tuple[np.ndarray, bool]:
-    """``alpha`` (shape (..., 3)) with at least one leading axis, and whether
-    it was a single triple.
+def _triples(alpha, strength: float, what: str) -> tuple[np.ndarray, bool, tuple]:
+    """``alpha`` (shape (..., 3)) with at least one leading axis, whether it was a single
+    triple, and ``collective_factors(strength)``; a non-finite strength is refused first.
 
     A single triple runs through the same array arithmetic as a grid of them,
     so its values equal that grid point's bit for bit; results for it are
     handed back as plain numbers by :func:`_plain`.
     """
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape[-1:] != (3,):
-        raise InvalidParameterError(f"coherent amplitudes must have shape (..., 3), got {alpha.shape}")
-    if not np.isfinite(alpha).all():
-        raise InvalidParameterError("coherent amplitudes must be finite")
+    check_strength(strength)
+    alpha = check_amplitudes(alpha, what)
     single = alpha.ndim == 1
-    return (alpha[None] if single else alpha), single
+    return (alpha[None] if single else alpha), single, collective_factors(strength)
 
 
 def _plain(values: np.ndarray, single: bool):
@@ -88,14 +86,10 @@ def _gm(total: np.ndarray, strength: float, factors: tuple) -> tuple[np.ndarray,
     # ``factors`` is collective_factors(strength), as in every helper below that takes it
     coll_sum, coll_diff = factors
     if coll_diff == 0:
-        raise SingularParameterError(
-            f"closed route undefined at strength {strength:g}; use the exact route"
-        )
+        raise SingularParameterError(f"closed route undefined at strength {strength:g}; "
+                                     "use the exact route")
     root_sd = cmath.sqrt(2 * coll_sum / (3 * coll_diff))
-    if root_sd == 0:  # 3 coll_diff overflowed and 2 coll_sum did not
-        raise NumericError(f"closed-route amplitude pair overflows double precision at "
-                           f"strength {strength:g}")
-    root_ds = (2.0 / 3.0) / root_sd
+    root_ds = (2.0 / 3.0) / root_sd  # ZeroDivisionError where only 3 coll_diff overflowed
     conj = np.conj(total)
     g = 1j * (root_sd * conj - root_ds * total)
     m = 1j * (root_sd * total - root_ds * conj)
@@ -114,12 +108,9 @@ def gm_pair(alpha, strength: float) -> tuple:
     tanh/coth formulas, which a plain principal-branch pair does not.
     Broadcasts over the leading axes of ``alpha``.
     """
-    triples, single = _triples(alpha)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        g, m = _gm(_amplitude_sum(triples), strength, collective_factors(strength))
-    if not np.isfinite([g, m]).all():
-        raise NumericError(f"closed-route amplitude pair overflows double precision at "
-                           f"strength {strength:g}")
+    what = "closed-route amplitude pair"
+    triples, single, factors = _triples(alpha, strength, what)
+    g, m = refuse_overflow(what, strength, lambda: _gm(_amplitude_sum(triples), strength, factors))
     return _plain(g, single), _plain(m, single)
 
 
@@ -202,30 +193,23 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
 
 
 def _powers(path: str, orders: tuple, total: np.ndarray, strength: float, factors: tuple) -> list:
-    # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums
-    # ``total``, under the caller's np.errstate; NumericError where a value is not finite
-    try:
-        if path == "paper":
-            table = hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
-            values = [_paper_power(k, table, factors) for k in orders]
-        else:
-            beta, c, t = _collective_mean(total, factors)
-            values = [_wick_sum(k, beta, t * t, -c * t) for k in orders]
-    except OverflowError:
-        values = [math.inf]  # raised below with the non-finite values
-    if not all(np.isfinite(value).all() for value in values):
-        raise NumericError(
-            f"photon-number moment overflows double precision at strength {strength:g}")
-    return values
+    # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums ``total``;
+    # the caller refuses values that are not finite
+    if path == "paper":
+        table = hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
+        return [_paper_power(k, table, factors) for k in orders]
+    beta, c, t = _collective_mean(total, factors)
+    return [_wick_sum(k, beta, t * t, -c * t) for k in orders]
 
 
 def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray:
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
-    triples, single = _triples(alpha)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise below
-        values = _powers(path, (k,), _amplitude_sum(triples), strength, collective_factors(strength))
-    return _plain(values[0], single)
+    what = "photon-number moment"
+    triples, single, factors = _triples(alpha, strength, what)
+    (value,) = refuse_overflow(what, strength,
+                               lambda: _powers(path, (k,), _amplitude_sum(triples), strength, factors))
+    return _plain(value, single)
 
 
 def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
@@ -242,10 +226,11 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
         raise InvalidParameterError(f"P_k needs 2 <= k <= {MAX_POWER}, got {k}")
     if path not in ("paper", "exact"):
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
-    triples, single = _triples(alpha)
-    factors = collective_factors(strength)
+    what = f"P_{k}"
+    triples, single, factors = _triples(alpha, strength, what)
 
     def statistic(route):
+        total = _amplitude_sum(triples)
         if route == "exact":
             # each Wick term has degree 2k in (beta, sqrt(n), sqrt(m)), so dividing beta by
             # sqrt(N) and n, m by N, N = <A^dag A> = |beta|^2 + t^2, gives P_k + 1; no
@@ -260,23 +245,17 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
             if small.any():
                 beta = np.where(small, beta * 2.0**64, beta)
                 root = np.where(small, np.abs(beta), root)
-            value = _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
-        else:
-            mean_photon, power = _powers(route, (1, k), total, strength, factors)
-            value = power / mean_photon**k - 1
-        if not np.isfinite(value).all():
-            raise NumericError(f"P_{k} is not finite in double precision at strength {strength:g}")
-        return value
+            return _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
+        mean_photon, power = _powers(route, (1, k), total, strength, factors)
+        return power / mean_photon**k - 1
 
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values raise in statistic
-        total = _amplitude_sum(triples)
-        exact_value = statistic("exact")
-        try:
-            paper_value = statistic("paper")
-        except SingularParameterError:
-            if path == "paper":
-                raise
-            paper_value = None
+    exact_value = refuse_overflow(what, strength, statistic, "exact")
+    try:
+        paper_value = refuse_overflow(what, strength, statistic, "paper")
+    except SingularParameterError:
+        if path == "paper":
+            raise
+        paper_value = None
     discrepancy = None if paper_value is None else _plain(np.abs(paper_value - exact_value), single)
     return PkResult(k=k, paper_value=None if paper_value is None else _plain(paper_value, single),
                     exact_value=_plain(exact_value, single), discrepancy=discrepancy, path=path)

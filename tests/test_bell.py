@@ -258,8 +258,9 @@ def test_oracle_check_agreement():
 
 
 def test_oracle_check_regime_guard():
-    with pytest.raises(InvalidParameterError):
-        b3_oracle_check(0.5, FIG2_ALPHA, fig2_setting(0.3), cutoff=10)
+    for strength in (0.5, -0.5):  # -0.5 was accepted, 1.5e-3 off at cutoff 8
+        with pytest.raises(InvalidParameterError):
+            b3_oracle_check(strength, FIG2_ALPHA, fig2_setting(0.3), cutoff=10)
 
 
 def test_max_b3_table():

@@ -212,7 +212,7 @@ def test_oracle_check_table(capsys):
     assert float(lines[-1].split(",")[1]) == pytest.approx(math.exp(-0.8) / 4, abs=1e-3)
 
 
-def test_gnuplot_script_emission(tmp_path, capsys):
+def test_gnuplot_script_emission(tmp_path, monkeypatch, capsys):
     # the script plots column 3 of the --out table against column 1
     out = tmp_path / "table.csv"
     script = tmp_path / "plot.gp"
@@ -225,6 +225,13 @@ def test_gnuplot_script_emission(tmp_path, capsys):
         assert capsys.readouterr() == ("", "") and out.read_text().count("\n") > 1
         assert script.read_text() == (f"set datafile separator ','\nset title '{title}'\n"
                                       f"plot '{out}' every ::1 using 1:3 with lines\n")
+    # gnuplot writes ' as '' inside a single-quoted string; plot 'it's.csv' did not parse
+    monkeypatch.chdir(tmp_path)
+    assert run(["fig1", "--re", "0:1:0", "--im", "0:1:0", "--out", "it's.csv", "--gnuplot", "p.gp"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "p.gp").read_text() == ("set datafile separator ','\n"
+                                               "set title 'P2 along Re(alpha3)'\n"
+                                               "plot 'it''s.csv' every ::1 using 1:3 with lines\n")
 
 
 def test_invalid_arguments_exit_code(capsys):
@@ -345,6 +352,10 @@ def test_numeric_failure_exit_code(capsys):
     (["fig1", "--re", "0:1:0", "--im", "0:1:0", "--out", "."], 2),
     (["fig2", "--lambda", "0:1:0", "--b", "0.1:0.1:0.2", "--out", "t.csv",
       "--gnuplot", "missing/x.gp"], 2),
+    # a script written over its own table left only the three script lines
+    (["fig1", "--re", "0:1:0", "--im", "0:1:0", "--out", "t.csv", "--gnuplot", "./t.csv"], 2),
+    # the Fock oracle's B(3) regime is |s| <= 0.3; at s = -0.5 cutoff 8 is 1.5e-3 off
+    (["oracle-check", "--quantity", "b3", "--lambda", "-0.5"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for the argv that name files
@@ -357,6 +368,7 @@ def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv, code", [
     (["wigner", "--lambda", "0.2", "--out", "w.csv", "--gnuplot", "w.gp"], 2),
     (["bell", "--lambda", "400", "--out", "b.csv"], 3),
+    (["fig1", "--re", "0:1:0", "--im", "0:1:0", "--out", "t.csv", "--gnuplot", "./t.csv"], 2),
 ])
 def test_refused_command_writes_no_file(argv, code, tmp_path, monkeypatch, capsys):
     # --out used to be opened before the command ran, leaving an empty file
