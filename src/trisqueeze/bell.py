@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_strength
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import GaussianState, _mode_sums, _quadratures, _wigner_modes, make_state
 
@@ -145,7 +145,7 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
     Returns (analytic, oracle); restricted to |strength| <= 0.3 where the
     truncated oracle is trustworthy at reachable cutoffs.
     """
-    if abs(strength) > 0.3:
+    if abs(check_strength(strength)) > 0.3:
         raise InvalidParameterError("oracle regime is |strength| <= 0.3")
     state = make_state(strength, alpha)
     analytic = b3(state, setting)

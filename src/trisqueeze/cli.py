@@ -1,16 +1,19 @@
 """Command-line front end: scans and reports as CSV or JSON.
 
 CSV prints every float with 12 significant digits, uses LF line endings and
-has a header row.  Identical invocations produce byte-identical output.  Each
-command returns its whole output as text; ``run`` writes it once, after the
-command has answered, so a refused command writes no file.
+has a header row; a table is formatted by one ``%`` template built from the
+cell types of its columns.  Identical invocations produce byte-identical
+output.  Each command returns its whole output as text; ``run`` writes it
+once, after the command has answered, so a refused command writes no file.
+The parser lists every command but adds arguments only to the commands that
+the argv names, one of which is the command argparse selects.
 Exit codes: 0 success, 2 invalid arguments or an output that cannot be
 written (an --out or --gnuplot path, a closed stdout), 3 numeric/truncation
 failure.  Each refusal is one line on stderr.
 """
 
 import argparse
-import functools
+import itertools
 import json
 import math
 import os
@@ -20,7 +23,7 @@ import sys
 import numpy as np
 
 from . import bell, errata, fock, gaussian, photon
-from .errors import InvalidParameterError, NumericError
+from .errors import InvalidParameterError, NumericError, check_strength
 
 __all__ = ["main", "run"]
 
@@ -61,18 +64,19 @@ def _parse_real_triple(text: str) -> np.ndarray:
     return values.real.astype(float)
 
 
-@functools.cache
-def _row_template(kinds: tuple) -> str:
-    # 12 significant digits for a float (np.float64 included), str() for the rest
-    return ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds) + "\n"
-
-
 def _table(header, rows, fmt) -> str:
-    if fmt == "csv":
-        return ",".join(header) + "\n" + "".join(
-            _row_template(tuple(map(type, row))) % tuple(row) for row in rows)
-    # every cell is an int, str, bool or float (np.float64 is one), which json writes as is
-    return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    if fmt == "json":  # every cell is an int, str, bool or float (np.float64 is one)
+        return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+    # one template for the whole table: 12 significant digits for a column of floats (np.float64
+    # included), %s for the rest; a column that mixes floats with other cells is made text first
+    columns, formats = list(zip(*rows)), []
+    for i, column in enumerate(columns):
+        floats = {issubclass(kind, float) for kind in set(map(type, column))}
+        formats.append("%.12g" if floats == {True} else "%s")
+        if floats == {True, False}:
+            columns[i] = [("%.12g" if isinstance(cell, float) else "%s") % cell for cell in column]
+    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
+    return ",".join(header) + "\n" + (",".join(formats) + "\n") * len(rows) % cells
 
 
 def _write(path: str, text: str):
@@ -142,6 +146,7 @@ def _cmd_oracle_check(args):
         raise InvalidParameterError(
             f"cutoffs must be comma-separated integers, got {args.cutoffs!r}") from exc
     alpha = _parse_complex_triple(args.alpha)
+    check_strength(args.lam)  # before coherent_ket reads the amplitudes, as in make_state
 
     if args.quantity == "b3":
         def quantity(cut):
@@ -188,85 +193,64 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_LAMBDA = ("--lambda", dict(dest="lam", type=float, required=True))
+_GNUPLOT = ("--gnuplot", dict(help="also write a gnuplot script to this path"))
+_OUTPUT = (("--out", dict(help="output file (default: stdout)")),
+           ("--format", dict(choices=("csv", "json"), default="csv")))
+# name: (help, command, gnuplot title, arguments before --out and --format)
+_COMMANDS = {
+    "moments": ("closed-form even moments of the collective quadratures", _cmd_moments, None, (
+        _LAMBDA, ("--m-max", dict(dest="m_max", type=int, default=4)))),
+    "pk": ("P_k statistic on both routes", _cmd_pk, None, (
+        ("--k", dict(type=int, default=2)), _LAMBDA, ("--alpha", dict(default="1,1,1")),
+        ("--path", dict(choices=("paper", "exact"), default="exact")))),
+    "fig1": ("P_2 scan over alpha3 at unit strength, alpha1=alpha2=1", _cmd_fig1,
+             "P2 along Re(alpha3)", (
+        ("--re", dict(default="-1:0.05:1")), ("--im", dict(default="-1:0.05:1")), _GNUPLOT)),
+    "wigner": ("Wigner function at a point or on a (q1, p1) slice", _cmd_wigner, "Wigner slice", (
+        _LAMBDA, ("--alpha", dict(default="0,0,0")), ("--q", dict(default="0,0,0")),
+        ("--p", dict(default="0,0,0")),
+        ("--q1", dict(help="range start:step:end for a slice along q1")),
+        ("--p1", dict(help="range start:step:end for a slice along p1")), _GNUPLOT)),
+    "bell": ("single B(3) evaluation", _cmd_bell, None, (
+        _LAMBDA, ("--alpha", dict(default="0.4,0.5,0.6")), ("--beta", dict(default="0,0,0")),
+        ("--beta-prime", dict(dest="beta_prime", default="0,0,0")))),
+    "fig2": ("max B(3) over displacement magnitude per strength", _cmd_fig2,
+             "max B(3) vs strength", (
+        ("--lambda", dict(dest="lam_range", default="0:0.02:1")),
+        ("--b", dict(default="0.01:0.01:2")), _GNUPLOT)),
+    "oracle-check": ("Fock-oracle convergence table", _cmd_oracle_check, None, (
+        ("--quantity", dict(choices=("var-x3", "vacuum-amp", "parity", "b3"), default="var-x3")),
+        ("--lambda", dict(dest="lam", type=float, default=0.2)),
+        ("--alpha", dict(default="0,0,0")),
+        ("--b", dict(type=float, default=0.3, help="displacement magnitude for b3")),
+        ("--cutoffs", dict(default="8,10,12,14")))),
+    "errata": ("JSON report of literal-formula discrepancies", _cmd_errata, None, ()),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """Every command, with its help; arguments only for the commands named by a token of argv,
+    one of which is the command argparse selects."""
     parser = _Parser(
         prog="trisqueeze",
         description="Three-mode enhanced squeezing: moments, photon statistics, "
                     "Wigner functions, Bell tests and oracle checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("moments", help="closed-form even moments of the collective quadratures")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--m-max", dest="m_max", type=int, default=4)
-    common(p)
-    p.set_defaults(fn=_cmd_moments)
-
-    p = sub.add_parser("pk", help="P_k statistic on both routes")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--alpha", default="1,1,1")
-    p.add_argument("--path", choices=("paper", "exact"), default="exact")
-    common(p)
-    p.set_defaults(fn=_cmd_pk)
-
-    p = sub.add_parser("fig1", help="P_2 scan over alpha3 at unit strength, alpha1=alpha2=1")
-    p.add_argument("--re", default="-1:0.05:1")
-    p.add_argument("--im", default="-1:0.05:1")
-    p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
-    common(p)
-    p.set_defaults(fn=_cmd_fig1, plot="P2 along Re(alpha3)")
-
-    p = sub.add_parser("wigner", help="Wigner function at a point or on a (q1, p1) slice")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--alpha", default="0,0,0")
-    p.add_argument("--q", default="0,0,0")
-    p.add_argument("--p", default="0,0,0")
-    p.add_argument("--q1", help="range start:step:end for a slice along q1")
-    p.add_argument("--p1", help="range start:step:end for a slice along p1")
-    p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
-    common(p)
-    p.set_defaults(fn=_cmd_wigner, plot="Wigner slice")
-
-    p = sub.add_parser("bell", help="single B(3) evaluation")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--alpha", default="0.4,0.5,0.6")
-    p.add_argument("--beta", default="0,0,0")
-    p.add_argument("--beta-prime", dest="beta_prime", default="0,0,0")
-    common(p)
-    p.set_defaults(fn=_cmd_bell)
-
-    p = sub.add_parser("fig2", help="max B(3) over displacement magnitude per strength")
-    p.add_argument("--lambda", dest="lam_range", default="0:0.02:1")
-    p.add_argument("--b", default="0.01:0.01:2")
-    p.add_argument("--gnuplot", help="also write a gnuplot script to this path")
-    common(p)
-    p.set_defaults(fn=_cmd_fig2, plot="max B(3) vs strength")
-
-    p = sub.add_parser("oracle-check", help="Fock-oracle convergence table")
-    p.add_argument("--quantity", choices=("var-x3", "vacuum-amp", "parity", "b3"),
-                   default="var-x3")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.2)
-    p.add_argument("--alpha", default="0,0,0")
-    p.add_argument("--b", type=float, default=0.3, help="displacement magnitude for b3")
-    p.add_argument("--cutoffs", default="8,10,12,14")
-    common(p)
-    p.set_defaults(fn=_cmd_oracle_check)
-
-    p = sub.add_parser("errata", help="JSON report of literal-formula discrepancies")
-    common(p)
-    p.set_defaults(fn=_cmd_errata)
-
+    for name, (text, command, plot, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name in argv:
+            for flag, options in (*arguments, *_OUTPUT):
+                p.add_argument(flag, **options)
+            p.set_defaults(fn=command, plot=plot)
     return parser
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         gnuplot = getattr(args, "gnuplot", None)  # fig1, fig2 and wigner have the option
         if gnuplot and not args.out:
             raise InvalidParameterError("--gnuplot needs --out, the table it plots")

@@ -1,7 +1,8 @@
 """Exception types and the parameter domain, which no other module checks itself.
 
-A squeezing strength must be finite (:func:`check_strength`).  Coherent amplitudes and
-displacements are finite complex triples, shape (..., 3); a real or imaginary part above
+A squeezing strength is a finite int or float, not a bool (:func:`check_strength`), and
+is checked before the amplitudes.  Coherent amplitudes and displacements are finite
+complex triples, shape (..., 3); a real or imaginary part above
 7e307 in size raises NumericError, since sqrt(6) times it, the largest displacement on a
 normal mode, must stay finite (:func:`check_amplitudes`).  A result that is not finite
 raises NumericError "<what> overflows double precision at strength <s>"
@@ -44,6 +45,9 @@ class TruncationError(NumericError):
 
 
 def check_strength(strength) -> float:
+    """``strength`` as a float: a Python or numpy int or float, and finite (a bool is refused)."""
+    if isinstance(strength, bool) or not isinstance(strength, (int, float, np.integer, np.floating)):
+        raise InvalidParameterError(f"squeezing strength must be a real number, got {strength!r}")
     s = float(strength)
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {s!r}")

@@ -133,17 +133,19 @@ def make_state(strength, alpha) -> GaussianState:
     :class:`GaussianState`), which :func:`wigner` and ``bell.b3`` evaluate
     in one call.  Its gains are built strength by strength with the scalar
     code and stacked, so every slice holds the same bits as a
-    single-strength state.  ``errors`` checks the strength and the amplitudes.
+    single-strength state.  ``errors`` checks each strength, then the amplitudes.
     """
-    alpha = check_amplitudes(alpha, "coherent displacement").reshape(3)
-    if not isinstance(strength, (int, float)) and np.ndim(strength):  # np.ndim(float) costs
-        strength = np.array(strength, dtype=float)
-        if not strength.size:
+    batched = not isinstance(strength, (int, float)) and np.ndim(strength)  # np.ndim(float) costs
+    if batched:
+        cells = np.asarray(strength, dtype=object)  # each strength as given, for check_strength
+        if not cells.size:
             raise InvalidParameterError("empty strength array")
-        gains = np.stack([mode_gains(s) for s in strength.flat]).reshape(strength.shape + (2, 3))
+        strength = np.array([check_strength(s) for s in cells.flat]).reshape(cells.shape)
     else:
-        gains = mode_gains(strength)
-        strength = float(strength)
+        strength = check_strength(strength)
+    alpha = check_amplitudes(alpha, "coherent displacement").reshape(3)
+    gains = (np.stack([mode_gains(s) for s in strength.flat]).reshape(strength.shape + (2, 3))
+             if batched else mode_gains(strength))
     displacement = _quadratures(alpha) @ _MODES
     return GaussianState(strength=strength, gains=gains, displacement=displacement)
 

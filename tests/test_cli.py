@@ -132,6 +132,19 @@ def test_csv_writer_matches_per_cell_rule():
     ]
     assert _table(header, rows, "csv") == _per_cell_csv(header, rows)
     assert _table(header, rows, "csv").split("\n")[1:3] == ["8,0.5,,True", "10,0.3,0.3,False"]
+    floats = np.random.default_rng(1).standard_normal((1200, 3)) * 10.0 ** np.arange(-4, 8, 4)
+    for header, rows in [
+        (("x", "y", "w"), floats.tolist()),
+        # float and np.float64 in one column, in both orders
+        (("x", "y"), [(v, np.float64(w)) if i % 3 else (np.float64(v), w)
+                      for i, (v, w, _) in enumerate(floats[:40].tolist())]),
+        # "" in the first row only (oracle-check's delta), and in the last row only
+        (("cutoff", "delta", "last"), [(8, "", 0.25), (10, 1e-3, np.float64(2 / 3)),
+                                        (12, np.float64(1e-7), "")]),
+        (("flag", "count"), [(True, 1), (np.bool_(False), np.int64(-2)), (False, 10**20)]),
+        (("a", "b", "c"), []),
+    ]:
+        assert _table(header, rows, "csv") == _per_cell_csv(header, rows)
 
 
 def test_csv_writer_float_bits():
@@ -267,6 +280,32 @@ def test_help_exits_zero(capsys):
     assert run(["pk", "-h"]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("usage: trisqueeze pk") and captured.err == ""
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["-h"], "f967ff6333de4d259bec40e47e8f158408a25c3c513e70bfbbf0a814b68b0ec6"),
+    ([], "b62e183d0d8e71e7190b8ff79a3fe999fe706df14d5d8736e992db57b8957535"),
+    (["nosuch"], "b65713eb61a414953e77c2b59a037105d0c7e68c977d998482b2c9fb34f4781a"),
+    (["-1"], "5dabee6d0f82c988118b9e77b8492101522eb5dbb83a867fb5fff9a025eae66b"),
+    (["--bogus", "fig2"], "6d6bde913df32adef04815fd5e3df0eef1bca974e3d4533da4e22fde8b6d2dce"),
+    # a command name given as the value of another command's option
+    (["fig1", "--re", "fig2"], "686894381854fcf36bdbd657ad5d0431616ea1b52e76c762a5904db9bdf7d7c1"),
+    (["moments", "-h"], "066d29fd915e5079dd362d762c0fb1293a755e2ddb5c1deeb0297c8bd1ec01c2"),
+    (["pk", "-h"], "5a40c200333a52354c039412e7ecf36ea3c7dabf60c4bd79a1e43cdf74f19968"),
+    (["fig1", "-h"], "834b83669a1af320b46392701f94b2ba487d69be0695b204d7628b7f491c8f38"),
+    (["wigner", "-h"], "92383b774b2cbfd853542a9b50cde0d375f3c8d5f269b55b99efadc42dca5f15"),
+    (["bell", "-h"], "97b61cab0b0c16046ac40957a4031470d93308f65c97fdfb67ea8a099aa3a1f8"),
+    (["fig2", "-h"], "1ef9a45299b4d7aef9e4eb28c0660adc8959a25e2785b7ebee8ba0871ede214b"),
+    (["oracle-check", "-h"], "4200dac3b86568994a5baf7c75e20a4132646d746b277895305f637c4a8af34c"),
+    (["errata", "-h"], "4ff33290248ea174a88b3ae5d934504ec89a05b49f69bc7c8d07779b5f46d1d5"),
+])
+def test_help_and_usage_bytes_are_pinned(argv, digest, monkeypatch, capsys):
+    # (exit code, stdout, stderr) as the parser printed them when it built every command's
+    # arguments on each call; COLUMNS fixes argparse's wrapping width
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert hashlib.sha256(repr((code, captured.out, captured.err)).encode()).hexdigest() == digest
 
 
 def test_numeric_failure_exit_code(capsys):

@@ -1,16 +1,19 @@
 """The parameter domain of ``errors.py`` at every public entry point that takes
-a strength or coherent amplitudes, and a source check that no module keeps its
-own copy of the overflow refusal."""
+a strength or coherent amplitudes: a strength is a real number, checked before
+the amplitudes, from Python and from the CLI; and a source check that no module
+keeps its own copy of the overflow refusal."""
 
 import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trisqueeze import (build_arena, coherent_ket, displaced_parity, evolve, gm_pair, hos_x,
                         make_state, mean_power_exact, mean_power_paper, pk)
-from trisqueeze.errors import InvalidParameterError, NumericError
+from trisqueeze.cli import run
+from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
 
 SRC = Path(__file__).parent.parent / "src" / "trisqueeze"
 ARENA = build_arena(6)
@@ -49,6 +52,37 @@ def test_entry_points_share_one_domain(inputs, call):
         for alpha in ((1e308, 0, 0), (0, 0, -1e308j)):
             with pytest.raises(NumericError, match="7e307"):
                 call(0.3, alpha)
+    if "s" in inputs:
+        # float() took these: hos_x("0.3", 1) was 0.0753, make_state(True, ...) had strength 1
+        for bad in (True, np.bool_(False), "0.3", 0.3 + 0j, None):
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                call(bad, inside)
+    if inputs == "sa":  # the strength is checked before the amplitudes
+        with pytest.raises(InvalidParameterError, match="strength must be finite"):
+            call(math.nan, (1.7e308, 0, 0))
+
+
+def test_strength_is_a_python_or_numpy_real():
+    for real in (2, np.int64(2), np.uint8(2), 2.0, np.float32(2), np.float64(2)):
+        assert check_strength(real) == 2.0
+    assert make_state(np.arange(3), (0, 0, 0)).strength.tolist() == [0.0, 1.0, 2.0]
+    # np.array(strengths, dtype=float) read [True] and ["0.3"] as floats
+    for strengths in ([True], ["0.3"], [0.1, 0.3j], [0.1, None]):
+        with pytest.raises(InvalidParameterError, match="must be a real number"):
+            make_state(strengths, (0, 0, 0))
+
+
+@pytest.mark.parametrize("argv", [
+    ["wigner", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
+    ["bell", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
+    ["oracle-check", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
+    ["oracle-check", "--quantity", "b3", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
+    ["pk", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
+])
+def test_strength_is_refused_before_amplitudes(argv, capsys):
+    # all but pk exited 3 on the amplitudes, which were read first
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: squeezing strength must be finite, got nan\n")
 
 
 def _sites(path: Path) -> set:
