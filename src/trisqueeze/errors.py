@@ -2,9 +2,9 @@
 
 A squeezing strength is a finite int or float, not a bool (:func:`check_strength`), and
 is checked before the amplitudes.  Coherent amplitudes and displacements are finite
-complex triples, shape (..., 3); a real or imaginary part above
-7e307 in size raises NumericError, since sqrt(6) times it, the largest displacement on a
-normal mode, must stay finite (:func:`check_amplitudes`).  A result that is not finite
+complex triples, shape (..., 3); a real or imaginary part above 7e307 in size raises
+NumericError, since sqrt(6) times it, the largest displacement on a normal mode, must
+stay finite (:func:`check_amplitudes`).  A result that is not finite
 raises NumericError "<what> overflows double precision at strength <s>"
 (:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its CLI exit code
 and stderr prefix: 2 and "error" for InvalidParameterError (argparse failures too), 3 and
