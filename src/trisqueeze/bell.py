@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_strength
+from .errors import InvalidParameterError, check_strength, check_strengths
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import GaussianState, _mode_sums, _quadratures, _wigner_modes, make_state
 
@@ -103,7 +103,7 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     (strength, b_star, b3_max).
     """
     b_values = np.asarray(b_values, dtype=float).reshape(-1)
-    strengths = np.asarray(strengths, dtype=float).reshape(-1)
+    strengths = check_strengths(strengths).reshape(-1)
     if b_values.size == 0 or strengths.size == 0:
         raise InvalidParameterError("empty scan grid")
     if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
@@ -187,7 +187,7 @@ def max_b3(strengths) -> list[tuple[float, float, float, float]]:
     state batched over the strengths at alpha = 0, mu = 0, at these settings.
     Returns rows (strength, a, b, b3_max).
     """
-    strengths = np.asarray(strengths, dtype=float).reshape(-1)
+    strengths = check_strengths(strengths).reshape(-1)
     state = make_state(strengths, (0, 0, 0))
     s = np.abs(strengths)
     log_ratio = 6 * s + np.log1p(np.expm1(-6 * s) / 3)  # L, accurate as s -> 0

@@ -5,14 +5,14 @@ has a header row; a table is formatted by one ``%`` template built from the
 cell types of its columns.  Identical invocations produce byte-identical
 output.  Each command returns its whole output as text; ``run`` writes it
 once, after the command has answered, so a refused command writes no file.
-The parser lists every command but adds arguments only to the commands that
-the argv names, one of which is the command argparse selects.
+The parser, with every command and its arguments, is built once per process.
 Exit codes: 0 success, 2 invalid arguments or an output that cannot be
 written (an --out or --gnuplot path, a closed stdout), 3 numeric/truncation
 failure.  Each refusal is one line on stderr.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -229,9 +229,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """Every command, with its help; arguments only for the commands named by a token of argv,
-    one of which is the command argparse selects."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Every command, with its help and arguments; parse_args keeps no state between calls."""
     parser = _Parser(
         prog="trisqueeze",
         description="Three-mode enhanced squeezing: moments, photon statistics, "
@@ -240,17 +240,15 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, command, plot, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        if name in argv:
-            for flag, options in (*arguments, *_OUTPUT):
-                p.add_argument(flag, **options)
-            p.set_defaults(fn=command, plot=plot)
+        for flag, options in (*arguments, *_OUTPUT):
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=command, plot=plot)
     return parser
 
 
 def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _parser().parse_args(argv)
         gnuplot = getattr(args, "gnuplot", None)  # fig1, fig2 and wigner have the option
         if gnuplot and not args.out:
             raise InvalidParameterError("--gnuplot needs --out, the table it plots")

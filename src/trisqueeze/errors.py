@@ -1,14 +1,14 @@
 """Exception types and the parameter domain, which no other module checks itself.
 
-A squeezing strength is a finite int or float, not a bool (:func:`check_strength`), and
-is checked before the amplitudes.  Coherent amplitudes and displacements are finite
-complex triples, shape (..., 3); a real or imaginary part above 7e307 in size raises
-NumericError, since sqrt(6) times it, the largest displacement on a normal mode, must
-stay finite (:func:`check_amplitudes`).  A result that is not finite
-raises NumericError "<what> overflows double precision at strength <s>"
-(:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its CLI exit code
-and stderr prefix: 2 and "error" for InvalidParameterError (argparse failures too), 3 and
-"numeric failure" for NumericError.
+A squeezing strength is a finite int or float, not a bool (:func:`check_strength`; each of
+an array by :func:`check_strengths`), and is checked before the amplitudes.  Coherent
+amplitudes and displacements are finite complex triples, shape (..., 3); a real or
+imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the
+largest displacement on a normal mode, must stay finite (:func:`check_amplitudes`).  A
+result that is not finite raises NumericError "<what> overflows double precision at
+strength <s>" (:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its
+CLI exit code and stderr prefix: 2 and "error" for InvalidParameterError (argparse
+failures too), 3 and "numeric failure" for NumericError.
 """
 
 import math
@@ -52,6 +52,12 @@ def check_strength(strength) -> float:
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {s!r}")
     return s
+
+
+def check_strengths(strengths) -> np.ndarray:
+    """Each of ``strengths``, as given, by :func:`check_strength`: a float array of their shape."""
+    cells = np.asarray(strengths, dtype=object)
+    return np.array([check_strength(s) for s in cells.flat], dtype=float).reshape(cells.shape)
 
 
 def check_amplitudes(values, what: str, name: str = "coherent amplitudes") -> np.ndarray:

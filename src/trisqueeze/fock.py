@@ -94,14 +94,16 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
         raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
     steps = max(1, math.ceil(norm1 / TAYLOR_THETA))
     rho, scale = norm1 / steps, strength / steps
+    pairs = [(off, w.astype(np.result_type(w, ket))) for off, w in arena.pairs]  # cast once
+    # np.linalg.norm of a 1-D array by its own operations, so the same bits, without its dispatch
+    norm = lambda x: math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     moved = ket
     for _ in range(steps):
         term, total, k = moved, moved.copy(), 0
-        while k + 1 <= rho or (np.linalg.norm(term) * rho
-                               > (k + 1 - rho) * 2.0**-53 * np.linalg.norm(total)):
+        while k + 1 <= rho or norm(term) * rho > (k + 1 - rho) * 2.0**-53 * norm(total):
             k += 1
             applied = np.zeros_like(term)
-            for off, w in arena.pairs:
+            for off, w in pairs:
                 applied[:-off] += w * term[off:]
                 applied[off:] -= w * term[:-off]
             term = applied * (scale / k)
@@ -188,7 +190,8 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
     inverse, limit = {}, math.sqrt(c) / 2  # |beta|^2 <= c/4, as in coherent_ket
-    for beta in np.unique(betas):
+    # np.unique's values (the first of equal ones, sorted), without its import of numpy.ma
+    for beta in sorted(set(betas.flat), key=lambda b: (b.real, b.imag)):
         if abs(beta) > limit:
             raise TruncationError(
                 f"|beta| = {abs(beta):.4g} too large for cutoff {c} (limit {limit:.4g})"

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_amplitudes, check_strength, overflow_error,
-                     refuse_overflow)
+from .errors import (InvalidParameterError, check_amplitudes, check_strength, check_strengths,
+                     overflow_error, refuse_overflow)
 from .matrices import _exponentials, circulant, double_factorial, mode_gains
 
 __all__ = [
@@ -137,10 +137,9 @@ def make_state(strength, alpha) -> GaussianState:
     """
     batched = not isinstance(strength, (int, float)) and np.ndim(strength)  # np.ndim(float) costs
     if batched:
-        cells = np.asarray(strength, dtype=object)  # each strength as given, for check_strength
-        if not cells.size:
+        strength = check_strengths(strength)
+        if not strength.size:
             raise InvalidParameterError("empty strength array")
-        strength = np.array([check_strength(s) for s in cells.flat]).reshape(cells.shape)
     else:
         strength = check_strength(strength)
     alpha = check_amplitudes(alpha, "coherent displacement").reshape(3)

@@ -308,6 +308,29 @@ def test_help_and_usage_bytes_are_pinned(argv, digest, monkeypatch, capsys):
     assert hashlib.sha256(repr((code, captured.out, captured.err)).encode()).hexdigest() == digest
 
 
+def test_parser_reuse_leaks_no_state(monkeypatch, capsys):
+    # the parser is built once per process: each answer equals that of a parser built for it
+    from trisqueeze import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [["fig1", "--bogus"], ["-h"], ["pk", "--lambda", "0.3"],
+                ["oracle-check", "--lambda", "nan"], ["fig1", "--re=-1:1:1", "--im=0:1:0"]]
+
+    def answer(argv):
+        code = run(argv)
+        return (code, *capsys.readouterr())
+
+    cli._parser.cache_clear()
+    reused = [answer(argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(answer(argv))
+    assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0]
+    assert reused == fresh
+
+
 def test_numeric_failure_exit_code(capsys):
     for argv in (
         # coherent amplitude far beyond the truncation guard
@@ -506,12 +529,15 @@ def test_runs_without_scipy():
 
 def test_startup_imports_and_module_entry_point(capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    probe = ("import sys, trisqueeze.cli; "
-             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    probe = ("import os, sys, trisqueeze.cli; "
+             "code = trisqueeze.cli.run(['errata', '--out', os.devnull]); "
+             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+             "'numpy.ma' in sys.modules)")
     loaded = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    # the package imports only numpy (test_runs_without_scipy blocks scipy outright)
-    assert loaded.stdout == "False\n"
+    # the package imports only numpy (test_runs_without_scipy blocks scipy outright), and
+    # errata, which reads displaced parities, does not load numpy.ma (np.unique imported it)
+    assert loaded.stdout == "0 False False\n"
 
     argv = ["fig1", "--re=-1:1:1", "--im=0:1:0"]
     module = subprocess.run([sys.executable, "-m", "trisqueeze.cli", *argv], env=env,

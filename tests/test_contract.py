@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trisqueeze import (build_arena, coherent_ket, displaced_parity, evolve, gm_pair, hos_x,
-                        make_state, mean_power_exact, mean_power_paper, pk)
+from trisqueeze import (build_arena, coherent_ket, displaced_parity, evolve, fig2_scan, gm_pair,
+                        hos_x, make_state, mean_power_exact, mean_power_paper, pk)
+from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
 
@@ -28,6 +29,9 @@ ENTRY_POINTS = [
     ("mean_power_paper", "sa", lambda s, a: mean_power_paper(2, a, s)),
     ("hos_x", "s", lambda s, a: hos_x(s, 1)),
     ("evolve", "s", lambda s, a: evolve(ARENA, s, KET)),
+    # np.asarray(strengths, dtype=float) read max_b3([True]) and fig2_scan(["0.3"], ...) as floats
+    ("fig2_scan", "s", lambda s, a: fig2_scan([s], [0.3])),
+    ("max_b3", "s", lambda s, a: max_b3([s])),
     ("coherent_ket", "a", lambda s, a: coherent_ket(ARENA, a)),
     ("displaced_parity", "a", lambda s, a: displaced_parity(ARENA, KET, a)),
 ]

@@ -16,7 +16,7 @@ from trisqueeze import (
     moment_x3,
     normal_order_coefficients,
 )
-from trisqueeze.fock import ladder, moment_y3
+from trisqueeze.fock import TAYLOR_THETA, ladder, moment_y3
 
 
 def test_arena_validation():
@@ -179,6 +179,45 @@ def test_evolve_matches_expm_multiply_at_cutoff_20():
     ket = coherent_ket(arena, FIG2_ALPHA)
     assert_allclose(evolve(arena, strength, ket),
                     expm_multiply(generator, ket), atol=1e-12)
+
+
+def _evolve_reference(arena, strength, ket):
+    """evolve's Taylor loop as first written: real pair weights, np.linalg.norm in the stopping test."""
+    norm1 = abs(strength) * (6 * arena.cutoff - 9)
+    steps = max(1, math.ceil(norm1 / TAYLOR_THETA))
+    rho, scale = norm1 / steps, strength / steps
+    moved = ket
+    for _ in range(steps):
+        term, total, k = moved, moved.copy(), 0
+        while k + 1 <= rho or (np.linalg.norm(term) * rho
+                               > (k + 1 - rho) * 2.0**-53 * np.linalg.norm(total)):
+            k += 1
+            applied = np.zeros_like(term)
+            for off, w in arena.pairs:
+                applied[:-off] += w * term[off:]
+                applied[off:] -= w * term[:-off]
+            term = applied * (scale / k)
+            total += term
+        moved = total
+    return moved
+
+
+@pytest.mark.parametrize("cutoff", [6, 10, 14, 20])
+def test_evolve_is_bit_identical_to_the_reference_loop(monkeypatch, cutoff):
+    # pair weights cast to the ket's dtype once and the norms without numpy's dispatch change
+    # no bit, signed zeros included, so each ket also takes the same number of Taylor terms
+    from trisqueeze import FIG2_ALPHA
+    from trisqueeze import fock as fock_module
+
+    monkeypatch.setattr(fock_module, "BOUNDARY_MASS_LIMIT", 1.0)
+    arena = build_arena(cutoff)
+    vacuum = np.zeros(arena.dim)
+    vacuum[0] = 1.0
+    for ket in (coherent_ket(arena, FIG2_ALPHA), vacuum):
+        for strength in (0.2, -0.3, 0.7):
+            got, expected = evolve(arena, strength, ket), _evolve_reference(arena, strength, ket)
+            assert got.dtype == expected.dtype == ket.dtype
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 def test_coherent_ket_basics(arena14):
