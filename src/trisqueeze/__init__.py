@@ -7,90 +7,13 @@ displaced-parity Bell combination B(3), with a truncated-Fock brute-force
 oracle validating every closed form at small parameters.
 """
 
-from .bell import FIG2_ALPHA, BellSetting, b3, b3_oracle_check, fig2_scan, fig2_setting
-from .errors import (
-    DomainError,
-    InvalidParameterError,
-    NumericError,
-    SingularParameterError,
-    TruncationError,
-)
-from .fock import (
-    FockArena,
-    build_arena,
-    coherent_ket,
-    convergence_report,
-    displaced_parity,
-    evolve,
-    mean_power,
-    moment_x3,
-    moment_y3,
-)
-from .gaussian import (
-    GaussianState,
-    MomentQuery,
-    central_moment,
-    hos_x,
-    hos_y,
-    make_state,
-    normal_order_coefficients,
-    two_mode_baseline_variance,
-    wigner,
-    wigner_normalization,
-    x3_query,
-    y3_query,
-)
-from .matrices import collective_factors, double_factorial
-from .photon import (
-    PkResult,
-    fig1_scan,
-    gm_pair,
-    mean_power_exact,
-    mean_power_paper,
-    pk,
-)
+from . import bell, errors, fock, gaussian, photon
+from .bell import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .fock import *  # noqa: F403
+from .gaussian import *  # noqa: F403
+from .photon import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BellSetting",
-    "DomainError",
-    "FIG2_ALPHA",
-    "FockArena",
-    "GaussianState",
-    "InvalidParameterError",
-    "MomentQuery",
-    "NumericError",
-    "PkResult",
-    "SingularParameterError",
-    "TruncationError",
-    "b3",
-    "b3_oracle_check",
-    "build_arena",
-    "central_moment",
-    "coherent_ket",
-    "collective_factors",
-    "convergence_report",
-    "displaced_parity",
-    "double_factorial",
-    "evolve",
-    "fig1_scan",
-    "fig2_scan",
-    "fig2_setting",
-    "gm_pair",
-    "hos_x",
-    "hos_y",
-    "make_state",
-    "mean_power",
-    "mean_power_exact",
-    "mean_power_paper",
-    "moment_x3",
-    "moment_y3",
-    "normal_order_coefficients",
-    "pk",
-    "two_mode_baseline_variance",
-    "wigner",
-    "wigner_normalization",
-    "x3_query",
-    "y3_query",
-]
+__all__ = [*bell.__all__, *errors.__all__, *fock.__all__, *gaussian.__all__, *photon.__all__]

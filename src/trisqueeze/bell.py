@@ -159,15 +159,15 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
 
 
 def max_b3(strengths) -> list[tuple[float, float, float, float]]:
-    """Per strength: the largest B(3) over symmetric settings about the mean.
+    """Per strength: the largest B(3) over symmetric settings about the mean amplitude.
 
     The settings are beta = mu + (a, a, a) and beta' = mu + (b, b, b), mu the
-    mean amplitude (mean_q + i mean_p)/sqrt(2) per mode; for s < 0 the same
-    numbers apply along p, beta = mu + i(a, a, a).  A coherent amplitude
-    only translates the Wigner function, so the maximum does not depend on
-    it.  Three correlations sit at offsets (a, a, b) and one at (b, b, b),
-    so with the gains of ``matrices.mode_gains`` (the symmetric q mode
-    scaled by e^{2s}, the two plane modes by e^{-s}), for s >= 0,
+    mean amplitude <a_j> of each mode; for s < 0 the same numbers apply
+    along p, beta = mu + i(a, a, a).  A coherent amplitude only translates
+    the Wigner function, so the maximum does not depend on it.  Three
+    correlations sit at offsets (a, a, b) and one at (b, b, b), so with the
+    gains of ``matrices.mode_gains`` (the symmetric q mode scaled by e^{2s},
+    the two plane modes by e^{-s}), for s >= 0,
 
         B(a, b) = 3 exp(-(2/3) e^{4s} (2a+b)^2 - (4/3) e^{-2s} (a-b)^2)
                   - exp(-6 e^{4s} b^2).

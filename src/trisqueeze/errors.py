@@ -1,7 +1,8 @@
 """Exception types and the parameter domain, which no other module checks itself.
 
 A squeezing strength is a finite int or float, not a bool (:func:`check_strength`; each of
-an array by :func:`check_strengths`), and is checked before the amplitudes.  Coherent
+an array by :func:`check_strengths`), and is checked before the amplitudes.  An order, a
+power or a cutoff is a Python or numpy int, not a bool (:func:`check_integer`).  Coherent
 amplitudes and displacements are finite complex triples, shape (..., 3); a real or
 imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the
 largest displacement on a normal mode, must stay finite (:func:`check_amplitudes`).  A
@@ -15,6 +16,8 @@ import math
 
 import numpy as np
 
+__all__ = ["InvalidParameterError", "SingularParameterError", "NumericError", "TruncationError"]
+
 
 class InvalidParameterError(ValueError):
     """An argument is outside the documented domain of an operation."""
@@ -25,11 +28,6 @@ class InvalidParameterError(ValueError):
 class SingularParameterError(InvalidParameterError):
     """A parameter value at which a closed form is singular (e.g. zero squeezing
     in the ratio-of-exponentials amplitude pair)."""
-
-
-class DomainError(InvalidParameterError):
-    """A derived quantity leaves the domain of a later step (e.g. a vanishing
-    mean photon number in a normalized statistic)."""
 
 
 class NumericError(RuntimeError):
@@ -52,6 +50,13 @@ def check_strength(strength) -> float:
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {s!r}")
     return s
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int: a Python or numpy int (a bool is refused); ``name`` says what it is."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_strengths(strengths) -> np.ndarray:

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, TruncationError, check_amplitudes, check_strength
+from .errors import (InvalidParameterError, TruncationError, check_amplitudes, check_integer,
+                     check_strength)
 
 __all__ = [
     "FockArena",
@@ -23,7 +24,6 @@ __all__ = [
     "coherent_ket",
     "ladder",
     "moment_x3",
-    "moment_y3",
     "mean_power",
     "displaced_parity",
     "convergence_report",
@@ -48,11 +48,11 @@ class FockArena:
     ``pairs`` holds a_i a_j, i < j, alike at offset stride_i + stride_j."""
 
     def __init__(self, cutoff: int):
-        if not MIN_CUTOFF <= cutoff <= MAX_CUTOFF:
+        self.cutoff = c = check_integer(cutoff, "cutoff")
+        if not MIN_CUTOFF <= c <= MAX_CUTOFF:
             raise InvalidParameterError(
-                f"cutoff must be in [{MIN_CUTOFF}, {MAX_CUTOFF}], got {cutoff}"
+                f"cutoff must be in [{MIN_CUTOFF}, {MAX_CUTOFF}], got {c}"
             )
-        self.cutoff = c = int(cutoff)
         self.dim = c**3
         occ = np.indices((c, c, c)).reshape(3, -1)
         roots = np.where(occ < c - 1, np.sqrt(occ + 1.0), 0.0)
@@ -61,9 +61,6 @@ class FockArena:
         self.pairs = [(strides[i] + strides[j], (roots[i] * roots[j])[:-strides[i] - strides[j]])
                       for i, j in ((0, 1), (0, 2), (1, 2))]
         self.parity_signs = (-1.0) ** occ.sum(axis=0)
-
-    def index(self, n1: int, n2: int, n3: int) -> int:
-        return (n1 * self.cutoff + n2) * self.cutoff + n3
 
 
 def build_arena(cutoff: int) -> FockArena:
@@ -148,6 +145,7 @@ def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
 
 
 def _central_moment(quadrature, vec: np.ndarray, order: int) -> float:
+    order = check_integer(order, "order")
     if order < 2 or order % 2:
         raise InvalidParameterError(f"order must be even and >= 2, got {order}")
     norm2 = float(np.vdot(vec, vec).real)
@@ -163,13 +161,9 @@ def moment_x3(arena: FockArena, ket: np.ndarray, order: int) -> float:
     return _central_moment(lambda v: ladder(arena, v, _ROOT12, _ROOT12), ket, order)
 
 
-def moment_y3(arena: FockArena, ket: np.ndarray, order: int) -> float:
-    """Central moment of (P1+P2+P3)/sqrt(6) = sum_i (a_i - a_i^dag)/(i sqrt(12))."""
-    return _central_moment(lambda v: ladder(arena, v, -1j * _ROOT12, 1j * _ROOT12), ket, order)
-
-
 def mean_power(arena: FockArena, ket: np.ndarray, k: int) -> float:
     """<A^dag^k A^k> for the collective mode A = (a1+a2+a3)/sqrt(3)."""
+    k = check_integer(k, "k")
     if k < 1:
         raise InvalidParameterError("k must be >= 1")
     vec = ket
@@ -214,7 +208,7 @@ def convergence_report(quantity, cutoffs) -> list[dict]:
     Returns one dict per cutoff with the value, the delta to the previous
     cutoff, and a flag marking any non-monotone |delta| tail.
     """
-    cutoffs = [int(c) for c in cutoffs]
+    cutoffs = [check_integer(c, "cutoff") for c in cutoffs]
     if len(cutoffs) < 2 or any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise InvalidParameterError("need at least two strictly increasing cutoffs")
     rows, previous, last_delta = [], None, None

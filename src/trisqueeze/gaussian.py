@@ -19,27 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_amplitudes, check_strength, check_strengths,
-                     overflow_error, refuse_overflow)
-from .matrices import _exponentials, circulant, double_factorial, mode_gains
+from .errors import (InvalidParameterError, check_amplitudes, check_integer, check_strength,
+                     check_strengths, overflow_error, refuse_overflow)
+from .matrices import _exponentials, double_factorial, mode_gains
 
 __all__ = [
     "GaussianState",
     "MomentQuery",
     "make_state",
-    "x3_query",
-    "y3_query",
     "central_moment",
     "hos_x",
     "hos_y",
     "two_mode_baseline_variance",
     "wigner",
-    "wigner_normalization",
-    "normal_order_coefficients",
 ]
 
 MAX_MOMENT_ORDER = 16  # double factorials stay well inside float64 range
-_NORMALIZATION_WIDTH, _NORMALIZATION_POINTS = 6.0, 41  # standard deviations, points per mode
 
 # The normal modes are the integer vectors (1,1,1), (1,-1,0), (1,1,-2), the
 # columns of _INTEGER_MODES, over their norms; _MODES has the unit vectors.
@@ -91,8 +86,8 @@ class GaussianState:
     strength : squeezing strength of the three-mode unitary
     gains : (2, 3) eigenvalues of p_map (row 0) and q_map (row 1) on the
         normal modes, symmetric mode first (``matrices.mode_gains``)
-    displacement : (2, 3) sqrt(2) (Re alpha, Im alpha) on the normal modes;
-        the mean there is displacement * gains[::-1]
+    displacement : (2, 3) sqrt(2) (Re alpha, Im alpha) on the normal modes,
+        the (a, b) of :func:`wigner`; the gains act on the point, not on it
     """
 
     strength: float | np.ndarray
@@ -102,20 +97,6 @@ class GaussianState:
     def __getitem__(self, index) -> "GaussianState":
         """Index ``index`` of the strength axes of a batched state."""
         return GaussianState(self.strength[index], self.gains[index], self.displacement)
-
-    @property
-    def mean(self) -> np.ndarray:
-        """Phase-space mean (q1, q2, q3, p1, p2, p3) (formed on each access, as is ``cov``)."""
-        on_modes = self.displacement * self.gains[..., ::-1, :]  # (q, p) on the normal modes
-        return (on_modes @ _MODES.T).reshape(self.gains.shape[:-2] + (6,))
-
-    @property
-    def cov(self) -> np.ndarray:
-        """6x6 covariance; q and p blocks never mix, det(cov) = (1/2)**6."""
-        blocks = (_MODES * self.gains[..., ::-1, None, :] ** 2) @ _MODES.T / 2  # q block, p block
-        cov = np.zeros(self.gains.shape[:-2] + (6, 6))
-        cov[..., :3, :3], cov[..., 3:, 3:] = blocks[..., 0, :, :], blocks[..., 1, :, :]
-        return cov
 
 
 @dataclass(frozen=True)
@@ -149,21 +130,6 @@ def make_state(strength, alpha) -> GaussianState:
     return GaussianState(strength=strength, gains=gains, displacement=displacement)
 
 
-def _one_strength(state: GaussianState, operation: str) -> None:
-    if state.gains.ndim > 2:
-        raise InvalidParameterError(f"{operation} takes a state of one strength, not a batch")
-
-
-def x3_query(order: int = 2) -> MomentQuery:
-    """Collective position quadrature (Q1+Q2+Q3)/sqrt(6)."""
-    return MomentQuery(np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]) / math.sqrt(6), order)
-
-
-def y3_query(order: int = 2) -> MomentQuery:
-    """Collective momentum quadrature (P1+P2+P3)/sqrt(6)."""
-    return MomentQuery(np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]) / math.sqrt(6), order)
-
-
 def _moment(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
     # (order-1)!! sigma2^(order/2) from the observable's q and p parts on the normal modes, each
     # scaled by the gain its quadrature picks up: q_map's (row 1) on q, p_map's (row 0) on p
@@ -178,8 +144,9 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     of the normal-mode variances, so nothing cancels.  A moment that
     overflows double precision raises NumericError.
     """
-    _one_strength(state, "central_moment")
-    order = int(query.order)
+    if state.gains.ndim > 2:
+        raise InvalidParameterError("central_moment takes a state of one strength, not a batch")
+    order = check_integer(query.order, "moment order")
     if order < 2 or order % 2:
         raise InvalidParameterError(f"moment order must be even and >= 2, got {order}")
     if order > MAX_MOMENT_ORDER:
@@ -204,6 +171,7 @@ def hos_y(strength: float, m: int) -> float:
 
 def _hos(strength: float, m: int, rate: int) -> float:
     strength = check_strength(strength)
+    m = check_integer(m, "moment half-order m")
     if m < 1:
         raise InvalidParameterError("moment half-order m must be >= 1")
     if 2 * m > MAX_MOMENT_ORDER:
@@ -263,40 +231,3 @@ def _wigner_modes(state: GaussianState, x: np.ndarray, modes: np.ndarray) -> np.
             raise InvalidParameterError("phase-space points must be finite")
         raise overflow_error("wigner exponent", state.strength)
     return np.exp(-exponent) / math.pi**3
-
-
-def wigner_normalization(state: GaussianState) -> float:
-    """Tensor trapezoid of W over a box of +-6 standard deviations per normal mode, 41 points each.
-
-    Mode k of each block is a Gaussian of centre a_k/g_k and standard
-    deviation 1/(sqrt(2) g_k) (see :func:`wigner`).  W is a q factor times a
-    p factor, so the 6D rule is pi^3 times the 3D rules over the q box (at
-    the p centre) and over the p box (at the q centre).
-    """
-    _one_strength(state, "wigner_normalization")
-    centres, sigmas = state.displacement / state.gains, 1 / (math.sqrt(2) * state.gains)
-    rule = np.linspace(-_NORMALIZATION_WIDTH, _NORMALIZATION_WIDTH, _NORMALIZATION_POINTS)
-    weights = np.full(_NORMALIZATION_POINTS, rule[1] - rule[0])
-    weights[[0, -1]] /= 2
-    q_centre, p_centre = centres @ _MODES.T
-    total = math.pi**3
-    for block in (0, 1):
-        axes = centres[block, :, None] + sigmas[block, :, None] * rule
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1) @ _MODES.T
-        values = wigner(state, grid, p_centre) if block == 0 else wigner(state, q_centre, grid)
-        total *= np.einsum("ijk,i,j,k", values, *(sigma * weights for sigma in sigmas[block]))
-    return float(total)
-
-
-def normal_order_coefficients(strength: float) -> tuple[float, np.ndarray]:
-    """Vacuum amplitude and pair-creation matrix of the normal-ordered unitary.
-
-    Acting on the vacuum, the unitary equals the amplitude times exp(pair/2
-    quadratic in creation operators).  Normal mode k, a squeezer with map
-    gains g_q g_p = 1, gives the amplitude a factor sqrt(2/(g_p + g_q)) and
-    the pair the eigenvalue (g_q - g_p)/(g_q + g_p): 1/(sqrt(cosh 2s) cosh s)
-    and (-tanh 2s, tanh s, tanh s) in all.
-    """
-    p_gains, q_gains = mode_gains(strength)
-    sums = p_gains + q_gains
-    return math.prod(math.sqrt(2 / total) for total in sums), circulant((q_gains - p_gains) / sums)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InvalidParameterError, SingularParameterError, check_amplitudes,
-                     check_strength, refuse_overflow)
+from .errors import (InvalidParameterError, SingularParameterError, check_amplitudes,
+                     check_integer, check_strength, refuse_overflow)
 from .matrices import collective_factors, hermite_table
 
 __all__ = [
@@ -203,6 +203,7 @@ def _powers(path: str, orders: tuple, total: np.ndarray, strength: float, factor
 
 
 def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray:
+    k = check_integer(k, "power k")
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     what = "photon-number moment"
@@ -219,9 +220,11 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     not singular); ``path`` selects which one ``value`` reports.  The exact
     route is one Wick sum scaled by <A^dag A>, with no power of it formed.
     Broadcasts over the leading axes of ``alpha``, every check applying to
-    each amplitude: a vanishing mean photon number raises DomainError, and
-    a value that overflows or is not finite raises NumericError.
+    each amplitude: a vanishing mean photon number raises
+    InvalidParameterError, and a value that overflows or is not finite
+    raises NumericError.
     """
+    k = check_integer(k, "k")
     if not 2 <= k <= MAX_POWER:
         raise InvalidParameterError(f"P_k needs 2 <= k <= {MAX_POWER}, got {k}")
     if path not in ("paper", "exact"):
@@ -238,7 +241,7 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
             beta, c, t = _collective_mean(total, factors)
             root = np.hypot(np.abs(beta), t)
             if (root == 0).any():
-                raise DomainError("mean photon number 0.0 not positive")
+                raise InvalidParameterError("mean photon number 0.0 not positive")
             # 1/root overflows for a subnormal root; t = 0 there (|t| >= 1e-16 otherwise), so
             # P_k does not depend on the scale of beta, and 2^64 lifts it exactly; m is then 0
             small = root < 2.0**-1022

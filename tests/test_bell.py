@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from helpers import mean
 from trisqueeze import (
     FIG2_ALPHA,
     BellSetting,
@@ -316,7 +317,8 @@ def test_max_b3_independent_of_alpha():
     strengths = [-0.5, 0.3, 0.5, 1.0]
     for strength, a, b, value in max_b3(strengths):
         state = make_state(strength, FIG2_ALPHA)
-        mu = (state.mean[:3] + 1j * state.mean[3:]) / math.sqrt(2)
+        centre = mean(state)
+        mu = (centre[:3] + 1j * centre[3:]) / math.sqrt(2)
         axis = 1j if strength < 0 else 1
         setting = BellSetting(beta=mu + a * axis, beta_prime=mu + b * axis)
         assert b3(state, setting) == pytest.approx(value, rel=1e-12)

@@ -1,22 +1,27 @@
 """The parameter domain of ``errors.py`` at every public entry point that takes
-a strength or coherent amplitudes: a strength is a real number, checked before
-the amplitudes, from Python and from the CLI; and a source check that no module
-keeps its own copy of the overflow refusal."""
+a strength, coherent amplitudes or an integer: a strength is a real number,
+checked before the amplitudes, from Python and from the CLI, and an order, a
+power or a cutoff is an integer; a source check that no module keeps its own
+copy of the overflow refusal; and a source check of the public surface."""
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trisqueeze import (build_arena, coherent_ket, displaced_parity, evolve, fig2_scan, gm_pair,
-                        hos_x, make_state, mean_power_exact, mean_power_paper, pk)
+import trisqueeze
+from trisqueeze import (MomentQuery, build_arena, central_moment, coherent_ket, convergence_report,
+                        displaced_parity, evolve, fig2_scan, gm_pair, hos_x, hos_y, make_state,
+                        mean_power, mean_power_exact, mean_power_paper, moment_x3, pk)
 from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
 
-SRC = Path(__file__).parent.parent / "src" / "trisqueeze"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "trisqueeze"
 ARENA = build_arena(6)
 KET = coherent_ket(ARENA, (0.1, 0, 0))
 
@@ -76,6 +81,33 @@ def test_strength_is_a_python_or_numpy_real():
             make_state(strengths, (0, 0, 0))
 
 
+STATE = make_state(0.1, (0.1, 0, 0))
+# (name, call(n)) of every entry point that takes an order, a power or a cutoff
+INTEGER_ENTRY_POINTS = [
+    ("central_moment", lambda n: central_moment(STATE, MomentQuery(np.ones(6), n))),
+    ("hos_x", lambda n: hos_x(0.3, n)),
+    ("hos_y", lambda n: hos_y(0.3, n)),
+    ("pk", lambda n: pk(n, (1, 0, 0), 0.3)),
+    ("mean_power_exact", lambda n: mean_power_exact(n, (1, 0, 0), 0.3)),
+    ("mean_power_paper", lambda n: mean_power_paper(n, (1, 0, 0), 0.3)),
+    ("fock.mean_power", lambda n: mean_power(ARENA, KET, n)),
+    ("moment_x3", lambda n: moment_x3(ARENA, KET, n)),
+    ("build_arena", lambda n: build_arena(n)),
+    ("convergence_report", lambda n: convergence_report(lambda cutoff: 0.0, [n, 3])),
+]
+
+
+@pytest.mark.parametrize("call", [entry[1] for entry in INTEGER_ENTRY_POINTS],
+                         ids=[entry[0] for entry in INTEGER_ENTRY_POINTS])
+def test_integer_parameters_share_one_type_rule(call):
+    # int() truncated 2.5 and read True as 1, build_arena('8') and hos_x(0.3, 2.0) raised a
+    # bare TypeError, and central_moment took the order "2"
+    call(np.int64(2))
+    for bad in (2.0, 2.5, True, np.bool_(True), "2"):
+        with pytest.raises(InvalidParameterError, match="must be an integer, got"):
+            call(bad)
+
+
 @pytest.mark.parametrize("argv", [
     ["wigner", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
     ["bell", "--lambda", "nan", "--alpha", "1.7e308,0,0"],
@@ -121,3 +153,57 @@ def test_overflow_refusal_has_one_owner():
         ("np.errstate", "bell.b3"),
         ("np.errstate", "bell.fig2_scan"),
     }
+
+
+# Names that no other module calls but that stay in src/: each states a result of the
+# paper, is the oracle a later closed form is checked against, or is what the perfbench
+# point workload calls
+KEEP = {
+    "bell.max_b3",  # the largest B(3) over symmetric settings, in closed form
+    "gaussian.two_mode_baseline_variance",  # the two-mode benchmark of the enhancement claim
+    "photon.mean_power_paper",  # the published photon-moment formula, taken verbatim
+    "fock.mean_power",  # the Fock oracle of the photon route
+    "gaussian.MomentQuery", "gaussian.central_moment", "bell.BellSetting",  # the point workload
+}
+LAYERS = ("bell", "errors", "fock", "gaussian", "photon")  # the modules the package exports
+
+
+def _exports(tree) -> list:
+    # the literal __all__ of a module, or [] without one
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _references(tree, skip=None) -> set:
+    # every name the code of a module reads, as a name, an attribute or an import, leaving
+    # out the top-level definition named ``skip``
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == skip:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_each_public_name_is_written_once_and_serves_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py") if path.stem != "__init__"}
+    perfbench = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8")))
+                              for path in (ROOT / "perfbench").glob("*.py")))
+    others = {module: perfbench.union(*(_references(tree) for name, tree in trees.items()
+                                        if name != module)) for module in trees}
+    unreached = {f"{module}.{name}" for module, tree in trees.items() for name in _exports(tree)
+                 if name not in others[module] | _references(tree, skip=name)}
+    assert unreached - KEEP == set()
+    assert KEEP <= {f"{module}.{name}" for module, tree in trees.items() for name in _exports(tree)}
+    lists = [_exports(trees[layer]) for layer in LAYERS]
+    assert Counter(trisqueeze.__all__) == Counter(name for names in lists for name in names)
+    assert len(set(trisqueeze.__all__)) == len(trisqueeze.__all__)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import moment_y3, normal_order_coefficients, x3_query, y3_query
 from trisqueeze import (
     InvalidParameterError,
     TruncationError,
@@ -14,9 +15,8 @@ from trisqueeze import (
     evolve,
     mean_power,
     moment_x3,
-    normal_order_coefficients,
 )
-from trisqueeze.fock import TAYLOR_THETA, ladder, moment_y3
+from trisqueeze.fock import TAYLOR_THETA, ladder
 
 
 def test_arena_validation():
@@ -368,8 +368,6 @@ def test_oracle_against_analytic_modules_sweep(arena14):
         mean_power,
         mean_power_exact,
         wigner,
-        x3_query,
-        y3_query,
     )
 
     alpha = [0.0, 0.3, 0.5 * (1 + 1j) / math.sqrt(2)]

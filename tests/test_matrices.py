@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from trisqueeze import InvalidParameterError, collective_factors, double_factorial
-from trisqueeze.matrices import circulant_maps, hermite_table, mode_gains
+from trisqueeze import InvalidParameterError
+from trisqueeze.matrices import (circulant_maps, collective_factors, double_factorial, hermite_table,
+                                 mode_gains)
 
 GRID = [-1.0, -0.3, 0.0, 0.3, 1.0]
 COUPLING = np.ones((3, 3)) - np.eye(3)  # 0 on the diagonal, 1 off it (eigenvalues 2, -1, -1)

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from trisqueeze import (
-    DomainError,
     InvalidParameterError,
     NumericError,
     SingularParameterError,
     build_arena,
     coherent_ket,
-    collective_factors,
     evolve,
     fig1_scan,
     gm_pair,
@@ -19,7 +17,7 @@ from trisqueeze import (
     mean_power_paper,
     pk,
 )
-from trisqueeze.matrices import hermite_table
+from trisqueeze.matrices import collective_factors, hermite_table
 
 
 def _paper_k1(alpha, strength: float) -> float:
@@ -277,7 +275,7 @@ def test_pk_validation():
         pk(1, [1, 0, 0], 0.3)
     with pytest.raises(InvalidParameterError):
         pk(2, [1, 0, 0], 0.3, path="mean")
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParameterError, match="mean photon number"):
         pk(2, [0, 0, 0], 0.0, path="exact")
     with pytest.raises(SingularParameterError):
         pk(2, [1, 0, 0], 0.0, path="paper")
@@ -334,7 +332,7 @@ def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
 
 
 def test_pk_checks_every_amplitude_of_a_batch():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParameterError, match="mean photon number"):
         pk(2, [[1, 0, 0], [0, 0, 0]], 0.0)  # vacuum: no photons at zero strength
     with pytest.raises(NumericError):
         pk(2, [[1, 1, 1], [1e200, 0, 0]], 0.3)
