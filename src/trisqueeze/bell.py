@@ -72,7 +72,11 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     beta_prime = np.asarray(setting.beta_prime, dtype=complex)
     if beta.shape[-1:] != (3,) or beta_prime.shape[-1:] != (3,):
         raise InvalidParameterError("beta and beta_prime must have 3 components each")
-    points = np.where(_PRIMED, beta_prime[..., None, :], beta[..., None, :])
+    try:
+        points = np.where(_PRIMED, beta_prime[..., None, :], beta[..., None, :])
+    except ValueError:
+        raise InvalidParameterError(
+            f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
     if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
         raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused

@@ -4,10 +4,10 @@ Ground truth for every closed form in the package at small parameters: a
 state is propagated by applying the exponential of the squeeze generator,
 written in the truncated ladder operators, to its ket, so nothing here
 shares code (or derivation steps) with the Gaussian modules.
-A ket is a flat complex array of cutoff^3 amplitudes.  Kronecker ordering
-is mode1 (x) mode2 (x) mode3; basis index of the number state |n1 n2 n3> is
-(n1*cutoff + n2)*cutoff + n3, so a ladder operator of mode i shifts the flat
-index by its stride (cutoff^2, cutoff, 1).
+A ket is a flat array of cutoff^3 amplitudes, complex or real (``evolve``
+keeps its dtype).  Kronecker ordering is mode1 (x) mode2 (x) mode3; basis index
+of the number state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3, so a ladder
+operator of mode i shifts the flat index by its stride (cutoff^2, cutoff, 1).
 """
 
 import math
@@ -60,7 +60,7 @@ class FockArena:
         self.lowering = [(s, roots[i, :-s]) for i, s in enumerate(strides)]
         self.pairs = [(strides[i] + strides[j], (roots[i] * roots[j])[:-strides[i] - strides[j]])
                       for i, j in ((0, 1), (0, 2), (1, 2))]
-        self.parity_signs = (-1.0) ** occ.sum(axis=0)
+        self.parity_signs = np.where(occ.sum(axis=0) % 2, -1.0, 1.0)
 
 
 def build_arena(cutoff: int) -> FockArena:
@@ -71,19 +71,19 @@ def build_arena(cutoff: int) -> FockArena:
 def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     """e^{K}|ket> with K = i*strength*[Q1(P2+P3) + Q2(P1+P3) + Q3(P1+P2)].
 
-    Modes commute even when truncated, so i(Q_i P_j + Q_j P_i) = a_i a_j -
-    a_i^dag a_j^dag: K = strength * sum_{i<j} of these is real antisymmetric
-    (the norm is kept, e^{-K} undoes the step).  Column m of K/|strength|
-    sums sqrt(m_i m_j) + sqrt((m_i+1)(m_j+1)) over the pairs, the second
-    term only while m_i, m_j <= c-2; each pair's sum peaks at 2c-3 for
-    m_i = m_j = c-2 (it is at most c-1 if either is c-1), all three at
-    m = (c-2, c-2, c-2), so ||K||_1 = ||K||_inf = |strength|(6c-9) >= ||K||_2.
-    Scaled Taylor sums (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)): ceil(||K||_1/TAYLOR_THETA) steps e^{K/steps} of 1-norm rho.
-    Each term past the k-th shrinks by rho/(k+1) or more, so once k+1 > rho
-    the tail is at most ||term_k|| rho/(k+1-rho); a step stops when that is
-    below 2^-53 of its sum.  Raises TruncationError past MAX_TAYLOR_STEPS, or
-    with over BOUNDARY_MASS_LIMIT of the evolved ket on the outermost shell.
+    Modes commute even when truncated, so i(Q_i P_j + Q_j P_i) = a_i a_j - a_i^dag a_j^dag:
+    K = strength * sum_{i<j} of these is real antisymmetric (the norm is kept, e^{-K} undoes
+    the step).  Its entries are products of ladder weights sqrt(n), with no i left, so e^K
+    maps a real ket to a real one: a ket with no imaginary part is evolved in real
+    arithmetic, and the result has the ket's dtype.  Column m of K/|strength| sums
+    sqrt(m_i m_j) + sqrt((m_i+1)(m_j+1)) over the pairs, the second term only while m_i,
+    m_j <= c-2; each pair's sum peaks at 2c-3 for m_i = m_j = c-2 (it is at most c-1 if
+    either is c-1), all three at m = (c-2, c-2, c-2), so ||K||_1 = ||K||_inf =
+    |strength|(6c-9) >= ||K||_2.  Scaled Taylor sums (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)): ceil(||K||_1/TAYLOR_THETA) steps e^{K/steps} of 1-norm rho.
+    Each term past the k-th shrinks by rho/(k+1) or more, so once k+1 > rho the tail is at
+    most ||term_k|| rho/(k+1-rho); a step stops when that is below 2^-53 of its sum.  Raises
+    TruncationError past MAX_TAYLOR_STEPS, or with over BOUNDARY_MASS_LIMIT on the outer shell.
     """
     strength = check_strength(strength)
     norm1 = abs(strength) * (6 * arena.cutoff - 9)
@@ -91,15 +91,16 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
         raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
     steps = max(1, math.ceil(norm1 / TAYLOR_THETA))
     rho, scale = norm1 / steps, strength / steps
-    pairs = [(off, w.astype(np.result_type(w, ket))) for off, w in arena.pairs]  # cast once
+    real = not ket.imag.any()  # K is real: a real ket stays real, in real arithmetic
+    moved = ket.real if real else ket
+    pairs = [(off, w.astype(np.result_type(w, moved))) for off, w in arena.pairs]  # cast once
     # np.linalg.norm of a 1-D array by its own operations, so the same bits, without its dispatch
-    norm = lambda x: math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    moved = ket
+    norm = lambda x: math.sqrt(x.dot(x) if real else x.real.dot(x.real) + x.imag.dot(x.imag))
     for _ in range(steps):
         term, total, k = moved, moved.copy(), 0
         while k + 1 <= rho or norm(term) * rho > (k + 1 - rho) * 2.0**-53 * norm(total):
             k += 1
-            applied = np.zeros_like(term)
+            applied = np.zeros(term.shape, term.dtype)
             for off, w in pairs:
                 applied[:-off] += w * term[off:]
                 applied[off:] -= w * term[:-off]
@@ -114,7 +115,7 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
             f"{boundary:.3e} of the probability sits on the outermost Fock shell "
             f"(limit {BOUNDARY_MASS_LIMIT:g}); increase the cutoff or reduce the strength"
         )
-    return moved
+    return moved.astype(ket.dtype, copy=False)
 
 
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
@@ -129,9 +130,8 @@ def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
             raise TruncationError(
                 f"|alpha| = {abs(amp):.4g} too large for cutoff {arena.cutoff} (limit {limit:.4g})"
             )
-        vec = np.exp(-abs(amp) ** 2 / 2) * amp**n / np.exp(log_fact / 2)
-        factors.append(vec)
-    ket = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        factors.append(np.exp(-abs(amp) ** 2 / 2) * amp**n / np.exp(log_fact / 2))
+    ket = np.multiply.outer(np.multiply.outer(factors[0], factors[1]), factors[2]).reshape(-1)
     return ket / np.linalg.norm(ket)
 
 
@@ -194,10 +194,11 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
         inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T
     values, norm2 = [], np.vdot(ket, ket).real
     for triple in betas.reshape(-1, 3):
-        moved = ket.reshape(c, c, c)
-        for axis, beta in enumerate(triple):
-            moved = np.moveaxis(np.tensordot(inverse[beta], moved, axes=(1, axis)), 0, axis)
-        values.append((arena.parity_signs * np.abs(moved.reshape(-1)) ** 2).sum() / norm2)
+        moved = ket  # as np.tensordot(D, cube, (1, mode)) would: mode in front, the rest in order
+        for beta, axes in zip(triple, ((0, 1, 2), (1, 0, 2), (2, 1, 0))):  # of the last product
+            moved = np.dot(inverse[beta], moved.reshape(c, c, c).transpose(axes).reshape(c, c * c))
+        moved = moved.reshape(c, c, c).transpose(1, 2, 0).reshape(-1)  # back to (m0, m1, m2)
+        values.append((arena.parity_signs * np.abs(moved) ** 2).sum() / norm2)
     values = np.reshape(values, betas.shape[:-1])
     return float(values) if values.ndim == 0 else values
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_amplitudes, check_integer, check_strength,
-                     check_strengths, overflow_error, refuse_overflow)
+from .errors import (InvalidParameterError, NumericError, check_amplitudes, check_integer,
+                     check_strength, check_strengths, overflow_error, refuse_overflow)
 from .matrices import _exponentials, double_factorial, mode_gains
 
 __all__ = [
@@ -151,8 +151,13 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
         raise InvalidParameterError(f"moment order must be even and >= 2, got {order}")
     if order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
-    coeffs = np.asarray(query.coeffs, dtype=float).reshape(6)
-    return refuse_overflow("moment", state.strength, _moment, state, coeffs, order)
+    try:  # a moment that is not finite is the coefficients' fault if one of them is not finite
+        coeffs = np.asarray(query.coeffs, dtype=float).reshape(6)
+        return refuse_overflow("moment", state.strength, _moment, state, coeffs, order)
+    except (TypeError, ValueError, NumericError) as error:
+        if isinstance(error, NumericError) and np.isfinite(coeffs).all():
+            raise
+        raise InvalidParameterError("moment coefficients must be 6 finite real numbers") from None
 
 
 def hos_x(strength: float, m: int) -> float:
@@ -210,8 +215,10 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     p = np.asarray(p, dtype=float)
     if q.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise InvalidParameterError("q and p must have 3 components each")
-    if q.shape != p.shape:
-        q, p = np.broadcast_arrays(q, p)
+    try:
+        q, p = (q, p) if q.shape == p.shape else np.broadcast_arrays(q, p)
+    except ValueError:
+        raise InvalidParameterError(f"q {q.shape} and p {p.shape} do not broadcast") from None
     x = np.concatenate([q, p], axis=-1).reshape(q.shape[:-1] + (2, 3))
     if q.ndim + 1 < state.gains.ndim:
         raise InvalidParameterError("points need a leading axis for each strength axis of the state")

@@ -181,6 +181,12 @@ def test_wigner_slice_bytes_are_pinned(fmt, digest, capsys):
     (["fig2", "--lambda", "0:0.5:1", "--b", "0.05:0.05:0.5"],
      "78b29f4c8d3261189de09b520bc427df8a721070aedeca4c38c6f2f9b2c4a81a"),
     (["errata"], "81fbf13ab5e06f27eb04a4faaa22d1abe08c29ec6a640534f818937b9d6b0167"),
+    (["oracle-check", "--quantity", "b3", "--lambda", "0.2", "--b", "0.3", "--cutoffs", "6,8,10"],
+     "428560baadc3091872f06b22f8162cb477aafafa110799ab370769ab9f6ce241"),
+    (["oracle-check", "--quantity", "parity", "--lambda", "0.2", "--alpha", "0.3,0.2,-0.25",
+      "--cutoffs", "6,8"], "cb109da450a8acc99ff4383ff2412c84221b12b283f565437b625b94edc0c098"),
+    (["oracle-check", "--quantity", "vacuum-amp", "--cutoffs", "6,8,10"],
+     "aef160a5359e973f7517e1db8c04e29dbcf18306cb99ae97368caaf7ddece211"),
 ])
 def test_json_bytes_are_pinned(argv, digest, capsys):
     # json.dumps writes every cell as it is (np.float64 through float.__repr__);

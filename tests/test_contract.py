@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import trisqueeze
-from trisqueeze import (MomentQuery, build_arena, central_moment, coherent_ket, convergence_report,
-                        displaced_parity, evolve, fig2_scan, gm_pair, hos_x, hos_y, make_state,
-                        mean_power, mean_power_exact, mean_power_paper, moment_x3, pk)
+from trisqueeze import (BellSetting, MomentQuery, b3, build_arena, central_moment, coherent_ket,
+                        convergence_report, displaced_parity, evolve, fig2_scan, gm_pair, hos_x,
+                        hos_y, make_state, mean_power, mean_power_exact, mean_power_paper,
+                        moment_x3, pk, wigner)
 from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
@@ -106,6 +107,31 @@ def test_integer_parameters_share_one_type_rule(call):
     for bad in (2.0, 2.5, True, np.bool_(True), "2"):
         with pytest.raises(InvalidParameterError, match="must be an integer, got"):
             call(bad)
+
+
+# (name, call) of malformed arrays that numpy refused with a bare ValueError or TypeError, or
+# that central_moment took for an overflow
+MALFORMED = [
+    ("wigner leading axes", lambda: wigner(STATE, np.zeros((2, 3)), np.zeros((3, 3)))),
+    ("b3 leading axes", lambda: b3(STATE, BellSetting(np.zeros((2, 3)), np.zeros((3, 3))))),
+    ("five coefficients", lambda: central_moment(STATE, MomentQuery(np.ones(5), 2))),
+    ("string coefficients", lambda: central_moment(STATE, MomentQuery(["x"] * 6, 2))),
+    ("nan coefficients", lambda: central_moment(make_state(0.3, (0, 0, 0)),
+                                                MomentQuery([math.nan] * 6, 2))),
+    ("infinite coefficient", lambda: central_moment(STATE, MomentQuery([math.inf] + [0] * 5, 2))),
+]
+
+
+@pytest.mark.parametrize("call", [entry[1] for entry in MALFORMED],
+                         ids=[entry[0] for entry in MALFORMED])
+def test_malformed_arrays_are_invalid_parameters(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+def test_finite_coefficients_that_overflow_stay_numeric_errors():
+    with pytest.raises(NumericError, match="moment overflows double precision"):
+        central_moment(STATE, MomentQuery([1e200] * 6, 4))
 
 
 @pytest.mark.parametrize("argv", [

@@ -220,6 +220,24 @@ def test_evolve_is_bit_identical_to_the_reference_loop(monkeypatch, cutoff):
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+@pytest.mark.parametrize("cutoff", [6, 10, 14])
+def test_evolve_is_the_same_in_either_field(cutoff):
+    # K is real, so a ket with no imaginary part is evolved in real arithmetic and i times it
+    # in complex arithmetic: the two agree exactly, both come back complex, and neither
+    # input is written to
+    arena = build_arena(cutoff)
+    for alpha in ((0, 0, 0), (0.3, -0.2, 0.25)):
+        ket = coherent_ket(arena, alpha)
+        for strength in (-0.3, 0.2):
+            rotated = 1j * ket
+            inputs = ket.copy(), rotated.copy()
+            moved = evolve(arena, strength, ket)
+            moved_rotated = evolve(arena, strength, rotated)
+            assert moved.dtype == moved_rotated.dtype == complex
+            assert np.array_equal(moved_rotated, 1j * moved)
+            assert np.array_equal(ket, inputs[0]) and np.array_equal(rotated, inputs[1])
+
+
 def test_coherent_ket_basics(arena14):
     vac = coherent_ket(arena14, [0, 0, 0])
     assert vac[0] == pytest.approx(1.0)
