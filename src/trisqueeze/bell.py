@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_strength, check_strengths
+from .errors import InvalidParameterError, check_strength
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import GaussianState, _mode_sums, _quadratures, _wigner_modes, make_state
 
@@ -107,12 +107,12 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     (strength, b_star, b3_max).
     """
     b_values = np.asarray(b_values, dtype=float).reshape(-1)
-    strengths = check_strengths(strengths).reshape(-1)
-    if b_values.size == 0 or strengths.size == 0:
+    if b_values.size == 0:
         raise InvalidParameterError("empty scan grid")
     if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
         raise InvalidParameterError("b grid must be positive and strictly increasing")
-    state = make_state(strengths, FIG2_ALPHA)
+    state = make_state(np.asarray(strengths, dtype=object).reshape(-1), FIG2_ALPHA)
+    strengths = state.strength
     fn = lambda b: _b3(state, b[..., None, None, None] * _FIG2_POINTS)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         grid = b_values[:, None, None, None] * _FIG2_POINTS
@@ -191,8 +191,8 @@ def max_b3(strengths) -> list[tuple[float, float, float, float]]:
     state batched over the strengths at alpha = 0, mu = 0, at these settings.
     Returns rows (strength, a, b, b3_max).
     """
-    strengths = check_strengths(strengths).reshape(-1)
-    state = make_state(strengths, (0, 0, 0))
+    state = make_state(np.asarray(strengths, dtype=object).reshape(-1), (0, 0, 0))
+    strengths = state.strength
     s = np.abs(strengths)
     log_ratio = 6 * s + np.log1p(np.expm1(-6 * s) / 3)  # L, accurate as s -> 0
     radius = math.sqrt(3) / 2 * np.sqrt(log_ratio / (2 + np.exp(-6 * s)))

@@ -1,33 +1,29 @@
 """Exception types and the parameter domain, which no other module checks itself.
 
 A squeezing strength is a finite int or float, not a bool (:func:`check_strength`; each of
-an array by :func:`check_strengths`), and is checked before the amplitudes.  An order, a
-power or a cutoff is a Python or numpy int, not a bool (:func:`check_integer`).  Coherent
-amplitudes and displacements are finite complex triples, shape (..., 3); a real or
-imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the
+an array by :func:`check_strengths`), checked before the amplitudes by the entry point that
+takes it, not by the helpers under it.  An order, a power or a cutoff is a Python or numpy
+int, not a bool (:func:`check_integer`).  Coherent amplitudes and displacements are finite
+triples, shape (..., 3), of ints, floats or complex numbers, not bools or strings; a real
+or imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the
 largest displacement on a normal mode, must stay finite (:func:`check_amplitudes`).  A
 result that is not finite raises NumericError "<what> overflows double precision at
 strength <s>" (:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its
-CLI exit code and stderr prefix: 2 and "error" for InvalidParameterError (argparse
-failures too), 3 and "numeric failure" for NumericError.
+CLI exit code and stderr prefix: 2 and "error" for InvalidParameterError (argparse failures
+too), 3 and "numeric failure" for NumericError.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["InvalidParameterError", "SingularParameterError", "NumericError", "TruncationError"]
+__all__ = ["InvalidParameterError", "NumericError", "TruncationError"]
 
 
 class InvalidParameterError(ValueError):
     """An argument is outside the documented domain of an operation."""
 
     exit_code, prefix = 2, "error"
-
-
-class SingularParameterError(InvalidParameterError):
-    """A parameter value at which a closed form is singular (e.g. zero squeezing
-    in the ratio-of-exponentials amplitude pair)."""
 
 
 class NumericError(RuntimeError):
@@ -67,7 +63,10 @@ def check_strengths(strengths) -> np.ndarray:
 
 def check_amplitudes(values, what: str, name: str = "coherent amplitudes") -> np.ndarray:
     """``values`` as a complex array; ``what`` names what a part above 7e307 would overflow."""
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
+    if values.dtype.kind not in "iufc":  # ints, floats or complex numbers
+        raise InvalidParameterError(f"{name} must be numbers, got {values.dtype} values")
+    values = values.astype(complex, copy=False)
     if values.shape[-1:] != (3,):
         raise InvalidParameterError(f"{name} must have shape (..., 3), got {values.shape}")
     largest = np.abs(np.ascontiguousarray(values).view(float)).max(initial=0.0)

@@ -120,7 +120,9 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
 
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
-    alpha = check_amplitudes(alpha, "coherent ket").reshape(3)
+    alpha = check_amplitudes(alpha, "coherent ket").reshape(-1)
+    if alpha.size != 3:
+        raise InvalidParameterError(f"coherent amplitudes must be one triple, got {alpha.size} values")
     # the tail guard |alpha|^2 <= cutoff/4, compared unsquared so that it cannot overflow
     factors, limit = [], math.sqrt(arena.cutoff) / 2
     n = np.arange(arena.cutoff)

@@ -34,7 +34,7 @@ __all__ = [
     "wigner",
 ]
 
-MAX_MOMENT_ORDER = 16  # double factorials stay well inside float64 range
+MAX_MOMENT_ORDER = 16  # a domain bound, not a range limit: 15!! = 2 027 025 is exact in float64
 
 # The normal modes are the integer vectors (1,1,1), (1,-1,0), (1,1,-2), the
 # columns of _INTEGER_MODES, over their norms; _MODES has the unit vectors.
@@ -123,7 +123,9 @@ def make_state(strength, alpha) -> GaussianState:
             raise InvalidParameterError("empty strength array")
     else:
         strength = check_strength(strength)
-    alpha = check_amplitudes(alpha, "coherent displacement").reshape(3)
+    alpha = check_amplitudes(alpha, "coherent displacement").reshape(-1)
+    if alpha.size != 3:
+        raise InvalidParameterError(f"coherent amplitudes must be one triple, got {alpha.size} values")
     gains = (np.stack([mode_gains(s) for s in strength.flat]).reshape(strength.shape + (2, 3))
              if batched else mode_gains(strength))
     displacement = _quadratures(alpha) @ _MODES
@@ -152,7 +154,10 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     if order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
     try:  # a moment that is not finite is the coefficients' fault if one of them is not finite
-        coeffs = np.asarray(query.coeffs, dtype=float).reshape(6)
+        coeffs = np.asarray(query.coeffs)
+        if coeffs.dtype.kind not in "iuf":  # float() reads bools and strings, drops imaginary parts
+            raise TypeError
+        coeffs = coeffs.astype(float).reshape(6)
         return refuse_overflow("moment", state.strength, _moment, state, coeffs, order)
     except (TypeError, ValueError, NumericError) as error:
         if isinstance(error, NumericError) and np.isfinite(coeffs).all():
@@ -187,7 +192,7 @@ def _hos(strength: float, m: int, rate: int) -> float:
 
 def two_mode_baseline_variance(strength: float) -> tuple[float, float]:
     """Quadrature variances (e^{-2s}/4, e^{2s}/4) of the two-mode benchmark squeezer."""
-    shrink2, grow2, _, _ = _exponentials(strength)
+    shrink2, grow2, _, _ = _exponentials(check_strength(strength))
     return shrink2 / 4, grow2 / 4
 
 
@@ -230,8 +235,12 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
 def _wigner_modes(state: GaussianState, x: np.ndarray, modes: np.ndarray) -> np.ndarray:
     # W at the points x (..., 2, 3) from modes = _mode_sums(x), which does not depend on the state;
     # the state axes go in front of the points' leading axes.  The caller ignores over/invalid.
-    gains = state.gains.reshape(state.gains.shape[:-2] + (1,) * (x.ndim - state.gains.ndim) + (2, 3))
-    t = modes * (gains / _NORMS) - state.displacement
+    lead = state.gains.shape[:-2]
+    gains = state.gains.reshape(lead + (1,) * (x.ndim - state.gains.ndim) + (2, 3))
+    try:
+        t = modes * (gains / _NORMS) - state.displacement
+    except ValueError:
+        raise InvalidParameterError(f"points {x.shape[:-2]} do not line up with strengths {lead}") from None
     exponent = _total(t * t)
     if not np.isfinite(exponent).all():
         if not np.isfinite(x).all():

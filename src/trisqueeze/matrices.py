@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_strength, overflow_error
+from .errors import overflow_error
 
 __all__ = [
     "mode_gains",
@@ -28,8 +28,9 @@ __all__ = [
 
 
 def _exponentials(strength) -> tuple[float, float, float, float]:
-    # (e^{-2s}, e^{2s}, e^{-s}, e^{s}); math.exp raises where one overflows, with no numpy scope
-    s = check_strength(strength)
+    # (e^{-2s}, e^{2s}, e^{-s}, e^{s}) of a checked strength; math.exp raises where one
+    # overflows, with no numpy scope (a numpy scalar would warn instead, hence float())
+    s = float(strength)
     try:
         return math.exp(-2 * s), math.exp(2 * s), math.exp(-s), math.exp(s)
     except OverflowError:
@@ -71,8 +72,6 @@ def hermite_table(m: int, x) -> list:
     Accepts real, complex or array arguments (each entry is an array of
     their shape).
     """
-    if m < 0:
-        raise InvalidParameterError("Hermite order must be non-negative")
     x = np.asarray(x)
     table = [np.ones_like(x), 2 * x]
     for k in range(1, m):
@@ -82,8 +81,6 @@ def hermite_table(m: int, x) -> list:
 
 def double_factorial(n: int) -> int:
     """(n)!! for odd n >= -1, with (-1)!! = 1 (empty product)."""
-    if n < -1 or n % 2 == 0:
-        raise InvalidParameterError(f"double factorial needs an odd integer >= -1, got {n}")
     out = 1
     for k in range(n, 1, -2):
         out *= k

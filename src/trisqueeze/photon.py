@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, SingularParameterError, check_amplitudes,
-                     check_integer, check_strength, refuse_overflow)
+from .errors import (InvalidParameterError, check_amplitudes, check_integer, check_strength,
+                     refuse_overflow)
 from .matrices import collective_factors, hermite_table
 
 __all__ = [
@@ -61,33 +61,31 @@ class PkResult:
 
 
 def _triples(alpha, strength: float, what: str) -> tuple[np.ndarray, bool, tuple]:
-    """``alpha`` (shape (..., 3)) with at least one leading axis, whether it was a single
-    triple, and ``collective_factors(strength)``; a non-finite strength is refused first.
+    """The amplitude sums of ``alpha`` (..., 3), with at least one axis, whether it was one
+    triple, and the collective factors; checks the strength, the amplitudes, then the sums.
 
     A single triple runs through the same array arithmetic as a grid of them,
     so its values equal that grid point's bit for bit; results for it are
     handed back as plain numbers by :func:`_plain`.
     """
-    check_strength(strength)
+    strength = check_strength(strength)
     alpha = check_amplitudes(alpha, what)
-    single = alpha.ndim == 1
-    return (alpha[None] if single else alpha), single, collective_factors(strength)
+    single, factors = alpha.ndim == 1, collective_factors(strength)
+    a = alpha[None] if single else alpha
+    total = refuse_overflow(what, strength, lambda: a[..., 0] + a[..., 1] + a[..., 2])
+    return total, single, factors
 
 
 def _plain(values: np.ndarray, single: bool):
     return values[0].item() if single else values
 
 
-def _amplitude_sum(triples: np.ndarray) -> np.ndarray:
-    return triples[..., 0] + triples[..., 1] + triples[..., 2]
-
-
 def _gm(total: np.ndarray, strength: float, factors: tuple) -> tuple[np.ndarray, np.ndarray]:
     # ``factors`` is collective_factors(strength), as in every helper below that takes it
     coll_sum, coll_diff = factors
     if coll_diff == 0:
-        raise SingularParameterError(f"closed route undefined at strength {strength:g}; "
-                                     "use the exact route")
+        raise InvalidParameterError(f"closed route undefined at strength {strength:g}; "
+                                    "use the exact route")
     root_sd = cmath.sqrt(2 * coll_sum / (3 * coll_diff))
     root_ds = (2.0 / 3.0) / root_sd  # ZeroDivisionError where only 3 coll_diff overflowed
     conj = np.conj(total)
@@ -99,8 +97,8 @@ def _gm(total: np.ndarray, strength: float, factors: tuple) -> tuple[np.ndarray,
 def gm_pair(alpha, strength: float) -> tuple:
     """Amplitude pair (G, M) of the closed route.
 
-    Singular where coll_diff = e^{-2s} - e^{2s} rounds to zero (zero
-    strength, and |s| below about 1e-17): the square roots divide by it.
+    InvalidParameterError where coll_diff = e^{-2s} - e^{2s} rounds to zero
+    (zero strength, and |s| below about 1e-17): the square roots divide by it.
     For |s| from about 354.34 to 354.54 their ratio is 0, because only
     3 coll_diff overflows, and NumericError is raised, as where G or M overflows.
     The two roots are branch-locked so that their product is 2/3: that
@@ -109,8 +107,8 @@ def gm_pair(alpha, strength: float) -> tuple:
     Broadcasts over the leading axes of ``alpha``.
     """
     what = "closed-route amplitude pair"
-    triples, single, factors = _triples(alpha, strength, what)
-    g, m = refuse_overflow(what, strength, lambda: _gm(_amplitude_sum(triples), strength, factors))
+    total, single, factors = _triples(alpha, strength, what)
+    g, m = refuse_overflow(what, strength, _gm, total, strength, factors)
     return _plain(g, single), _plain(m, single)
 
 
@@ -207,9 +205,8 @@ def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     what = "photon-number moment"
-    triples, single, factors = _triples(alpha, strength, what)
-    (value,) = refuse_overflow(what, strength,
-                               lambda: _powers(path, (k,), _amplitude_sum(triples), strength, factors))
+    total, single, factors = _triples(alpha, strength, what)
+    (value,) = refuse_overflow(what, strength, _powers, path, (k,), total, strength, factors)
     return _plain(value, single)
 
 
@@ -230,10 +227,9 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     if path not in ("paper", "exact"):
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
     what = f"P_{k}"
-    triples, single, factors = _triples(alpha, strength, what)
+    total, single, factors = _triples(alpha, strength, what)
 
     def statistic(route):
-        total = _amplitude_sum(triples)
         if route == "exact":
             # each Wick term has degree 2k in (beta, sqrt(n), sqrt(m)), so dividing beta by
             # sqrt(N) and n, m by N, N = <A^dag A> = |beta|^2 + t^2, gives P_k + 1; no
@@ -253,12 +249,8 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
         return power / mean_photon**k - 1
 
     exact_value = refuse_overflow(what, strength, statistic, "exact")
-    try:
-        paper_value = refuse_overflow(what, strength, statistic, "paper")
-    except SingularParameterError:
-        if path == "paper":
-            raise
-        paper_value = None
+    closed = factors[1] != 0 or path == "paper"  # _gm refuses coll_diff = 0 for path "paper"
+    paper_value = refuse_overflow(what, strength, statistic, "paper") if closed else None
     discrepancy = None if paper_value is None else _plain(np.abs(paper_value - exact_value), single)
     return PkResult(k=k, paper_value=None if paper_value is None else _plain(paper_value, single),
                     exact_value=_plain(exact_value, single), discrepancy=discrepancy, path=path)

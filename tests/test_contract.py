@@ -16,7 +16,7 @@ import trisqueeze
 from trisqueeze import (BellSetting, MomentQuery, b3, build_arena, central_moment, coherent_ket,
                         convergence_report, displaced_parity, evolve, fig2_scan, gm_pair, hos_x,
                         hos_y, make_state, mean_power, mean_power_exact, mean_power_paper,
-                        moment_x3, pk, wigner)
+                        moment_x3, pk, two_mode_baseline_variance, wigner)
 from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
@@ -34,6 +34,8 @@ ENTRY_POINTS = [
     ("mean_power_exact", "sa", lambda s, a: mean_power_exact(2, a, s)),
     ("mean_power_paper", "sa", lambda s, a: mean_power_paper(2, a, s)),
     ("hos_x", "s", lambda s, a: hos_x(s, 1)),
+    # checks its own strength: the matrices helper under it takes a checked one
+    ("two_mode_baseline_variance", "s", lambda s, a: two_mode_baseline_variance(s)),
     ("evolve", "s", lambda s, a: evolve(ARENA, s, KET)),
     # np.asarray(strengths, dtype=float) read max_b3([True]) and fig2_scan(["0.3"], ...) as floats
     ("fig2_scan", "s", lambda s, a: fig2_scan([s], [0.3])),
@@ -58,6 +60,10 @@ def test_entry_points_share_one_domain(inputs, call):
                 with pytest.raises(InvalidParameterError):
                     call(0.3, alpha)
     if "a" in inputs:
+        # np.asarray(alpha, dtype=complex) read these as (1, 0, 0)
+        for alpha in (("1", "0", "0"), (True, False, False)):
+            with pytest.raises(InvalidParameterError, match="must be numbers"):
+                call(0.3, alpha)
         # finite parts above 7e307; gm_pair answered (1e308, 0, 0) at s = 0.3
         for alpha in ((1e308, 0, 0), (0, 0, -1e308j)):
             with pytest.raises(NumericError, match="7e307"):
@@ -109,19 +115,28 @@ def test_integer_parameters_share_one_type_rule(call):
             call(bad)
 
 
+BATCH = make_state([0.1, 0.2, 0.3], (0, 0, 0))
 # (name, call) of malformed arrays that numpy refused with a bare ValueError or TypeError, or
-# that central_moment took for an overflow
+# that central_moment took for an overflow or read as real numbers
 MALFORMED = [
     ("wigner leading axes", lambda: wigner(STATE, np.zeros((2, 3)), np.zeros((3, 3)))),
     ("b3 leading axes", lambda: b3(STATE, BellSetting(np.zeros((2, 3)), np.zeros((3, 3))))),
+    ("wigner strength axes", lambda: wigner(BATCH, np.zeros((2, 3)), np.zeros((2, 3)))),
+    ("b3 strength axes", lambda: b3(BATCH, BellSetting(np.zeros((2, 3)), np.zeros((2, 3))))),
+    ("make_state two triples", lambda: make_state(0.3, np.zeros((2, 3)))),
+    ("coherent_ket two triples", lambda: coherent_ket(ARENA, np.zeros((2, 3)))),
     ("five coefficients", lambda: central_moment(STATE, MomentQuery(np.ones(5), 2))),
     ("string coefficients", lambda: central_moment(STATE, MomentQuery(["x"] * 6, 2))),
+    ("numeric string coefficients", lambda: central_moment(STATE, MomentQuery(["1"] * 6, 2))),
+    ("bool coefficients", lambda: central_moment(STATE, MomentQuery([True] * 6, 2))),
+    ("complex coefficients", lambda: central_moment(STATE, MomentQuery(np.ones(6) * (1 + 1j), 2))),
     ("nan coefficients", lambda: central_moment(make_state(0.3, (0, 0, 0)),
                                                 MomentQuery([math.nan] * 6, 2))),
     ("infinite coefficient", lambda: central_moment(STATE, MomentQuery([math.inf] + [0] * 5, 2))),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call", [entry[1] for entry in MALFORMED],
                          ids=[entry[0] for entry in MALFORMED])
 def test_malformed_arrays_are_invalid_parameters(call):

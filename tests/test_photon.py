@@ -6,7 +6,6 @@ import pytest
 from trisqueeze import (
     InvalidParameterError,
     NumericError,
-    SingularParameterError,
     build_arena,
     coherent_ket,
     evolve,
@@ -97,9 +96,9 @@ def test_gm_squares_match_printed_expansions():
 
 
 def test_gm_singular_at_zero_strength():
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(InvalidParameterError, match="closed route undefined"):
         gm_pair([1, 0, 0], 0.0)
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(InvalidParameterError, match="closed route undefined"):
         mean_power_paper(1, [1, 0, 0], 0.0)
 
 
@@ -277,7 +276,7 @@ def test_pk_validation():
         pk(2, [1, 0, 0], 0.3, path="mean")
     with pytest.raises(InvalidParameterError, match="mean photon number"):
         pk(2, [0, 0, 0], 0.0, path="exact")
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(InvalidParameterError, match="closed route undefined"):
         pk(2, [1, 0, 0], 0.0, path="paper")
 
 
@@ -306,16 +305,20 @@ def test_mean_powers_raise_on_overflow_without_warnings():
 
 
 def test_amplitude_sums_that_overflow_raise_without_warnings():
-    # the sum of the three amplitudes overflowed outside any np.errstate
+    # the sum of the three amplitudes overflowed outside any np.errstate; parts of 7e307 pass
+    # the amplitude check, and three of them sum past the largest double
     big = [1e308, 1e308, 0]
-    for route in (mean_power_exact, mean_power_paper):
-        with pytest.raises(NumericError):
-            route(2, big, 0.3)
-    for path in ("exact", "paper"):
-        with pytest.raises(NumericError):
-            pk(2, big, 0.3, path=path)
+    for alpha in (big, [7e307] * 3, [[1, 1, 1], [7e307j] * 3]):
+        for route in (mean_power_exact, mean_power_paper):
+            with pytest.raises(NumericError):
+                route(2, alpha, 0.3)
+        for path in ("exact", "paper"):
+            with pytest.raises(NumericError):
+                pk(2, alpha, 0.3, path=path)
     with pytest.raises(NumericError, match="amplitude pair overflows"):
         gm_pair(big, 0.3)
+    with pytest.raises(NumericError, match="amplitude pair overflows"):
+        gm_pair([7e307] * 3, 0.3)
     with pytest.raises(NumericError, match="amplitude pair overflows"):
         gm_pair([1e308, 0, 0], 0.01)  # the sum is finite, G and M are not
 
@@ -325,9 +328,9 @@ def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
     result = pk(2, [1, 1, 1], 1e-300)
     assert result.paper_value is None and result.discrepancy is None
     assert result.exact_value == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(InvalidParameterError, match="closed route undefined"):
         pk(2, [1, 1, 1], 1e-300, path="paper")
-    with pytest.raises(SingularParameterError):
+    with pytest.raises(InvalidParameterError, match="closed route undefined"):
         gm_pair([1, 0, 0], -1e-300)
 
 
