@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_strength
+from .errors import InvalidParameterError, check_numbers, check_strength
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import GaussianState, _mode_sums, _quadratures, _wigner_modes, make_state
 
@@ -42,7 +42,7 @@ def fig2_setting(b) -> BellSetting:
     ``beta_prime`` then have shape b.shape + (3,), which :func:`b3`
     evaluates in one call.
     """
-    b = np.asarray(b, dtype=float)
+    b = check_numbers(b, "displacement magnitude")
     if not (ok := (b > 0) & (b < math.inf)).all():
         bad = b.flat[np.argmin(ok)]
         raise InvalidParameterError(f"displacement magnitude must be positive and finite, got {bad}")
@@ -68,20 +68,25 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     broadcast, and the result has their shape (a float for one setting).
     The four correlations of every setting come from one call of the fig2_scan kernel.
     """
-    beta = np.asarray(setting.beta, dtype=complex)
-    beta_prime = np.asarray(setting.beta_prime, dtype=complex)
-    if beta.shape[-1:] != (3,) or beta_prime.shape[-1:] != (3,):
-        raise InvalidParameterError("beta and beta_prime must have 3 components each")
-    try:
-        points = np.where(_PRIMED, beta_prime[..., None, :], beta[..., None, :])
-    except ValueError:
-        raise InvalidParameterError(
-            f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
+    points = _points(setting)
     if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
         raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         total = _b3(state, _quadratures(points))
     return total if total.ndim else float(total)
+
+
+def _points(setting: BellSetting) -> np.ndarray:
+    # the four correlation points (..., 4, 3) of the settings, as _PRIMED picks them
+    beta = check_numbers(setting.beta, "Bell settings", "iufc")
+    beta_prime = check_numbers(setting.beta_prime, "Bell settings", "iufc")
+    if beta.shape[-1:] != (3,) or beta_prime.shape[-1:] != (3,):
+        raise InvalidParameterError("beta and beta_prime must have 3 components each")
+    try:
+        return np.where(_PRIMED, beta_prime[..., None, :], beta[..., None, :])
+    except ValueError:
+        raise InvalidParameterError(
+            f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
 
 
 def _b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
@@ -106,7 +111,7 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     value is ``b3(state, fig2_setting(b))`` bit for bit.  Returns rows
     (strength, b_star, b3_max).
     """
-    b_values = np.asarray(b_values, dtype=float).reshape(-1)
+    b_values = check_numbers(b_values, "b grid").reshape(-1)
     if b_values.size == 0:
         raise InvalidParameterError("empty scan grid")
     if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
@@ -143,11 +148,12 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     return [(float(s), float(x), float(v)) for s, x, v in zip(strengths, b_star, best)]
 
 
-def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -> tuple[float, float]:
+def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -> tuple:
     """B(3) from the Gaussian engine next to the Fock parity measurement.
 
-    Returns (analytic, oracle); restricted to |strength| <= 0.3 where the
-    truncated oracle is trustworthy at reachable cutoffs.
+    Returns (analytic, oracle), each of the settings' leading shape as in
+    :func:`b3` (floats for one setting); restricted to |strength| <= 0.3
+    where the truncated oracle is trustworthy at reachable cutoffs.
     """
     if abs(check_strength(strength)) > 0.3:
         raise InvalidParameterError("oracle regime is |strength| <= 0.3")
@@ -156,10 +162,9 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
 
     arena = build_arena(cutoff)
     ket = evolve(arena, strength, coherent_ket(arena, alpha))
-    points = np.where(_PRIMED, np.asarray(setting.beta_prime), np.asarray(setting.beta))
-    corr = displaced_parity(arena, ket, points)
-    oracle = float(corr[0] + corr[1] + corr[2] - corr[3])
-    return analytic, oracle
+    corr = displaced_parity(arena, ket, _points(setting))
+    oracle = corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
+    return analytic, oracle if oracle.ndim else float(oracle)
 
 
 def max_b3(strengths) -> list[tuple[float, float, float, float]]:

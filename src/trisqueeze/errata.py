@@ -12,7 +12,7 @@ import numpy as np
 
 from .fock import build_arena, coherent_ket, displaced_parity, evolve, ladder
 from .gaussian import _quadratures, make_state, wigner
-from .matrices import circulant_maps, collective_factors, mode_gains
+from .matrices import collective_factors
 from .photon import gm_pair, mean_power_exact
 
 __all__ = ["build_errata"]
@@ -27,12 +27,11 @@ def _wigner_entry() -> dict:
     state = make_state(strength, _PROBE_ALPHA)
     betas = np.array([0.25 + 0.1j, -0.15, 0.1 - 0.2j])
     q, p = _quadratures(betas)
-    sig, chi = _quadratures(_PROBE_ALPHA)
 
     implemented = float(math.pi**3 * wigner(state, q, p))
-    # literal matrix attachment: contracting exponential on q, expanding on p
-    q_map, p_map = circulant_maps(mode_gains(strength))
-    swapped = math.exp(-np.sum((q_map @ q - sig) ** 2) - np.sum((p_map @ p - chi) ** 2))
+    # literal matrix attachment, contracting exponential on q and expanding on p: the maps of
+    # strength -s, whose gains are those of s with the q and p rows swapped
+    swapped = float(math.pi**3 * wigner(make_state(-strength, _PROBE_ALPHA), q, p))
 
     arena = build_arena(_PROBE_CUTOFF)
     ket = evolve(arena, strength, coherent_ket(arena, _PROBE_ALPHA))

@@ -3,14 +3,16 @@
 A squeezing strength is a finite int or float, not a bool (:func:`check_strength`; each of
 an array by :func:`check_strengths`), checked before the amplitudes by the entry point that
 takes it, not by the helpers under it.  An order, a power or a cutoff is a Python or numpy
-int, not a bool (:func:`check_integer`).  Coherent amplitudes and displacements are finite
-triples, shape (..., 3), of ints, floats or complex numbers, not bools or strings; a real
-or imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the
-largest displacement on a normal mode, must stay finite (:func:`check_amplitudes`).  A
-result that is not finite raises NumericError "<what> overflows double precision at
-strength <s>" (:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its
-CLI exit code and stderr prefix: 2 and "error" for InvalidParameterError (argparse failures
-too), 3 and "numeric failure" for NumericError.
+int, not a bool (:func:`check_integer`).  Phase-space points, scan grids and moment
+coefficients are arrays of ints or floats, and Bell settings may hold complex numbers too,
+never bools or strings (:func:`check_numbers`).  Coherent amplitudes and displacements are
+finite triples, shape (..., 3), of such numbers, complex allowed; a real or imaginary part
+above 7e307 in size raises NumericError, since sqrt(6) times it, the largest displacement on
+a normal mode, must stay finite (:func:`check_amplitudes`).  A result that is not finite
+raises NumericError "<what> overflows double precision at strength <s>"
+(:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its CLI exit code and
+stderr prefix: 2 and "error" for InvalidParameterError (argparse failures too), 3 and
+"numeric failure" for NumericError.
 """
 
 import math
@@ -61,12 +63,23 @@ def check_strengths(strengths) -> np.ndarray:
     return np.array([check_strength(s) for s in cells.flat], dtype=float).reshape(cells.shape)
 
 
+def check_numbers(values, name: str, kinds: str = "iuf") -> np.ndarray:
+    """``values`` as a float array, or a complex one if ``kinds`` holds "c"; ``name`` says what
+    they are.  Their dtype kind must be in ``kinds`` (int "i", unsigned "u", float "f",
+    complex "c"), so bools, strings and objects are refused."""
+    try:
+        values = np.asarray(values)
+    except ValueError:  # sequences of unequal lengths
+        raise InvalidParameterError(f"{name} must be numbers, got ragged sequences") from None
+    if values.dtype.kind not in kinds:
+        numbers = "numbers" if "c" in kinds else "real numbers"
+        raise InvalidParameterError(f"{name} must be {numbers}, got {values.dtype} values")
+    return values.astype(complex if "c" in kinds else float, copy=False)
+
+
 def check_amplitudes(values, what: str, name: str = "coherent amplitudes") -> np.ndarray:
     """``values`` as a complex array; ``what`` names what a part above 7e307 would overflow."""
-    values = np.asarray(values)
-    if values.dtype.kind not in "iufc":  # ints, floats or complex numbers
-        raise InvalidParameterError(f"{name} must be numbers, got {values.dtype} values")
-    values = values.astype(complex, copy=False)
+    values = check_numbers(values, name, "iufc")
     if values.shape[-1:] != (3,):
         raise InvalidParameterError(f"{name} must have shape (..., 3), got {values.shape}")
     largest = np.abs(np.ascontiguousarray(values).view(float)).max(initial=0.0)

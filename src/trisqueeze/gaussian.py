@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidParameterError, NumericError, check_amplitudes, check_integer,
-                     check_strength, check_strengths, overflow_error, refuse_overflow)
-from .matrices import _exponentials, double_factorial, mode_gains
+                     check_numbers, check_strength, check_strengths, overflow_error,
+                     refuse_overflow)
+from .matrices import _exponentials, mode_gains
 
 __all__ = [
     "GaussianState",
@@ -136,7 +137,8 @@ def _moment(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
     # (order-1)!! sigma2^(order/2) from the observable's q and p parts on the normal modes, each
     # scaled by the gain its quadrature picks up: q_map's (row 1) on q, p_map's (row 0) on p
     scaled = coeffs.reshape(2, 3) @ _MODES * state.gains[::-1]
-    return double_factorial(order - 1) * (float(np.vdot(scaled, scaled)) / 2) ** (order // 2)
+    variance = float(np.vdot(scaled, scaled)) / 2
+    return math.prod(range(order - 1, 0, -2)) * variance ** (order // 2)
 
 
 def central_moment(state: GaussianState, query: MomentQuery) -> float:
@@ -154,12 +156,9 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     if order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
     try:  # a moment that is not finite is the coefficients' fault if one of them is not finite
-        coeffs = np.asarray(query.coeffs)
-        if coeffs.dtype.kind not in "iuf":  # float() reads bools and strings, drops imaginary parts
-            raise TypeError
-        coeffs = coeffs.astype(float).reshape(6)
+        coeffs = check_numbers(query.coeffs, "moment coefficients").reshape(6)
         return refuse_overflow("moment", state.strength, _moment, state, coeffs, order)
-    except (TypeError, ValueError, NumericError) as error:
+    except (ValueError, NumericError) as error:  # InvalidParameterError is a ValueError
         if isinstance(error, NumericError) and np.isfinite(coeffs).all():
             raise
         raise InvalidParameterError("moment coefficients must be 6 finite real numbers") from None
@@ -187,7 +186,7 @@ def _hos(strength: float, m: int, rate: int) -> float:
     if 2 * m > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}")
     return refuse_overflow(f"moment of order {2 * m}", strength, lambda: 0.25**m
-                           * double_factorial(2 * m - 1) * math.exp(rate * m * strength))
+                           * math.prod(range(2 * m - 1, 0, -2)) * math.exp(rate * m * strength))
 
 
 def two_mode_baseline_variance(strength: float) -> tuple[float, float]:
@@ -212,12 +211,12 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
 
     Every step is elementwise, so a batch of points gives bit for bit the
     values of one call per point.  The strength axes of a batched state line
-    up with the first leading axes of the points.  Non-finite points raise
-    InvalidParameterError; an exponent that overflows double precision
-    raises NumericError.
+    up with the first leading axes of the points.  Points that are not
+    real numbers, or not finite, raise InvalidParameterError; an exponent
+    that overflows double precision raises NumericError.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
+    q = check_numbers(q, "phase-space points")
+    p = check_numbers(p, "phase-space points")
     if q.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise InvalidParameterError("q and p must have 3 components each")
     try:

@@ -1,5 +1,4 @@
-"""Closed-form 3x3 matrix family generated by the all-to-all mode coupling,
-plus the scalar special functions used everywhere else.
+"""Closed-form 3x3 matrix family generated by the all-to-all mode coupling.
 
 The coupling matrix has zeros on the diagonal and ones elsewhere; its
 exponentials e^{-s*coupling} and e^{+s*coupling} are the Heisenberg maps of
@@ -17,14 +16,7 @@ import numpy as np
 
 from .errors import overflow_error
 
-__all__ = [
-    "mode_gains",
-    "circulant",
-    "circulant_maps",
-    "collective_factors",
-    "hermite_table",
-    "double_factorial",
-]
+__all__ = ["mode_gains", "collective_factors"]
 
 
 def _exponentials(strength) -> tuple[float, float, float, float]:
@@ -51,37 +43,3 @@ def mode_gains(strength) -> np.ndarray:
     """
     shrink2, grow2, shrink, grow = _exponentials(strength)
     return np.array([[grow2, shrink, shrink], [shrink2, grow, grow]])
-
-
-def circulant(gains) -> np.ndarray:
-    """The symmetric circulant 3x3 matrices with normal-mode eigenvalues ``gains`` (..., 3)."""
-    diag, off = (gains[..., 0] + 2 * gains[..., 1]) / 3, (gains[..., 0] - gains[..., 1]) / 3
-    return np.where(np.eye(3, dtype=bool), diag[..., None, None], off[..., None, None])
-
-
-def circulant_maps(gains) -> tuple[np.ndarray, np.ndarray]:
-    """(q_map, p_map) from the gains of :func:`mode_gains` (shape (..., 2, 3))."""
-    maps = circulant(gains)
-    return maps[..., 1, :, :], maps[..., 0, :, :]
-
-
-def hermite_table(m: int, x) -> list:
-    """[H_0(x), ..., H_m(x)], physicists' Hermite polynomials by the
-    three-term recurrence.
-
-    Accepts real, complex or array arguments (each entry is an array of
-    their shape).
-    """
-    x = np.asarray(x)
-    table = [np.ones_like(x), 2 * x]
-    for k in range(1, m):
-        table.append(2 * x * table[k] - 2 * k * table[k - 1])
-    return table[: m + 1]
-
-
-def double_factorial(n: int) -> int:
-    """(n)!! for odd n >= -1, with (-1)!! = 1 (empty product)."""
-    out = 1
-    for k in range(n, 1, -2):
-        out *= k
-    return out

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_amplitudes, check_integer, check_strength,
-                     refuse_overflow)
-from .matrices import collective_factors, hermite_table
+from .errors import (InvalidParameterError, check_amplitudes, check_integer, check_numbers,
+                     check_strength, refuse_overflow)
+from .matrices import collective_factors
 
 __all__ = [
     "PkResult",
@@ -190,11 +190,21 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
     return _mean_power("exact", k, alpha, strength)
 
 
+def _hermite_table(m: int, x) -> list:
+    # [H_0(x), ..., H_m(x)], physicists' Hermite polynomials by the three-term recurrence, each
+    # an array of the shape of the real, complex or array argument x
+    x = np.asarray(x)
+    table = [np.ones_like(x), 2 * x]
+    for k in range(1, m):
+        table.append(2 * x * table[k] - 2 * k * table[k - 1])
+    return table[: m + 1]
+
+
 def _powers(path: str, orders: tuple, total: np.ndarray, strength: float, factors: tuple) -> list:
     # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums ``total``;
     # the caller refuses values that are not finite
     if path == "paper":
-        table = hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
+        table = _hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
         return [_paper_power(k, table, factors) for k in orders]
     beta, c, t = _collective_mean(total, factors)
     return [_wick_sum(k, beta, t * t, -c * t) for k in orders]
@@ -263,8 +273,8 @@ def fig1_scan(re_values, im_values) -> list[tuple[float, float, float, float]]:
     point, x outer and y inner, from one :func:`pk` call over the grid; any
     non-finite value aborts.
     """
-    re_values = np.asarray(re_values, dtype=float)
-    im_values = np.asarray(im_values, dtype=float)
+    re_values = check_numbers(re_values, "scan grid")
+    im_values = check_numbers(im_values, "scan grid")
     if re_values.size == 0 or im_values.size == 0:
         raise InvalidParameterError("empty scan grid")
     x, y = np.meshgrid(re_values, im_values, indexing="ij")

@@ -2,9 +2,11 @@
 
 The phase-space mean and covariance of a state, the collective quadrature
 queries, the Fock oracle's collective momentum moment, the quadrature that
-checks the normalization of W, and the coefficients of the normal-ordered
-unitary.  Each states a check of the package, not a result it reports, so it
-lives here; the arithmetic is the package's own, on its normal modes.
+checks the normalization of W, the coefficients of the normal-ordered
+unitary, the circulant maps e^{-+s*coupling} built from the normal-mode
+gains, and the double factorial of the Gaussian pairing law.  Each states a
+check of the package, not a result it reports, so it lives here; the
+arithmetic is the package's own, on its normal modes.
 """
 
 import math
@@ -14,10 +16,30 @@ import numpy as np
 from trisqueeze import MomentQuery, wigner
 from trisqueeze.fock import _central_moment, ladder
 from trisqueeze.gaussian import _MODES
-from trisqueeze.matrices import circulant, mode_gains
+from trisqueeze.matrices import mode_gains
 
 _NORMALIZATION_WIDTH, _NORMALIZATION_POINTS = 6.0, 41  # standard deviations, points per mode
 _ROOT12 = 1 / math.sqrt(12)  # (P1+P2+P3)/sqrt(6) = sum_i (a_i - a_i^dag) / (i sqrt(12))
+
+
+def circulant(gains) -> np.ndarray:
+    """The symmetric circulant 3x3 matrices with normal-mode eigenvalues ``gains`` (..., 3)."""
+    diag, off = (gains[..., 0] + 2 * gains[..., 1]) / 3, (gains[..., 0] - gains[..., 1]) / 3
+    return np.where(np.eye(3, dtype=bool), diag[..., None, None], off[..., None, None])
+
+
+def circulant_maps(gains) -> tuple[np.ndarray, np.ndarray]:
+    """(q_map, p_map) from the gains of ``matrices.mode_gains`` (shape (..., 2, 3))."""
+    maps = circulant(gains)
+    return maps[..., 1, :, :], maps[..., 0, :, :]
+
+
+def double_factorial(n: int) -> int:
+    """(n)!! for odd n >= -1, with (-1)!! = 1 (empty product)."""
+    out = 1
+    for k in range(n, 1, -2):
+        out *= k
+    return out
 
 
 def mean(state) -> np.ndarray:

@@ -23,10 +23,10 @@ import pytest
 import scipy.linalg
 
 import trisqueeze as tz
-from helpers import (cov, mean, moment_y3, normal_order_coefficients, wigner_normalization,
-                     x3_query, y3_query)
+from helpers import (circulant_maps, cov, double_factorial, mean, moment_y3,
+                     normal_order_coefficients, wigner_normalization, x3_query, y3_query)
 from trisqueeze.cli import run
-from trisqueeze.matrices import circulant_maps, double_factorial, mode_gains
+from trisqueeze.matrices import mode_gains
 
 
 def _report(number, ok, message):

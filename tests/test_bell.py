@@ -258,6 +258,18 @@ def test_oracle_check_agreement():
     assert analytic == pytest.approx(oracle, abs=1e-3)
 
 
+def test_oracle_check_batch_equals_single_settings():
+    # the oracle summed the first four settings of a batch as if they were one setting's
+    # correlations: 2.0219 next to four analytic values
+    rng = np.random.default_rng(1)
+    beta, beta_prime = 0.2 * rng.normal(size=(2, 4, 3))
+    analytic, oracle = b3_oracle_check(0.2, (0, 0, 0), BellSetting(beta, beta_prime), cutoff=8)
+    singles = [b3_oracle_check(0.2, (0, 0, 0), BellSetting(tuple(b), tuple(bp)), cutoff=8)
+               for b, bp in zip(beta, beta_prime)]
+    assert analytic.tolist() == [single[0] for single in singles]
+    assert oracle.tolist() == [single[1] for single in singles]
+
+
 def test_oracle_check_regime_guard():
     for strength in (0.5, -0.5):  # -0.5 was accepted, 1.5e-3 off at cutoff 8
         with pytest.raises(InvalidParameterError):

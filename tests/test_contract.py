@@ -1,11 +1,16 @@
 """The parameter domain of ``errors.py`` at every public entry point that takes
 a strength, coherent amplitudes or an integer: a strength is a real number,
 checked before the amplitudes, from Python and from the CLI, and an order, a
-power or a cutoff is an integer; a source check that no module keeps its own
-copy of the overflow refusal; and a source check of the public surface."""
+power or a cutoff is an integer; points, settings and grids are numbers; a
+source check that no module keeps its own copy of the overflow refusal; a source
+check of the public surface; and that importing the CLI loads every module the
+benchmark tracer wraps."""
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -14,9 +19,10 @@ import pytest
 
 import trisqueeze
 from trisqueeze import (BellSetting, MomentQuery, b3, build_arena, central_moment, coherent_ket,
-                        convergence_report, displaced_parity, evolve, fig2_scan, gm_pair, hos_x,
-                        hos_y, make_state, mean_power, mean_power_exact, mean_power_paper,
-                        moment_x3, pk, two_mode_baseline_variance, wigner)
+                        convergence_report, displaced_parity, evolve, fig1_scan, fig2_scan,
+                        fig2_setting, gm_pair, hos_x, hos_y, make_state, mean_power,
+                        mean_power_exact, mean_power_paper, moment_x3, pk,
+                        two_mode_baseline_variance, wigner)
 from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
@@ -117,8 +123,19 @@ def test_integer_parameters_share_one_type_rule(call):
 
 BATCH = make_state([0.1, 0.2, 0.3], (0, 0, 0))
 # (name, call) of malformed arrays that numpy refused with a bare ValueError or TypeError, or
-# that central_moment took for an overflow or read as real numbers
+# that central_moment took for an overflow or read as real numbers; np.asarray(..., dtype=float
+# or complex) read the strings and bools of points, settings and grids as numbers (wigner gave
+# 0.00199, b3 0.105, and both scans a row)
 MALFORMED = [
+    ("string and bool points", lambda: wigner(STATE, ["1", "0", "0"], [True, False, False])),
+    ("string and bool settings", lambda: b3(STATE, BellSetting(("1", "0", "0"),
+                                                               (True, False, False)))),
+    ("string magnitude", lambda: fig2_setting("0.3")),
+    ("string b grid", lambda: fig2_scan([0.3], ["0.3", "0.5"])),
+    ("string and bool fig1 grids", lambda: fig1_scan(["1"], [True])),
+    ("complex points", lambda: wigner(STATE, np.zeros(3), np.ones(3) * 1j)),
+    ("ragged points", lambda: wigner(STATE, [[0, 0, 0], [0, 0]], [0, 0, 0])),
+    ("ragged amplitudes", lambda: make_state(0.3, [[0, 0, 0], [0, 0]])),
     ("wigner leading axes", lambda: wigner(STATE, np.zeros((2, 3)), np.zeros((3, 3)))),
     ("b3 leading axes", lambda: b3(STATE, BellSetting(np.zeros((2, 3)), np.zeros((3, 3))))),
     ("wigner strength axes", lambda: wigner(BATCH, np.zeros((2, 3)), np.zeros((2, 3)))),
@@ -209,10 +226,10 @@ KEEP = {
 LAYERS = ("bell", "errors", "fock", "gaussian", "photon")  # the modules the package exports
 
 
-def _exports(tree) -> list:
-    # the literal __all__ of a module, or [] without one
+def _exports(tree, name: str = "__all__") -> list:
+    # the literal __all__ (or other top-level ``name``) of a module, or [] without one
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
     return []
 
@@ -232,6 +249,18 @@ def _references(tree, skip=None) -> set:
             elif isinstance(sub, ast.ImportFrom):
                 names.update(alias.name for alias in sub.names)
     return names
+
+
+def test_cli_import_loads_every_traced_layer():
+    # perfbench's tracer reads each module of its LAYERS from sys.modules after importing the
+    # CLI, so a layer that the CLI stops loading fails the traced benchmark with a KeyError
+    tracer = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = _exports(tracer, "LAYERS")
+    assert traced
+    probe = "import sys, trisqueeze.cli; print(*sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    assert {f"trisqueeze.{layer}" for layer in traced} - set(loaded.stdout.split()) == set()
 
 
 def test_each_public_name_is_written_once_and_serves_a_caller():

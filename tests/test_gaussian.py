@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import cov, mean, normal_order_coefficients, wigner_normalization, x3_query, y3_query
+from helpers import (circulant_maps, cov, double_factorial, mean, normal_order_coefficients,
+                     wigner_normalization, x3_query, y3_query)
 from trisqueeze import (
     InvalidParameterError,
     MomentQuery,
@@ -17,7 +18,7 @@ from trisqueeze import (
     wigner,
 )
 from trisqueeze.fock import _central_moment, build_arena, coherent_ket, evolve, ladder
-from trisqueeze.matrices import circulant_maps, double_factorial, mode_gains
+from trisqueeze.matrices import mode_gains
 
 
 def test_vacuum_state():

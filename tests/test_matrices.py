@@ -5,15 +5,24 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from trisqueeze.matrices import (circulant_maps, collective_factors, double_factorial, hermite_table,
-                                 mode_gains)
+from helpers import circulant_maps, double_factorial
+from trisqueeze.matrices import collective_factors, mode_gains
+from trisqueeze.photon import _hermite_table
 
 GRID = [-1.0, -0.3, 0.0, 0.3, 1.0]
 COUPLING = np.ones((3, 3)) - np.eye(3)  # 0 on the diagonal, 1 off it (eigenvalues 2, -1, -1)
 
 
 def hermite(m, x):
-    return hermite_table(m, x)[m]
+    return _hermite_table(m, x)[m]
+
+
+@pytest.mark.parametrize("strength", [0.0, 1e-8, 0.2, 1.0, 10.0, 300.0])
+def test_negated_strength_swaps_the_gain_rows(strength):
+    # errata E1 evaluates the literal form, e^{-s*coupling} on q and e^{+s*coupling} on p, as
+    # the Wigner function at strength -s; that is exact because the gains agree bit for bit
+    for s in (strength, -strength):
+        assert mode_gains(-s).tobytes() == mode_gains(s)[::-1].tobytes()
 
 
 def test_zero_strength_is_identity():

@@ -16,7 +16,8 @@ from trisqueeze import (
     mean_power_paper,
     pk,
 )
-from trisqueeze.matrices import collective_factors, hermite_table
+from trisqueeze.matrices import collective_factors
+from trisqueeze.photon import _hermite_table
 
 
 def _paper_k1(alpha, strength: float) -> float:
@@ -30,7 +31,7 @@ def _paper_k2(alpha, strength: float) -> float:
     """k=2 specialization as printed (Hermite form of the bracket)."""
     g, m = gm_pair(alpha, strength)
     coll_sum, coll_diff = collective_factors(strength)
-    h_g, h_m = hermite_table(2, g / 2), hermite_table(2, m / 2)
+    h_g, h_m = _hermite_table(2, g / 2), _hermite_table(2, m / 2)
     bracket = (
         coll_diff**2 / (2**5 * coll_sum**2)
         - coll_diff / (2 * coll_sum) * h_g[1] * h_m[1]
