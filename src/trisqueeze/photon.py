@@ -6,7 +6,8 @@ the factorial moments <A^dag^k A^k> live side by side:
 
 * the *closed* route evaluates the published Hermite-polynomial formula
   verbatim, including its prefactors, so the published figure data can be
-  regenerated exactly as printed;
+  regenerated exactly as printed (the orders a call needs, 1 and k for P_k,
+  in one pass over one Hermite table and coefficient parts cached per k);
 * the *exact* route sums the Wick pairings of cosh(2s) A - sinh(2s) A^dag
   in closed form; it is cutoff-free and is validated against the
   brute-force Fock oracle and 60-digit symbolic normal ordering.
@@ -26,14 +27,7 @@ from .errors import (InvalidParameterError, check_amplitudes, check_integer, che
                      check_strength, refuse_overflow)
 from .matrices import collective_factors
 
-__all__ = [
-    "PkResult",
-    "gm_pair",
-    "mean_power_paper",
-    "mean_power_exact",
-    "pk",
-    "fig1_scan",
-]
+__all__ = ["PkResult", "gm_pair", "mean_power_paper", "mean_power_exact", "pk", "fig1_scan"]
 
 MAX_POWER = 6
 
@@ -61,37 +55,38 @@ class PkResult:
 
 
 def _triples(alpha, strength: float, what: str) -> tuple[np.ndarray, bool, tuple]:
-    """The amplitude sums of ``alpha`` (..., 3), with at least one axis, whether it was one
-    triple, and the collective factors; checks the strength, the amplitudes, then the sums.
+    """The amplitude triples ``alpha`` (..., 3), with at least one axis, whether it was one
+    triple, and the collective factors; checks the strength, then the amplitudes.
 
-    A single triple runs through the same array arithmetic as a grid of them,
-    so its values equal that grid point's bit for bit; results for it are
-    handed back as plain numbers by :func:`_plain`.
+    The routes sum each triple in their overflow scope: a sum that overflows makes every value
+    formed from it non-finite, so the scope refuses it, and :func:`_gm` does so before the closed
+    route's singularity.  A single triple runs through the same array arithmetic as a grid of
+    them, so its values equal that grid point's bit for bit; results for it are handed back as
+    plain numbers by :func:`_plain`.
     """
     strength = check_strength(strength)
     alpha = check_amplitudes(alpha, what)
-    single, factors = alpha.ndim == 1, collective_factors(strength)
-    a = alpha[None] if single else alpha
-    total = refuse_overflow(what, strength, lambda: a[..., 0] + a[..., 1] + a[..., 2])
-    return total, single, factors
+    single = alpha.ndim == 1
+    return (alpha[None] if single else alpha), single, collective_factors(strength)
 
 
 def _plain(values: np.ndarray, single: bool):
-    return values[0].item() if single else values
+    return values.item() if single else values
 
 
-def _gm(total: np.ndarray, strength: float, factors: tuple) -> tuple[np.ndarray, np.ndarray]:
-    # ``factors`` is collective_factors(strength), as in every helper below that takes it
+def _gm(triples: np.ndarray, strength: float, factors: tuple) -> np.ndarray:
+    # (G, M) stacked; ``factors`` is collective_factors(strength), as in every helper below
     coll_sum, coll_diff = factors
+    total = np.add.accumulate(triples, axis=-1)[..., -1]  # a1 + a2 + a3, in that order
     if coll_diff == 0:
+        if not np.isfinite(total).all():
+            raise OverflowError  # an amplitude sum that overflowed is refused first
         raise InvalidParameterError(f"closed route undefined at strength {strength:g}; "
                                     "use the exact route")
     root_sd = cmath.sqrt(2 * coll_sum / (3 * coll_diff))
     root_ds = (2.0 / 3.0) / root_sd  # ZeroDivisionError where only 3 coll_diff overflowed
-    conj = np.conj(total)
-    g = 1j * (root_sd * conj - root_ds * total)
-    m = 1j * (root_sd * total - root_ds * conj)
-    return g, m
+    pair = np.array((np.conj(total), total))
+    return 1j * (root_sd * pair - root_ds * pair[::-1])
 
 
 def gm_pair(alpha, strength: float) -> tuple:
@@ -107,29 +102,19 @@ def gm_pair(alpha, strength: float) -> tuple:
     Broadcasts over the leading axes of ``alpha``.
     """
     what = "closed-route amplitude pair"
-    total, single, factors = _triples(alpha, strength, what)
-    g, m = refuse_overflow(what, strength, _gm, total, strength, factors)
+    triples, single, factors = _triples(alpha, strength, what)
+    g, m = refuse_overflow(what, strength, _gm, triples, strength, factors)
     return _plain(g, single), _plain(m, single)
 
 
-def _paper_power(k: int, table: list, factors: tuple) -> np.ndarray:
-    # the published k-sum, from a Hermite table of order k or higher.  Its
-    # imaginary part is rounding alone, so only the real part is kept: the
-    # branch-locked pair has m = conj(g) for s > 0 and m = -conj(g) for s < 0,
-    # so H_j(g/2) H_j(m/2) is |H_j(g/2)|^2 times 1 or (-1)^j (H_j is real and
-    # of parity j), and with the sign of (-2 coll_diff)^n every term of the
-    # sum has the sign of s^k: nothing cancels to leave a residue
-    coll_sum, coll_diff = factors
-    value = 0j
-    for n in range(k + 1):
-        coef = (
-            (-2 * coll_diff) ** n
-            * math.factorial(k) ** 2
-            / (2 ** (4 * n) * coll_sum**n * math.factorial(k - n) ** 2 * math.factorial(n))
-        )
-        h_g, h_m = table[k - n]
-        value += coef * h_g * h_m
-    return ((-coll_sum * coll_diff / 2) ** k * value).real
+@functools.cache
+def _paper_parts(orders: tuple) -> tuple:
+    # the published k-sum of each k of ``orders`` as a row of max(orders) + 2 terms, zero terms
+    # (n < 0; one at least, as the sum starts from 0j) then n = 0..k, and the coefficient parts
+    # (n, k!^2, 2^(4n), (k-n)!^2, n!) of each, all 0 for a zero term
+    width, f = max(orders) + 2, math.factorial
+    return tuple((n, f(k) ** 2, 2 ** (4 * n), f(k - n) ** 2, f(n)) if n >= 0 else (0,) * 5
+                 for k in orders for n in range(k + 1 - width, k + 1))
 
 
 def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
@@ -147,25 +132,28 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
 
 @functools.cache
 def _wick_table(k: int) -> tuple[np.ndarray, ...]:
-    # (j, l1 + l2, r1, r2, w) of every term of the Wick sum of order k (see mean_power_exact)
+    # (j, l1 + l2, r1, r2, w) of every term of the Wick sum of order k (see mean_power_exact),
+    # r1 and r2 complex and the rest float, as the powers and products would cast them
     j, l1, l2 = np.indices((k + 1,) * 3).reshape(3, -1)
     r1, r2 = k - j - 2 * l1, k - j - 2 * l2
     j, l1, l2, r1, r2 = (index[(r1 >= 0) & (r2 >= 0)] for index in (j, l1, l2, r1, r2))
     f = np.cumprod([1, *range(1, k + 1)])  # factorials 0..k
-    return j, l1 + l2, r1, r2, f[k] ** 2 // (f[j] * f[l1] * f[l2] * 2 ** (l1 + l2) * f[r1] * f[r2])
+    w = (f[k] ** 2 // (f[j] * f[l1] * f[l2] * 2 ** (l1 + l2) * f[r1] * f[r2])).astype(float)
+    return j.astype(float), (l1 + l2).astype(float), r1.astype(complex), r2.astype(complex), w
 
 
 def _wick_sum(k: int, beta: np.ndarray, n, m) -> np.ndarray:
     # the Wick sum of order k for means ``beta`` (..., 1) and pair moments ``n``, ``m`` (scalars
     # or of beta's shape); a running sum adds the terms in order, for one amplitude as for a grid
     j, l12, r1, r2, w = _wick_table(k)
-    return np.cumsum(w * n**j * m**l12 * np.conj(beta) ** r1 * beta**r2, axis=-1)[..., -1].real
+    return np.add.accumulate(w * n**j * m**l12 * beta.conj() ** r1 * beta**r2, axis=-1)[..., -1].real
 
 
-def _collective_mean(total: np.ndarray, factors: tuple) -> tuple[np.ndarray, float, float]:
-    # beta = c*a - t*conj(a) at collective amplitudes a = total/sqrt(3), with a
+def _collective_mean(triples: np.ndarray, factors: tuple) -> tuple[np.ndarray, float, float]:
+    # beta = c*a - t*conj(a) at collective amplitudes a = (a1 + a2 + a3)/sqrt(3), with a
     # trailing axis for the Wick terms, and c and t (half the sum and minus half the difference)
-    c, t, amp = factors[0] / 2, -factors[1] / 2, total[..., None] / math.sqrt(3)
+    amp = np.add.accumulate(triples, axis=-1)[..., -1:] / math.sqrt(3)
+    c, t = factors[0] / 2, -factors[1] / 2
     return c * amp - t * np.conj(amp), c, t
 
 
@@ -190,24 +178,36 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
     return _mean_power("exact", k, alpha, strength)
 
 
-def _hermite_table(m: int, x) -> list:
-    # [H_0(x), ..., H_m(x)], physicists' Hermite polynomials by the three-term recurrence, each
-    # an array of the shape of the real, complex or array argument x
-    x = np.asarray(x)
-    table = [np.ones_like(x), 2 * x]
-    for k in range(1, m):
-        table.append(2 * x * table[k] - 2 * k * table[k - 1])
-    return table[: m + 1]
+def _hermite_table(m: int, x) -> np.ndarray:
+    # H_0(x), ..., H_m(x) (and H_1 where m = 0), physicists' Hermite polynomials by the three-term
+    # recurrence, along a new leading axis of the shape of the real, complex or array argument x,
+    # then a row of ones, which the printed route reads for its zero terms
+    table = np.ones((max(m, 1) + 2, *np.shape(x)), np.result_type(x, 1.0))
+    twice_x = np.multiply(2.0, x, table[1, ...])
+    for j in range(1, m):
+        np.subtract(twice_x * table[j], (2.0 * j) * table[j - 1], table[j + 1, ...])
+    return table
 
 
-def _powers(path: str, orders: tuple, total: np.ndarray, strength: float, factors: tuple) -> list:
-    # <A^dag^k A^k> on one route for each k of ``orders`` at amplitude sums ``total``;
-    # the caller refuses values that are not finite
-    if path == "paper":
-        table = _hermite_table(max(orders), np.array(_gm(total, strength, factors)) / 2)
-        return [_paper_power(k, table, factors) for k in orders]
-    beta, c, t = _collective_mean(total, factors)
-    return [_wick_sum(k, beta, t * t, -c * t) for k in orders]
+def _powers(path: str, orders: tuple, triples: np.ndarray, strength: float, factors: tuple):
+    # <A^dag^k A^k> on one route, a row per k of ``orders``; the caller refuses non-finite values
+    if path == "exact":
+        beta, c, t = _collective_mean(triples, factors)
+        return [_wick_sum(k, beta, t * t, -c * t) for k in orders]
+    # the published k-sums, whose imaginary part is rounding alone and dropped: the branch-locked
+    # pair has m = conj(g) for s > 0 and m = -conj(g) for s < 0, so H_j(g/2) H_j(m/2) is
+    # |H_j(g/2)|^2 times 1 or (-1)^j (H_j is real and of parity j), and with the sign of
+    # (-2 coll_diff)^n every term has the sign of s^k: nothing cancels to leave a residue
+    # term n of order k sits in column K + 1 - (k - n), K = max(orders), so it reads H_{k-n} from
+    # the reversed table; a zero term reads the row of ones or an H_j, j > k, that order K reads
+    coll_sum, coll_diff = factors
+    rows = _hermite_table(max(orders), _gm(triples, strength, factors) / 2)[::-1]
+    lead = (1,) * (triples.ndim - 1)
+    coef = np.array([(-2 * coll_diff) ** n * k2 / (p * coll_sum**n * kn2 * nf) if p else 0j
+                     for n, k2, p, kn2, nf in _paper_parts(orders)], complex)
+    terms = coef.reshape(len(orders), -1, *lead) * rows[:, 0] * rows[:, 1]
+    scale = np.array([(-coll_sum * coll_diff / 2) ** k for k in orders], complex).reshape(-1, *lead)
+    return (scale * np.add.accumulate(terms, axis=1)[:, -1]).real
 
 
 def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray:
@@ -215,8 +215,8 @@ def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
     what = "photon-number moment"
-    total, single, factors = _triples(alpha, strength, what)
-    (value,) = refuse_overflow(what, strength, _powers, path, (k,), total, strength, factors)
+    triples, single, factors = _triples(alpha, strength, what)
+    (value,) = refuse_overflow(what, strength, _powers, path, (k,), triples, strength, factors)
     return _plain(value, single)
 
 
@@ -237,33 +237,33 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
     if path not in ("paper", "exact"):
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
     what = f"P_{k}"
-    total, single, factors = _triples(alpha, strength, what)
-
-    def statistic(route):
-        if route == "exact":
-            # each Wick term has degree 2k in (beta, sqrt(n), sqrt(m)), so dividing beta by
-            # sqrt(N) and n, m by N, N = <A^dag A> = |beta|^2 + t^2, gives P_k + 1; no
-            # square is formed unscaled, so tiny amplitudes do not underflow
-            beta, c, t = _collective_mean(total, factors)
-            root = np.hypot(np.abs(beta), t)
-            if (root == 0).any():
+    triples, single, factors = _triples(alpha, strength, what)
+    closed = factors[1] != 0 or path == "paper"  # _gm refuses coll_diff = 0 for path "paper"
+    def statistics():
+        # the exact route, then the printed one where ``closed``.  A Wick term has degree 2k in
+        # (beta, sqrt(n), sqrt(m)); dividing beta by sqrt(N) and n, m by N, N = <A^dag A> =
+        # |beta|^2 + t^2, gives P_k + 1 with no unscaled square for tiny amplitudes to underflow
+        beta, c, t = _collective_mean(triples, factors)
+        root = np.hypot(np.abs(beta), t)
+        small = root < 2.0**-1022
+        if small.any():
+            if not root.all():
                 raise InvalidParameterError("mean photon number 0.0 not positive")
             # 1/root overflows for a subnormal root; t = 0 there (|t| >= 1e-16 otherwise), so
             # P_k does not depend on the scale of beta, and 2^64 lifts it exactly; m is then 0
-            small = root < 2.0**-1022
-            if small.any():
-                beta = np.where(small, beta * 2.0**64, beta)
-                root = np.where(small, np.abs(beta), root)
-            return _wick_sum(k, beta / root, (t / root) ** 2, -(c / root) * (t / root)) - 1
-        mean_photon, power = _powers(route, (1, k), total, strength, factors)
-        return power / mean_photon**k - 1
+            beta = np.where(small, beta * 2.0**64, beta)
+            root = np.where(small, np.abs(beta), root)
+        scaled_t = t / root
+        exact = _wick_sum(k, beta / root, scaled_t**2, (-c / root) * scaled_t) - 1
+        if not closed:
+            return (exact,)
+        mean_photon, power = _powers("paper", (1, k), triples, strength, factors)
+        return exact, power / mean_photon**k - 1
 
-    exact_value = refuse_overflow(what, strength, statistic, "exact")
-    closed = factors[1] != 0 or path == "paper"  # _gm refuses coll_diff = 0 for path "paper"
-    paper_value = refuse_overflow(what, strength, statistic, "paper") if closed else None
-    discrepancy = None if paper_value is None else _plain(np.abs(paper_value - exact_value), single)
-    return PkResult(k=k, paper_value=None if paper_value is None else _plain(paper_value, single),
-                    exact_value=_plain(exact_value, single), discrepancy=discrepancy, path=path)
+    exact, *paper = refuse_overflow(what, strength, statistics)  # both routes, one scope
+    paper_value, exact_value = _plain(paper[0], single) if paper else None, _plain(exact, single)
+    return PkResult(k=k, paper_value=paper_value, exact_value=exact_value, path=path,
+                    discrepancy=None if paper_value is None else abs(paper_value - exact_value))
 
 
 def fig1_scan(re_values, im_values) -> list[tuple[float, float, float, float]]:

@@ -424,6 +424,9 @@ def test_numeric_failure_exit_code(capsys):
     (["fig1", "--re", "0:1:0", "--im", "0:1:0", "--out", "t.csv", "--gnuplot", "./t.csv"], 2),
     # the Fock oracle's B(3) regime is |s| <= 0.3; at s = -0.5 cutoff 8 is 1.5e-3 off
     (["oracle-check", "--quantity", "b3", "--lambda", "-0.5"], 2),
+    # an amplitude sum that overflows is refused before the closed route's singularity
+    (["pk", "--lambda", "0", "--path", "paper", "--alpha", "7e307,7e307,7e307"], 3),
+    (["pk", "--lambda", "1e-300", "--path", "paper", "--alpha", "7e307,7e307,7e307"], 3),
 ])
 def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for the argv that name files

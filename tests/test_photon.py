@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -221,6 +222,34 @@ def test_mean_power_exact_single_amplitude_equals_its_grid_element(k):
             assert mean_power_exact(k, grid[index], strength) == batch[index]
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_mean_power_paper_single_amplitude_equals_its_grid_element(k):
+    rng = np.random.default_rng(60 + k)
+    grid = rng.uniform(-2, 2, (2, 5, 3)) + 1j * rng.uniform(-2, 2, (2, 5, 3))
+    for strength in (-0.7, 1e-8, 1.1, 3.0):
+        batch = mean_power_paper(k, grid, strength)
+        for index in np.ndindex(grid.shape[:2]):
+            assert mean_power_paper(k, grid[index], strength) == batch[index]
+
+
+# float.hex of (paper_value, exact_value) of the calls in test_pk_bits_are_pinned
+PK_BITS_DIGEST = "433526b2629c2620816bf203ade0f5869cb368ee508fbf4682569bb8259ec00e"
+
+
+def test_pk_bits_are_pinned():
+    # both routes bit for bit over 200 seeded single triples: reordering a sum or a product,
+    # or changing how a route rounds, moves some of them
+    rng = np.random.default_rng(2029)
+    cells = []
+    for _ in range(200):
+        k, path = int(rng.integers(2, 7)), str(rng.choice(["paper", "exact"]))
+        strength = float(rng.uniform(-3, 3))
+        alpha = 10 ** rng.uniform(-2, 2) * (rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3))
+        result = pk(k, alpha, strength, path=path)
+        cells += [result.paper_value.hex(), result.exact_value.hex()]
+    assert hashlib.sha256(" ".join(cells).encode()).hexdigest() == PK_BITS_DIGEST
+
+
 def test_pk_poissonian_baseline():
     # a coherent state has P_k = 0 at every amplitude scale: the exact route
     # forms no power of the mean photon number, so nothing under- or overflows
@@ -333,6 +362,20 @@ def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
         pk(2, [1, 1, 1], 1e-300, path="paper")
     with pytest.raises(InvalidParameterError, match="closed route undefined"):
         gm_pair([1, 0, 0], -1e-300)
+
+
+def test_pk_refuses_an_overflowing_sum_before_the_closed_route():
+    # at zero strength the closed route is singular, but an amplitude sum that overflows is
+    # refused first, and so is a vanishing mean photon number
+    with pytest.raises(NumericError):
+        pk(2, [7e307] * 3, 0.0, path="paper")
+    for strength in (0.0, 1e-300):
+        with pytest.raises(NumericError):
+            mean_power_paper(2, [[1, 1, 1], [7e307] * 3], strength)
+        with pytest.raises(NumericError, match="amplitude pair overflows"):
+            gm_pair([7e307j] * 3, strength)
+    with pytest.raises(InvalidParameterError, match="mean photon number"):
+        pk(2, [0, 0, 0], 0.0, path="paper")
 
 
 def test_pk_checks_every_amplitude_of_a_batch():
