@@ -52,13 +52,17 @@ def fig2_setting(b) -> BellSetting:
     return BellSetting(beta=beta, beta_prime=beta_prime)
 
 
-# Which of the four correlation points of B(3) takes the primed amplitude
-# in each mode: (b1,b2,b3'), (b1,b2',b3), (b1',b2,b3), (b1',b2',b3').
+# Which of the four correlation points of B(3) takes the primed amplitude in each mode:
+# (b1,b2,b3'), (b1,b2',b3), (b1',b2,b3), (b1',b2',b3'); _combination subtracts the last.
 _PRIMED = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
 # beta and beta' of fig2_setting(1), and sqrt(2) (q, p) of its four correlation points, shape
 # (4, 2, 3): b times them holds the bits that b3 forms from fig2_setting(b)
 _FIG2_UNIT = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
 _FIG2_POINTS = _quadratures(np.where(_PRIMED, *_FIG2_UNIT[::-1]))
+
+
+def _combination(corr):
+    return corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]  # (..., 4) correlations
 
 
 def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
@@ -93,8 +97,7 @@ def _b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
     # B(3) from the correlation points (..., 4, 2, 3) in phase space and modes = _mode_sums(points),
     # formed here when not given; the caller ignores overflow and invalid values
     modes = _mode_sums(points) if modes is None else modes
-    corr = math.pi**3 * _wigner_modes(state, points, modes)
-    return corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
+    return _combination(math.pi**3 * _wigner_modes(state, points, modes))
 
 
 def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
@@ -162,8 +165,7 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
 
     arena = build_arena(cutoff)
     ket = evolve(arena, strength, coherent_ket(arena, alpha))
-    corr = displaced_parity(arena, ket, _points(setting))
-    oracle = corr[..., 0] + corr[..., 1] + corr[..., 2] - corr[..., 3]
+    oracle = _combination(displaced_parity(arena, ket, _points(setting)))
     return analytic, oracle if oracle.ndim else float(oracle)
 
 

@@ -118,20 +118,23 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     return moved.astype(ket.dtype, copy=False)
 
 
+def _check_tail(amp, name: str, cutoff: int) -> None:
+    # the tail guard |amp|^2 <= cutoff/4, compared unsquared so that it cannot overflow
+    if abs(amp) > (limit := math.sqrt(cutoff) / 2):
+        raise TruncationError(f"|{name}| = {abs(amp):.4g} too large for cutoff {cutoff} "
+                              f"(limit {limit:.4g})")
+
+
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
     alpha = check_amplitudes(alpha, "coherent ket").reshape(-1)
     if alpha.size != 3:
         raise InvalidParameterError(f"coherent amplitudes must be one triple, got {alpha.size} values")
-    # the tail guard |alpha|^2 <= cutoff/4, compared unsquared so that it cannot overflow
-    factors, limit = [], math.sqrt(arena.cutoff) / 2
+    factors = []
     n = np.arange(arena.cutoff)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, arena.cutoff)))])
     for amp in alpha:
-        if abs(amp) > limit:
-            raise TruncationError(
-                f"|alpha| = {abs(amp):.4g} too large for cutoff {arena.cutoff} (limit {limit:.4g})"
-            )
+        _check_tail(amp, "alpha", arena.cutoff)
         factors.append(np.exp(-abs(amp) ** 2 / 2) * amp**n / np.exp(log_fact / 2))
     ket = np.multiply.outer(np.multiply.outer(factors[0], factors[1]), factors[2]).reshape(-1)
     return ket / np.linalg.norm(ket)
@@ -185,13 +188,10 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
     betas = check_amplitudes(betas, "displaced parity", "displacements")
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
-    inverse, limit = {}, math.sqrt(c) / 2  # |beta|^2 <= c/4, as in coherent_ket
+    inverse = {}
     # np.unique's values (the first of equal ones, sorted), without its import of numpy.ma
     for beta in sorted(set(betas.flat), key=lambda b: (b.real, b.imag)):
-        if abs(beta) > limit:
-            raise TruncationError(
-                f"|beta| = {abs(beta):.4g} too large for cutoff {c} (limit {limit:.4g})"
-            )
+        _check_tail(beta, "beta", c)
         eps, vecs = np.linalg.eigh(1j * (beta * lower.T - np.conj(beta) * lower))
         inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T
     values, norm2 = [], np.vdot(ket, ket).real

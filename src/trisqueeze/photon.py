@@ -6,8 +6,8 @@ the factorial moments <A^dag^k A^k> live side by side:
 
 * the *closed* route evaluates the published Hermite-polynomial formula
   verbatim, including its prefactors, so the published figure data can be
-  regenerated exactly as printed (the orders a call needs, 1 and k for P_k,
-  in one pass over one Hermite table and coefficient parts cached per k);
+  regenerated exactly as printed (each order a call needs, 1 and k for P_k,
+  summed term by term over one Hermite table, coefficient parts cached per k);
 * the *exact* route sums the Wick pairings of cosh(2s) A - sinh(2s) A^dag
   in closed form; it is cutoff-free and is validated against the
   brute-force Fock oracle and 60-digit symbolic normal ordering.
@@ -108,13 +108,10 @@ def gm_pair(alpha, strength: float) -> tuple:
 
 
 @functools.cache
-def _paper_parts(orders: tuple) -> tuple:
-    # the published k-sum of each k of ``orders`` as a row of max(orders) + 2 terms, zero terms
-    # (n < 0; one at least, as the sum starts from 0j) then n = 0..k, and the coefficient parts
-    # (n, k!^2, 2^(4n), (k-n)!^2, n!) of each, all 0 for a zero term
-    width, f = max(orders) + 2, math.factorial
-    return tuple((n, f(k) ** 2, 2 ** (4 * n), f(k - n) ** 2, f(n)) if n >= 0 else (0,) * 5
-                 for k in orders for n in range(k + 1 - width, k + 1))
+def _paper_parts(k: int) -> tuple:
+    # the coefficient parts (n, k!^2, 2^(4n), (k-n)!^2, n!) of term n = 0..k of the published k-sum
+    f = math.factorial
+    return tuple((n, f(k) ** 2, 2 ** (4 * n), f(k - n) ** 2, f(n)) for n in range(k + 1))
 
 
 def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
@@ -131,28 +128,29 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _wick_table(k: int) -> tuple[np.ndarray, ...]:
-    # (j, l1 + l2, r1, r2, w) of every term of the Wick sum of order k (see mean_power_exact),
-    # r1 and r2 complex and the rest float, as the powers and products would cast them
+def _wick_table(k: int, ndim: int) -> tuple[np.ndarray, ...]:
+    # (j, l1 + l2, r1, r2, w) of every term of the Wick sum of order k (see mean_power_exact) on
+    # the leading axis of ndim + 1, r1 and r2 complex and the rest float, as the powers cast them
     j, l1, l2 = np.indices((k + 1,) * 3).reshape(3, -1)
     r1, r2 = k - j - 2 * l1, k - j - 2 * l2
     j, l1, l2, r1, r2 = (index[(r1 >= 0) & (r2 >= 0)] for index in (j, l1, l2, r1, r2))
     f = np.cumprod([1, *range(1, k + 1)])  # factorials 0..k
     w = (f[k] ** 2 // (f[j] * f[l1] * f[l2] * 2 ** (l1 + l2) * f[r1] * f[r2])).astype(float)
-    return j.astype(float), (l1 + l2).astype(float), r1.astype(complex), r2.astype(complex), w
+    terms = j.astype(float), (l1 + l2).astype(float), r1.astype(complex), r2.astype(complex), w
+    return tuple(part.reshape(-1, *(1,) * ndim) for part in terms)
 
 
 def _wick_sum(k: int, beta: np.ndarray, n, m) -> np.ndarray:
-    # the Wick sum of order k for means ``beta`` (..., 1) and pair moments ``n``, ``m`` (scalars
-    # or of beta's shape); a running sum adds the terms in order, for one amplitude as for a grid
-    j, l12, r1, r2, w = _wick_table(k)
-    return np.add.accumulate(w * n**j * m**l12 * beta.conj() ** r1 * beta**r2, axis=-1)[..., -1].real
+    # the Wick sum of order k for means ``beta`` and pair moments ``n``, ``m`` (scalars or of
+    # beta's shape); a running sum adds the terms in order, for one amplitude as for a grid
+    j, l12, r1, r2, w = _wick_table(k, beta.ndim)
+    return np.add.accumulate(w * n**j * m**l12 * beta.conj() ** r1 * beta**r2)[-1].real
 
 
 def _collective_mean(triples: np.ndarray, factors: tuple) -> tuple[np.ndarray, float, float]:
-    # beta = c*a - t*conj(a) at collective amplitudes a = (a1 + a2 + a3)/sqrt(3), with a
-    # trailing axis for the Wick terms, and c and t (half the sum and minus half the difference)
-    amp = np.add.accumulate(triples, axis=-1)[..., -1:] / math.sqrt(3)
+    # beta = c*a - t*conj(a) at collective amplitudes a = (a1 + a2 + a3)/sqrt(3), and c and t
+    # (half the sum and minus half the difference)
+    amp = np.add.accumulate(triples, axis=-1)[..., -1] / math.sqrt(3)
     c, t = factors[0] / 2, -factors[1] / 2
     return c * amp - t * np.conj(amp), c, t
 
@@ -171,18 +169,17 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
         <B^dag^k B^k> = sum_{j,l1,l2} w n^j m^(l1+l2) conj(beta)^r1 beta^r2,
         w = (k!)^2 / (j! l1! l2! 2^(l1+l2) r1! r2!),
 
-    w being the integer count of Wick pairings of that shape, tabled once
-    per k.  Exact at every strength including zero; a value that overflows
-    raises NumericError.  Broadcasts over the leading axes of ``alpha``.
+    w being the integer count of Wick pairings of that shape, tabled per k
+    and grid rank.  Exact at every strength including zero; a value that
+    overflows raises NumericError.  Broadcasts over the leading axes of ``alpha``.
     """
     return _mean_power("exact", k, alpha, strength)
 
 
 def _hermite_table(m: int, x) -> np.ndarray:
     # H_0(x), ..., H_m(x) (and H_1 where m = 0), physicists' Hermite polynomials by the three-term
-    # recurrence, along a new leading axis of the shape of the real, complex or array argument x,
-    # then a row of ones, which the printed route reads for its zero terms
-    table = np.ones((max(m, 1) + 2, *np.shape(x)), np.result_type(x, 1.0))
+    # recurrence, along a new leading axis of the shape of the real, complex or array argument x
+    table = np.ones((max(m, 1) + 1, *np.shape(x)), np.result_type(x, 1.0))
     twice_x = np.multiply(2.0, x, table[1, ...])
     for j in range(1, m):
         np.subtract(twice_x * table[j], (2.0 * j) * table[j - 1], table[j + 1, ...])
@@ -198,16 +195,16 @@ def _powers(path: str, orders: tuple, triples: np.ndarray, strength: float, fact
     # pair has m = conj(g) for s > 0 and m = -conj(g) for s < 0, so H_j(g/2) H_j(m/2) is
     # |H_j(g/2)|^2 times 1 or (-1)^j (H_j is real and of parity j), and with the sign of
     # (-2 coll_diff)^n every term has the sign of s^k: nothing cancels to leave a residue
-    # term n of order k sits in column K + 1 - (k - n), K = max(orders), so it reads H_{k-n} from
-    # the reversed table; a zero term reads the row of ones or an H_j, j > k, that order K reads
     coll_sum, coll_diff = factors
-    rows = _hermite_table(max(orders), _gm(triples, strength, factors) / 2)[::-1]
+    table = _hermite_table(max(orders), _gm(triples, strength, factors) / 2)
     lead = (1,) * (triples.ndim - 1)
-    coef = np.array([(-2 * coll_diff) ** n * k2 / (p * coll_sum**n * kn2 * nf) if p else 0j
-                     for n, k2, p, kn2, nf in _paper_parts(orders)], complex)
-    terms = coef.reshape(len(orders), -1, *lead) * rows[:, 0] * rows[:, 1]
-    scale = np.array([(-coll_sum * coll_diff / 2) ** k for k in orders], complex).reshape(-1, *lead)
-    return (scale * np.add.accumulate(terms, axis=1)[:, -1]).real
+    powers = []
+    for k in orders:
+        coef = np.array([(-2 * coll_diff) ** n * k2 / (p * coll_sum**n * kn2 * nf)
+                         for n, k2, p, kn2, nf in _paper_parts(k)], complex).reshape(-1, *lead)
+        terms = coef * table[k::-1, 0] * table[k::-1, 1]  # term n reads H_{k-n}(g/2), H_{k-n}(m/2)
+        powers.append(((-coll_sum * coll_diff / 2) ** k * np.add.accumulate(terms)[-1]).real)
+    return powers
 
 
 def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray:

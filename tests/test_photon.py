@@ -250,6 +250,38 @@ def test_pk_bits_are_pinned():
     assert hashlib.sha256(" ".join(cells).encode()).hexdigest() == PK_BITS_DIGEST
 
 
+# float.hex of every value of the calls in test_grid_bits_are_pinned, or the refusal's class
+GRID_BITS_DIGEST = "664fe276baba3ca8a1ab442866d6d28d6bbfd95fe4c29cb2971f5c78e40bed88"
+
+
+def _grid_cells(function, *args, **kwargs) -> list[str]:
+    try:
+        values = function(*args, **kwargs)
+    except (InvalidParameterError, NumericError) as refusal:
+        return [type(refusal).__name__]
+    if not isinstance(values, np.ndarray):  # a PkResult
+        values = [values.paper_value, values.exact_value]
+    return ["None" if v is None else " ".join(x.hex() for x in np.ravel(v).tolist()) for v in values]
+
+
+def test_grid_bits_are_pinned():
+    # both routes bit for bit on seeded amplitude grids, which sum each value's terms for many
+    # triples at once; the strengths include the closed route's singular one and overflows
+    rng = np.random.default_rng(2030)
+    cells = []
+    for shape in ((4, 3), (2, 5, 3)):
+        for strength in (0.0, 1e-8, -0.7, 1.1, float(rng.uniform(-3, 3)), 300.0):
+            alpha = 10 ** rng.uniform(-2, 2, shape) * (rng.uniform(-1, 1, shape)
+                                                       + 1j * rng.uniform(-1, 1, shape))
+            for k in range(1, 7):
+                cells += _grid_cells(mean_power_paper, k, alpha, strength)
+                cells += _grid_cells(mean_power_exact, k, alpha, strength)
+            for k in range(2, 7):
+                for path in ("paper", "exact"):
+                    cells += _grid_cells(pk, k, alpha, strength, path=path)
+    assert hashlib.sha256(" ".join(cells).encode()).hexdigest() == GRID_BITS_DIGEST
+
+
 def test_pk_poissonian_baseline():
     # a coherent state has P_k = 0 at every amplitude scale: the exact route
     # forms no power of the mean photon number, so nothing under- or overflows
