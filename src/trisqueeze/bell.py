@@ -59,6 +59,11 @@ _PRIMED = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)
 # (4, 2, 3): b times them holds the bits that b3 forms from fig2_setting(b)
 _FIG2_UNIT = np.array([[0.0, 0.0, -1.0], [1.0, 1.0, 0.0]])
 _FIG2_POINTS = _quadratures(np.where(_PRIMED, *_FIG2_UNIT[::-1]))
+# The integer pattern of _mode_sums on those points.  Each entry of b * _FIG2_POINTS is 0 or
+# +-c, c = fl(b sqrt(2)), so every sum in _mode_sums is exact or rounds once, to fl(k c) for
+# the small integer k here, and its TwoSum error is 0: _mode_sums(b * _FIG2_POINTS) is
+# c * _FIG2_MODES, up to the sign of zero, which the squares of the Wigner exponent drop
+_FIG2_MODES = _mode_sums(_FIG2_POINTS / math.sqrt(2))
 
 
 def _combination(corr):
@@ -100,19 +105,27 @@ def _b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
     return _combination(math.pi**3 * _wigner_modes(state, points, modes))
 
 
+def _fig2_points(b):
+    # the correlation points (..., 4, 2, 3) of fig2_setting(b) in phase space, and their modes
+    scale = b[..., None, None, None]
+    return scale * _FIG2_POINTS, (scale * math.sqrt(2)) * _FIG2_MODES
+
+
 def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
-    Builds one state at ``FIG2_ALPHA`` batched over the strengths and
-    projects the b grid (positive, strictly increasing) onto the normal modes once.
-    Grid-brackets the maximum (one strength at a time, on that projection),
-    then refines it by golden section inside the bracketing cell down to a
-    width of 1e-10 (first/grid-lowest maximizer wins ties; the grid point
-    wins when it beats the refined point), all strengths in lockstep, one
-    evaluation per step; a row whose bracket is narrow enough keeps its
-    values, so every row equals a scan of its strength alone, and each
-    value is ``b3(state, fig2_setting(b))`` bit for bit.  Returns rows
-    (strength, b_star, b3_max).
+    Builds one state at ``FIG2_ALPHA`` batched over the strengths.  The
+    correlation points of magnitude b project onto the normal modes as
+    fl(b sqrt(2)) times one fixed integer pattern, the bits ``_mode_sums``
+    gives them, so neither the b grid (positive, strictly increasing) nor
+    a refinement step sums modes.  Grid-brackets the maximum (one strength
+    at a time, on the whole grid), then refines it by golden section inside
+    the bracketing cell down to a width of 1e-10 (first/grid-lowest
+    maximizer wins ties; the grid point wins when it beats the refined
+    point), all strengths in lockstep, one evaluation per step; a row whose
+    bracket is narrow enough keeps its values, so every row equals a scan
+    of its strength alone, and each value is ``b3(state, fig2_setting(b))``
+    bit for bit.  Returns rows (strength, b_star, b3_max).
     """
     b_values = check_numbers(b_values, "b grid").reshape(-1)
     if b_values.size == 0:
@@ -121,11 +134,10 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
         raise InvalidParameterError("b grid must be positive and strictly increasing")
     state = make_state(np.asarray(strengths, dtype=object).reshape(-1), FIG2_ALPHA)
     strengths = state.strength
-    fn = lambda b: _b3(state, b[..., None, None, None] * _FIG2_POINTS)
+    fn = lambda b: _b3(state, *_fig2_points(b))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        grid = b_values[:, None, None, None] * _FIG2_POINTS
-        modes = _mode_sums(grid)
-        values = np.array([_b3(state[i], grid, modes) for i in range(strengths.size)])
+        grid = _fig2_points(b_values)
+        values = np.array([_b3(state[i], *grid) for i in range(strengths.size)])
         top = np.argmax(values, axis=1)
         grid_best = values[np.arange(strengths.size), top]
         a = b_values[np.maximum(top - 1, 0)]

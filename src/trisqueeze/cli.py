@@ -1,10 +1,12 @@
 """Command-line front end: scans and reports as CSV or JSON.
 
 CSV prints every float with 12 significant digits, uses LF line endings and
-has a header row; a table is formatted by one ``%`` template built from the
-cell types of its columns.  Identical invocations produce byte-identical
-output.  Each command returns its whole output as text; ``run`` writes it
-once, after the command has answered, so a refused command writes no file.
+has a header row.  A table is handed over as columns; a column of floats (a
+float64 array, or cells that are all floats) is formatted once per distinct
+bit pattern, and any other column cell by cell.  Identical invocations
+produce byte-identical output.  Each command returns its whole output as
+text; ``run`` writes it once, after the command has answered, so a refused
+command writes no file.
 The parser, with every command and its arguments, is built once per process.
 Exit codes: 0 success, 2 invalid arguments or an output that cannot be
 written (an --out or --gnuplot path, a closed stdout), 3 numeric/truncation
@@ -13,7 +15,6 @@ failure.  Each refusal is one line on stderr.
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -64,19 +65,25 @@ def _parse_real_triple(text: str) -> np.ndarray:
     return values.real.astype(float)
 
 
-def _table(header, rows, fmt) -> str:
+def _table(header, columns, fmt) -> str:
+    # columns (zip(*rows) of a table's rows) are sequences of cells of equal length, a float64
+    # array counting as floats
     if fmt == "json":  # every cell is an int, str, bool or float (np.float64 is one)
+        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
-    # one template for the whole table: 12 significant digits for a column of floats (np.float64
-    # included), %s for the rest; a column that mixes floats with other cells is made text first
-    columns, formats = list(zip(*rows)), []
-    for i, column in enumerate(columns):
-        floats = {issubclass(kind, float) for kind in set(map(type, column))}
-        formats.append("%.12g" if floats == {True} else "%s")
-        if floats == {True, False}:
-            columns[i] = [("%.12g" if isinstance(cell, float) else "%s") % cell for cell in column]
-    cells = tuple(itertools.chain.from_iterable(zip(*columns)))
-    return ",".join(header) + "\n" + (",".join(formats) + "\n") * len(rows) % cells
+    return "\n".join(map(",".join, [header, *zip(*map(_column_text, columns))])) + "\n"
+
+
+def _column_text(column) -> list:
+    # 12 significant digits for a float (np.float64 included), %s for any other cell.  A column
+    # of floats is formatted once per distinct bit pattern, which np.unique finds in its int64
+    # view: on the floats themselves it would merge 0.0 with -0.0, and it imports numpy.ma
+    kinds = () if isinstance(column, np.ndarray) else set(map(type, column))
+    if not all(issubclass(kind, float) for kind in kinds):
+        return [("%.12g" if isinstance(cell, float) else "%s") % cell for cell in column]
+    distinct, index = np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+    text = np.array(["%.12g" % value for value in distinct.view(float).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def _write(path: str, text: str):
@@ -92,7 +99,7 @@ def _cmd_moments(args):
         x = gaussian.hos_x(args.lam, m)
         y = gaussian.hos_y(args.lam, m)
         rows.append((m, x, y, x * y))
-    return _table(("m", "hos_x", "hos_y", "product"), rows, args.format)
+    return _table(("m", "hos_x", "hos_y", "product"), zip(*rows), args.format)
 
 
 def _cmd_pk(args):
@@ -100,12 +107,12 @@ def _cmd_pk(args):
     header = ("k", "path", "paper_value", "exact_value", "discrepancy")
     row = (result.k, result.path, "" if result.paper_value is None else result.paper_value,
            result.exact_value, "" if result.discrepancy is None else result.discrepancy)
-    return _table(header, [row], args.format)
+    return _table(header, zip(row), args.format)
 
 
 def _cmd_fig1(args):
     rows = photon.fig1_scan(_parse_range(args.re), _parse_range(args.im))
-    return _table(("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), rows, args.format)
+    return _table(("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), zip(*rows), args.format)
 
 
 def _cmd_wigner(args):
@@ -120,23 +127,23 @@ def _cmd_wigner(args):
         q[:, 0] = grid[:, 0]
         p[:, 0] = grid[:, 1]
         values = gaussian.wigner(state, q, p)
-        return _table(("q1", "p1", "w"), np.column_stack([grid, values]).tolist(), args.format)
+        return _table(("q1", "p1", "w"), (grid[:, 0], grid[:, 1], values), args.format)
     if args.gnuplot:
         raise InvalidParameterError("--gnuplot needs a slice (--q1 or --p1)")
     return _table(("q1", "q2", "q3", "p1", "p2", "p3", "w"),
-                  [(*q, *p, gaussian.wigner(state, q, p))], args.format)
+                  zip((*q, *p, gaussian.wigner(state, q, p))), args.format)
 
 
 def _cmd_bell(args):
     state = gaussian.make_state(args.lam, _parse_complex_triple(args.alpha))
     setting = bell.BellSetting(_parse_complex_triple(args.beta), _parse_complex_triple(args.beta_prime))
     value = bell.b3(state, setting)
-    return _table(("lambda", "b3"), [(args.lam, value)], args.format)
+    return _table(("lambda", "b3"), zip((args.lam, value)), args.format)
 
 
 def _cmd_fig2(args):
     rows = bell.fig2_scan(_parse_range(args.lam_range), _parse_range(args.b))
-    return _table(("lambda", "b_star", "b3_max"), rows, args.format)
+    return _table(("lambda", "b_star", "b3_max"), zip(*rows), args.format)
 
 
 def _cmd_oracle_check(args):
@@ -170,7 +177,7 @@ def _cmd_oracle_check(args):
          row["shrinking"])
         for row in fock.convergence_report(quantity, cutoffs)
     ]
-    return _table(("cutoff", "value", "delta", "shrinking"), rows, args.format)
+    return _table(("cutoff", "value", "delta", "shrinking"), zip(*rows), args.format)
 
 
 def _cmd_errata(args):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from trisqueeze import (
 )
 from trisqueeze import bell
 from trisqueeze.bell import max_b3
+from trisqueeze.gaussian import _mode_sums
 
 DATA = Path(__file__).parent / "data"
 
@@ -230,6 +232,33 @@ def test_fig2_setting_is_the_unit_pattern_scaled_bit_for_bit():
     points = np.where(bell._PRIMED, setting.beta_prime[:, None, :], setting.beta[:, None, :])
     formed = math.sqrt(2) * np.stack([points.real, points.imag], axis=-2)
     assert np.array_equal(_bits(formed), _bits(bs[:, None, None, None] * bell._FIG2_POINTS))
+
+
+def test_fig2_modes_are_the_integer_pattern_scaled():
+    # each entry of b * _FIG2_POINTS is 0 or +-c, c = fl(b sqrt(2)), so every sum of _mode_sums
+    # on those points is exact or rounds once, to fl(k c): the scan's c * _FIG2_MODES are its
+    # bits (== ignores the sign of zero, which the Wigner exponent squares away).  Where 2c or
+    # 3c overflows, both are non-finite (TwoSum's inf - inf gives NaN, the pattern inf)
+    bs = np.append(np.exp(np.random.default_rng(43).uniform(-20, 20, size=64)),
+                   [5e-324, 1e-300, 8e307, 1.2e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        summed = _mode_sums(bs[:, None, None, None] * bell._FIG2_POINTS)
+        points, modes = bell._fig2_points(bs)
+    assert np.array_equal(_bits(points), _bits(bs[:, None, None, None] * bell._FIG2_POINTS))
+    finite = np.isfinite(summed)
+    assert finite.reshape(bs.size, -1).all(axis=1).tolist() == [True] * 66 + [False] * 2
+    assert np.array_equal(np.isfinite(modes), finite) and np.isinf(modes[~finite]).all()
+    assert (summed[finite] == modes[finite]).all()
+    # a scan whose grid reaches those magnitudes answers, or refuses, as it did when every
+    # step summed modes: rows pinned by a digest of their float.hex recorded then
+    grid = np.sort(bs[:-2])
+    rows = fig2_scan([0.0, -0.4, 1.2, 5.0], grid)
+    assert hashlib.sha256(repr([tuple(v.hex() for v in row) for row in rows]).encode()).hexdigest() \
+        == "a866a3f94c0e5de3447981a2a20fcdfd3ee70b272523c2232c8dd82c5aac75bb"
+    for top in bs[-2:]:
+        with pytest.raises(NumericError) as refusal:
+            fig2_scan([1.2, 0.0], np.append(grid, top))
+        assert str(refusal.value) == "wigner exponent overflows double precision at strength 1.2"
 
 
 def test_fig2_scan_values_equal_b3():

@@ -120,6 +120,11 @@ def _per_cell_csv(header, rows):
                    for row in [header, *rows])
 
 
+def _columns(rows):
+    # the writer takes a table's columns: its rows transposed
+    return list(zip(*rows))
+
+
 def test_csv_writer_matches_per_cell_rule():
     header = ("a", "b", "c", "d")
     rows = [
@@ -130,8 +135,8 @@ def test_csv_writer_matches_per_cell_rule():
         [math.inf, -math.inf, math.nan, np.float64(math.nan)],
         (np.float64(1e16), np.float64(123456789012.5), 7, "x"),
     ]
-    assert _table(header, rows, "csv") == _per_cell_csv(header, rows)
-    assert _table(header, rows, "csv").split("\n")[1:3] == ["8,0.5,,True", "10,0.3,0.3,False"]
+    assert _table(header, _columns(rows), "csv") == _per_cell_csv(header, rows)
+    assert _table(header, _columns(rows), "csv").split("\n")[1:3] == ["8,0.5,,True", "10,0.3,0.3,False"]
     floats = np.random.default_rng(1).standard_normal((1200, 3)) * 10.0 ** np.arange(-4, 8, 4)
     for header, rows in [
         (("x", "y", "w"), floats.tolist()),
@@ -144,15 +149,27 @@ def test_csv_writer_matches_per_cell_rule():
         (("flag", "count"), [(True, 1), (np.bool_(False), np.int64(-2)), (False, 10**20)]),
         (("a", "b", "c"), []),
     ]:
-        assert _table(header, rows, "csv") == _per_cell_csv(header, rows)
+        assert _table(header, _columns(rows), "csv") == _per_cell_csv(header, rows)
 
 
 def test_csv_writer_float_bits():
     # 300 float64 bit patterns from a fixed seed, as a float and as np.float64
     bits = np.random.default_rng(0).integers(0, 2**64, 300, dtype=np.uint64)
+    header = ("x", "y", "z", "w")
     for value in bits.view(np.float64).tolist():
         rows = [(value, np.float64(value), "", value)]
-        assert _table(("x", "y", "z", "w"), rows, "csv") == _per_cell_csv(("x", "y", "z", "w"), rows)
+        assert _table(header, _columns(rows), "csv") == _per_cell_csv(header, rows)
+    # a float column is formatted once per distinct bit pattern: values that compare equal
+    # but differ in bits (0.0 and -0.0, two NaN payloads) keep their own text, and repeats
+    # share one; each column given as a list and as a float64 array
+    payloads = np.array([0x7FF8000000000001, 0xFFF8000000000002], dtype=np.uint64).view(np.float64)
+    for column in ([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0], [0.1 + 0.2, 0.3, 0.1 + 0.2, 0.3, 0.3],
+                   [2.5, 2.5, 2.5], payloads.tolist() + [math.nan, payloads[0]],
+                   [math.inf, -math.inf, -math.inf, 1.0, math.inf]):
+        expected = _per_cell_csv(("x",), [(value,) for value in column])
+        assert _table(("x",), [column], "csv") == expected
+        assert _table(("x",), [np.array(column, dtype=np.float64)], "csv") == expected
+    assert _table(("x",), [np.array([0.0, -0.0, -0.0, 0.0])], "csv") == "x\n0\n-0\n-0\n0\n"
 
 
 @pytest.mark.parametrize("fmt, digest", [
@@ -539,14 +556,16 @@ def test_runs_without_scipy():
 def test_startup_imports_and_module_entry_point(capsys):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = ("import os, sys, trisqueeze.cli; "
-             "code = trisqueeze.cli.run(['errata', '--out', os.devnull]); "
-             "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules), "
+             "codes = [trisqueeze.cli.run([*argv, '--out', os.devnull]) for argv in "
+             "(['errata'], ['wigner', '--lambda', '0.2', '--q1=-3:0.1:3', '--p1=-3:0.1:3'])]; "
+             "print(codes, any(m.split('.')[0] == 'scipy' for m in sys.modules), "
              "'numpy.ma' in sys.modules)")
     loaded = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    # the package imports only numpy (test_runs_without_scipy blocks scipy outright), and
-    # errata, which reads displaced parities, does not load numpy.ma (np.unique imported it)
-    assert loaded.stdout == "0 False False\n"
+    # the package imports only numpy (test_runs_without_scipy blocks scipy outright); neither
+    # errata, which reads displaced parities, nor the CSV writer, which finds the distinct
+    # floats of a column, loads numpy.ma (np.unique on floats imports it)
+    assert loaded.stdout == "[0, 0] False False\n"
 
     argv = ["fig1", "--re=-1:1:1", "--im=0:1:0"]
     module = subprocess.run([sys.executable, "-m", "trisqueeze.cli", *argv], env=env,
