@@ -271,8 +271,8 @@ def run(argv=None) -> int:
             table = args.out.replace("'", "''")  # how gnuplot writes ' inside '...'
             _write(gnuplot, f"set datafile separator ','\nset title '{args.plot}'\n"
                             f"plot '{table}' every ::1 using 1:3 with lines\n")
-    except SystemExit:  # --help, printed in full
-        return 0
+    except SystemExit:  # --help, printed in full; exit 0 below
+        pass
     except (InvalidParameterError, NumericError) as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -1,15 +1,17 @@
-"""Exception types and the parameter domain, which no other module checks itself.
+"""Exception types and the type, finiteness and magnitude rules of the parameter domain.
 
-A squeezing strength is a finite int or float, not a bool (:func:`check_strength`; each of
-an array by :func:`check_strengths`), checked before the amplitudes by the entry point that
-takes it, not by the helpers under it.  An order, a power or a cutoff is a Python or numpy
-int, not a bool (:func:`check_integer`).  Phase-space points, scan grids and moment
-coefficients are arrays of ints or floats, and Bell settings may hold complex numbers too,
-never bools or strings (:func:`check_numbers`).  Coherent amplitudes and displacements are
-finite triples, shape (..., 3), of such numbers, complex allowed; a real or imaginary part
-above 7e307 in size raises NumericError, since sqrt(6) times it, the largest displacement on
-a normal mode, must stay finite (:func:`check_amplitudes`).  A result that is not finite
-raises NumericError "<what> overflows double precision at strength <s>"
+Each entry point checks the shapes and ranges of its own arguments with these rules.  A
+squeezing strength is a finite int or float, not a bool, and an int past the double range is
+not finite (:func:`check_strength`; each of an array by :func:`check_strengths`), checked
+before the amplitudes by the entry point that takes it, not by the helpers under it.  An
+order, a power or a cutoff is a Python or numpy int, not a bool (:func:`check_integer`); a
+power k is at most MAX_POWER and a moment order at most MAX_MOMENT_ORDER.  Phase-space points,
+scan grids and moment coefficients are arrays of ints or floats, and Bell settings may hold
+complex numbers too, never bools or strings (:func:`check_numbers`).  Coherent amplitudes and
+displacements are finite triples, shape (..., 3), of such numbers, complex allowed; a real or
+imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the largest
+displacement on a normal mode, must stay finite (:func:`check_amplitudes`).  A result that is
+not finite raises NumericError "<what> overflows double precision at strength <s>"
 (:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its CLI exit code and
 stderr prefix: 2 and "error" for InvalidParameterError (argparse failures too), 3 and
 "numeric failure" for NumericError.
@@ -20,6 +22,9 @@ import math
 import numpy as np
 
 __all__ = ["InvalidParameterError", "NumericError", "TruncationError"]
+
+MAX_POWER = 6  # of <A^dag^k A^k> and P_k, on both photon routes and in the Fock oracle
+MAX_MOMENT_ORDER = 16  # a domain bound, not a range limit: 15!! = 2 027 025 is exact in float64
 
 
 class InvalidParameterError(ValueError):
@@ -44,7 +49,10 @@ def check_strength(strength) -> float:
     """``strength`` as a float: a Python or numpy int or float, and finite (a bool is refused)."""
     if isinstance(strength, bool) or not isinstance(strength, (int, float, np.integer, np.floating)):
         raise InvalidParameterError(f"squeezing strength must be a real number, got {strength!r}")
-    s = float(strength)
+    try:
+        s = float(strength)
+    except OverflowError:  # an int past the double range
+        s = math.inf
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {s!r}")
     return s

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import (InvalidParameterError, TruncationError, check_amplitudes, check_integer,
-                     check_strength)
+from .errors import (MAX_MOMENT_ORDER, MAX_POWER, InvalidParameterError, TruncationError,
+                     check_amplitudes, check_integer, check_strength)
 
 __all__ = [
     "FockArena",
@@ -151,8 +151,8 @@ def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
 
 def _central_moment(quadrature, vec: np.ndarray, order: int) -> float:
     order = check_integer(order, "order")
-    if order < 2 or order % 2:
-        raise InvalidParameterError(f"order must be even and >= 2, got {order}")
+    if order < 2 or order % 2 or order > MAX_MOMENT_ORDER:
+        raise InvalidParameterError(f"order must be even and in 2..{MAX_MOMENT_ORDER}, got {order}")
     norm2 = float(np.vdot(vec, vec).real)
     mean = float(np.vdot(vec, quadrature(vec)).real) / norm2
     half = vec
@@ -169,8 +169,8 @@ def moment_x3(arena: FockArena, ket: np.ndarray, order: int) -> float:
 def mean_power(arena: FockArena, ket: np.ndarray, k: int) -> float:
     """<A^dag^k A^k> for the collective mode A = (a1+a2+a3)/sqrt(3)."""
     k = check_integer(k, "k")
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
+    if not 1 <= k <= MAX_POWER:
+        raise InvalidParameterError(f"k must be in 1..{MAX_POWER}, got {k}")
     vec = ket
     for _ in range(k):
         vec = ladder(arena, vec, 1 / math.sqrt(3))
@@ -189,8 +189,7 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
     inverse = {}
-    # np.unique's values (the first of equal ones, sorted), without its import of numpy.ma
-    for beta in sorted(set(betas.flat), key=lambda b: (b.real, b.imag)):
+    for beta in set(betas.flat):
         _check_tail(beta, "beta", c)
         eps, vecs = np.linalg.eigh(1j * (beta * lower.T - np.conj(beta) * lower))
         inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T

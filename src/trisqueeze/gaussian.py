@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, NumericError, check_amplitudes, check_integer,
-                     check_numbers, check_strength, check_strengths, overflow_error,
-                     refuse_overflow)
+from .errors import (MAX_MOMENT_ORDER, InvalidParameterError, NumericError, check_amplitudes,
+                     check_integer, check_numbers, check_strength, check_strengths,
+                     overflow_error, refuse_overflow)
 from .matrices import _exponentials, mode_gains
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "two_mode_baseline_variance",
     "wigner",
 ]
-
-MAX_MOMENT_ORDER = 16  # a domain bound, not a range limit: 15!! = 2 027 025 is exact in float64
 
 # The normal modes are the integer vectors (1,1,1), (1,-1,0), (1,1,-2), the
 # columns of _INTEGER_MODES, over their norms; _MODES has the unit vectors.
@@ -117,7 +115,8 @@ def make_state(strength, alpha) -> GaussianState:
     code and stacked, so every slice holds the same bits as a
     single-strength state.  ``errors`` checks each strength, then the amplitudes.
     """
-    batched = not isinstance(strength, (int, float)) and np.ndim(strength)  # np.ndim(float) costs
+    # the rank of an object array, which a ragged list has too; a float skips the cost
+    batched = not isinstance(strength, (int, float)) and np.asarray(strength, dtype=object).ndim
     if batched:
         strength = check_strengths(strength)
         if not strength.size:

@@ -23,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidParameterError, check_amplitudes, check_integer, check_numbers,
-                     check_strength, refuse_overflow)
+from .errors import (MAX_POWER, InvalidParameterError, check_amplitudes, check_integer,
+                     check_numbers, check_strength, refuse_overflow)
 from .matrices import collective_factors
 
 __all__ = ["PkResult", "gm_pair", "mean_power_paper", "mean_power_exact", "pk", "fig1_scan"]
-
-MAX_POWER = 6
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,10 @@ def test_range_parsing_errors():
                 "-1e308:1:1e308", "0:1:1000"):
         with pytest.raises(InvalidParameterError):
             _parse_range(bad)
+    # without their own refusal these read as ranges of more than 1000 points
+    for bad in ("nan:1:2", "0:nan:1", "0:1:inf", "-inf:1:0"):
+        with pytest.raises(InvalidParameterError, match="range bounds and step must be finite"):
+            _parse_range(bad)
 
 
 def test_complex_triple_parsing():
@@ -444,6 +448,9 @@ def test_numeric_failure_exit_code(capsys):
     # an amplitude sum that overflows is refused before the closed route's singularity
     (["pk", "--lambda", "0", "--path", "paper", "--alpha", "7e307,7e307,7e307"], 3),
     (["pk", "--lambda", "1e-300", "--path", "paper", "--alpha", "7e307,7e307,7e307"], 3),
+    # rows past the moment order cap of 16, and a point whose imaginary part was dropped
+    (["moments", "--lambda", "0.1", "--m-max", "9"], 2),
+    (["wigner", "--lambda", "0.1", "--q", "1j,0,0"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for the argv that name files
@@ -480,8 +487,11 @@ def test_table_kept_when_only_the_script_fails(tmp_path, monkeypatch, capsys):
 
 
 def test_closed_stdout_is_one_line():
-    # the reader is gone before the child writes, so the write fails with EPIPE
+    # the reader is gone before the child writes, so the write fails with EPIPE; the child's
+    # stdout is buffered, as it is on a pipe unless PYTHONUNBUFFERED is set, so it is the
+    # flush in run that meets the closed pipe, and no data is left for the flush at exit
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
     child = subprocess.Popen([sys.executable, "-m", "trisqueeze.cli", "moments", "--lambda", "0.2"],
                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     child.stdout.close()

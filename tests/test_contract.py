@@ -57,10 +57,11 @@ ENTRY_POINTS = [
 def test_entry_points_share_one_domain(inputs, call):
     inside = (0.1, 0.2j, 0)
     call(0.1, inside)
-    for bad in (math.nan, math.inf, -math.inf):
-        if "s" in inputs:
-            with pytest.raises(InvalidParameterError):
+    if "s" in inputs:  # float() raised OverflowError on 10**400
+        for bad in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(InvalidParameterError, match="strength must be finite"):
                 call(bad, inside)
+    for bad in (math.nan, math.inf, -math.inf):
         if "a" in inputs:
             for alpha in ((bad, 0, 0), (0, complex(0, bad), 0)):
                 with pytest.raises(InvalidParameterError):
@@ -121,6 +122,32 @@ def test_integer_parameters_share_one_type_rule(call):
             call(bad)
 
 
+# (name, call(n), least and largest n) of every entry point whose integer has a range; the caps
+# are errors.MAX_MOMENT_ORDER and errors.MAX_POWER.  hos_x(0.1, 0) answered 1.0, moment_x3 1e99
+# at order 200, and fock.mean_power made one ladder pass per unit of k, so 10**30 never returned
+INTEGER_RANGES = [
+    ("central_moment", lambda n: central_moment(STATE, MomentQuery(np.ones(6), n)), 2, 16),
+    ("hos_x", lambda n: hos_x(0.3, n), 1, 8),
+    ("hos_y", lambda n: hos_y(0.3, n), 1, 8),
+    ("pk", lambda n: pk(n, (1, 0, 0), 0.3), 2, 6),
+    ("mean_power_exact", lambda n: mean_power_exact(n, (1, 0, 0), 0.3), 1, 6),
+    ("mean_power_paper", lambda n: mean_power_paper(n, (1, 0, 0), 0.3), 1, 6),
+    ("fock.mean_power", lambda n: mean_power(ARENA, KET, n), 1, 6),
+    ("moment_x3", lambda n: moment_x3(ARENA, KET, n), 2, 16),
+    ("build_arena", lambda n: build_arena(n), 2, 32),
+]
+
+
+@pytest.mark.parametrize("call, least, largest", [entry[1:] for entry in INTEGER_RANGES],
+                         ids=[entry[0] for entry in INTEGER_RANGES])
+def test_integer_parameters_are_refused_outside_their_range(call, least, largest):
+    call(least)
+    call(largest)
+    for bad in (least - 1, largest + 1, largest + 2, 10**30):  # an order must be even too
+        with pytest.raises(InvalidParameterError):
+            call(bad)
+
+
 BATCH = make_state([0.1, 0.2, 0.3], (0, 0, 0))
 # (name, call) of malformed arrays that numpy refused with a bare ValueError or TypeError, or
 # that central_moment took for an overflow or read as real numbers; np.asarray(..., dtype=float
@@ -141,6 +168,15 @@ MALFORMED = [
     ("wigner strength axes", lambda: wigner(BATCH, np.zeros((2, 3)), np.zeros((2, 3)))),
     ("b3 strength axes", lambda: b3(BATCH, BellSetting(np.zeros((2, 3)), np.zeros((2, 3))))),
     ("make_state two triples", lambda: make_state(0.3, np.zeros((2, 3)))),
+    # each of these got past a shape rule that no other row trips: pk answered P_2 of a pair,
+    # b3 0.524 from one value broadcast to all three modes, and the others raised numpy's
+    # ValueError, an IndexError or an AttributeError
+    ("pk two amplitudes", lambda: pk(2, (1, 1), 0.2)),
+    ("one and five point components", lambda: wigner(STATE, [0.1], [0.1] * 5)),
+    ("one-mode settings", lambda: b3(make_state(0.2, (0, 0, 0)), BellSetting((0.3,), (0.1,)))),
+    ("empty b grid", lambda: fig2_scan([0.1], [])),
+    ("bool fig1 imaginary grid", lambda: fig1_scan([0.1], [True])),
+    ("ragged strengths", lambda: make_state([[0.1, 0.2], [0.3]], (0, 0, 0))),
     ("coherent_ket two triples", lambda: coherent_ket(ARENA, np.zeros((2, 3)))),
     ("five coefficients", lambda: central_moment(STATE, MomentQuery(np.ones(5), 2))),
     ("string coefficients", lambda: central_moment(STATE, MomentQuery(["x"] * 6, 2))),
@@ -202,9 +238,11 @@ def _sites(path: Path) -> set:
 def test_overflow_refusal_has_one_owner():
     # errors.refuse_overflow is the refusal; _exponentials guards math.exp on every query
     # without numpy, and the lazy point checks of wigner, b3 and fig2_scan cost nothing
-    # until an exponent is not finite
+    # until an exponent is not finite.  check_strength refuses an input, not a result: an int
+    # that float() cannot hold is a strength that is not finite
     sites = set().union(*(_sites(path) for path in SRC.glob("*.py")))
     assert sites == {
+        ("except OverflowError", "errors.check_strength"),
         ("except OverflowError", "matrices._exponentials"),
         ("np.errstate", "errors.refuse_overflow"),
         ("np.errstate", "gaussian.wigner"),
