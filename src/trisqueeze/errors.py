@@ -52,7 +52,7 @@ def check_strength(strength) -> float:
     try:
         s = float(strength)
     except OverflowError:  # an int past the double range
-        s = math.inf
+        s = math.inf if strength > 0 else -math.inf
     if not math.isfinite(s):
         raise InvalidParameterError(f"squeezing strength must be finite, got {s!r}")
     return s

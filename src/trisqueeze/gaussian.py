@@ -116,9 +116,9 @@ def make_state(strength, alpha) -> GaussianState:
     single-strength state.  ``errors`` checks each strength, then the amplitudes.
     """
     # the rank of an object array, which a ragged list has too; a float skips the cost
-    batched = not isinstance(strength, (int, float)) and np.asarray(strength, dtype=object).ndim
+    batched = not isinstance(strength, (int, float)) and (cells := np.asarray(strength, dtype=object)).ndim
     if batched:
-        strength = check_strengths(strength)
+        strength = check_strengths(cells)
         if not strength.size:
             raise InvalidParameterError("empty strength array")
     else:

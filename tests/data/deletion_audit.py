@@ -3,7 +3,6 @@
 Run from the repository root (needs only what the test suite needs):
 
     python tests/data/deletion_audit.py > audit.jsonl
-    python tests/data/deletion_audit.py --jobs 2 gaussian.py bell.py > audit.jsonl
 
 A mutant is one edit of one module:
 
@@ -15,17 +14,16 @@ A mutant is one edit of one module:
 * a ``with`` header becomes ``if True:``.
 
 An edit that leaves the module as it was, or as an earlier mutant left it, is
-skipped.  The tree is copied to a temporary directory once per job, and only
-the copy is edited; a job puts each mutant in place, runs the suite there and
-puts the module back.  The suite runs with ``-x``, the by-design acceptance
-failures deselected and a timeout per run (120 s); the mutant survives when
-pytest exits 0.  The unedited copy must pass first.  Each mutant gives one JSON
+skipped.  The tree is copied to a temporary directory once for each of the two
+jobs, and only the copies are edited; a job puts each mutant in place, runs the
+suite there and puts the module back.  The suite runs with ``-x``, the
+by-design acceptance failures deselected and 120 s per run; the mutant
+survives when pytest exits 0.  The unedited copy must pass first.  Each mutant gives one JSON
 line on stdout (module, line, kind, the edited source lines, outcome
 "survived", "killed" or "timeout", pytest's exit code, seconds); the counts and
 the survivors go to stderr.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -40,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+JOBS, TIMEOUT = 2, 120.0  # suites run at once, and seconds per run
 PACKAGE = Path("src") / "trisqueeze"
 BY_DESIGN = ("06c_printed_squeezed_vacuum_p2", "07b_fig1_positive_flanks", "07c_fig1_im_invariance",
              "09b_bell_violation_band", "09d_bell_plateau_exceeds_two")
@@ -101,13 +100,13 @@ def _mutants(path):
             yield line, kind, mutated
 
 
-def _run(tree, timeout):
-    # pytest's exit code in ``tree``, or None after ``timeout`` seconds (its process group killed)
+def _run(tree):
+    # pytest's exit code in ``tree``, or None after TIMEOUT seconds (its process group killed)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     process = subprocess.Popen(PYTEST, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                                stderr=subprocess.DEVNULL, start_new_session=True)
     try:
-        return process.wait(timeout=timeout)
+        return process.wait(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(process.pid, signal.SIGKILL)
         process.wait()
@@ -115,14 +114,7 @@ def _run(tree, timeout):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", help="module files to mutate (default: all)")
-    parser.add_argument("--jobs", type=int, default=1, help="suites run at once (default 1)")
-    parser.add_argument("--timeout", type=float, default=120.0, help="seconds per run (default 120)")
-    args = parser.parse_args()
     paths = sorted((ROOT / PACKAGE).glob("*.py"))
-    if args.modules:
-        paths = [path for path in paths if path.name in args.modules]
     mutants = [(path.name, *mutant) for path in paths for mutant in _mutants(path)]
     print(f"{len(mutants)} mutants of {len(paths)} modules", file=sys.stderr)
 
@@ -130,8 +122,8 @@ def main():
                                     ".perfbench_*", "*.egg-info")
     with tempfile.TemporaryDirectory(prefix="deletion_audit_") as scratch:
         trees = [Path(shutil.copytree(ROOT, Path(scratch) / f"tree{job}", ignore=ignore))
-                 for job in range(max(1, args.jobs))]
-        if _run(trees[0], args.timeout) != 0:
+                 for job in range(JOBS)]
+        if _run(trees[0]) != 0:
             sys.exit("the unedited tree does not pass the suite")
         free, lock, counts, survivors = list(trees), threading.Lock(), {}, []
 
@@ -144,7 +136,7 @@ def main():
             target.write_bytes(source)
             start = time.monotonic()
             try:
-                code = _run(tree, args.timeout)
+                code = _run(tree)
             finally:
                 target.write_bytes(original)
                 with lock:

@@ -58,8 +58,9 @@ def test_entry_points_share_one_domain(inputs, call):
     inside = (0.1, 0.2j, 0)
     call(0.1, inside)
     if "s" in inputs:  # float() raised OverflowError on 10**400
-        for bad in (math.nan, math.inf, -math.inf, 10**400):
-            with pytest.raises(InvalidParameterError, match="strength must be finite"):
+        for bad, shown in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                           (10**400, "inf"), (-10**400, "-inf")):
+            with pytest.raises(InvalidParameterError, match=f"strength must be finite, got {shown}$"):
                 call(bad, inside)
     for bad in (math.nan, math.inf, -math.inf):
         if "a" in inputs:
@@ -96,18 +97,20 @@ def test_strength_is_a_python_or_numpy_real():
 
 
 STATE = make_state(0.1, (0.1, 0, 0))
-# (name, call(n)) of every entry point that takes an order, a power or a cutoff
+# (name, call(n), least and largest n) of every entry point that takes an order, a power or a
+# cutoff; the range is None where the caller sets it.  The caps are errors.MAX_MOMENT_ORDER and
+# errors.MAX_POWER
 INTEGER_ENTRY_POINTS = [
-    ("central_moment", lambda n: central_moment(STATE, MomentQuery(np.ones(6), n))),
-    ("hos_x", lambda n: hos_x(0.3, n)),
-    ("hos_y", lambda n: hos_y(0.3, n)),
-    ("pk", lambda n: pk(n, (1, 0, 0), 0.3)),
-    ("mean_power_exact", lambda n: mean_power_exact(n, (1, 0, 0), 0.3)),
-    ("mean_power_paper", lambda n: mean_power_paper(n, (1, 0, 0), 0.3)),
-    ("fock.mean_power", lambda n: mean_power(ARENA, KET, n)),
-    ("moment_x3", lambda n: moment_x3(ARENA, KET, n)),
-    ("build_arena", lambda n: build_arena(n)),
-    ("convergence_report", lambda n: convergence_report(lambda cutoff: 0.0, [n, 3])),
+    ("central_moment", lambda n: central_moment(STATE, MomentQuery(np.ones(6), n)), 2, 16),
+    ("hos_x", lambda n: hos_x(0.3, n), 1, 8),
+    ("hos_y", lambda n: hos_y(0.3, n), 1, 8),
+    ("pk", lambda n: pk(n, (1, 0, 0), 0.3), 2, 6),
+    ("mean_power_exact", lambda n: mean_power_exact(n, (1, 0, 0), 0.3), 1, 6),
+    ("mean_power_paper", lambda n: mean_power_paper(n, (1, 0, 0), 0.3), 1, 6),
+    ("fock.mean_power", lambda n: mean_power(ARENA, KET, n), 1, 6),
+    ("moment_x3", lambda n: moment_x3(ARENA, KET, n), 2, 16),
+    ("build_arena", lambda n: build_arena(n), 2, 32),
+    ("convergence_report", lambda n: convergence_report(lambda cutoff: 0.0, [n, 3]), None, None),
 ]
 
 
@@ -122,25 +125,14 @@ def test_integer_parameters_share_one_type_rule(call):
             call(bad)
 
 
-# (name, call(n), least and largest n) of every entry point whose integer has a range; the caps
-# are errors.MAX_MOMENT_ORDER and errors.MAX_POWER.  hos_x(0.1, 0) answered 1.0, moment_x3 1e99
-# at order 200, and fock.mean_power made one ladder pass per unit of k, so 10**30 never returned
-INTEGER_RANGES = [
-    ("central_moment", lambda n: central_moment(STATE, MomentQuery(np.ones(6), n)), 2, 16),
-    ("hos_x", lambda n: hos_x(0.3, n), 1, 8),
-    ("hos_y", lambda n: hos_y(0.3, n), 1, 8),
-    ("pk", lambda n: pk(n, (1, 0, 0), 0.3), 2, 6),
-    ("mean_power_exact", lambda n: mean_power_exact(n, (1, 0, 0), 0.3), 1, 6),
-    ("mean_power_paper", lambda n: mean_power_paper(n, (1, 0, 0), 0.3), 1, 6),
-    ("fock.mean_power", lambda n: mean_power(ARENA, KET, n), 1, 6),
-    ("moment_x3", lambda n: moment_x3(ARENA, KET, n), 2, 16),
-    ("build_arena", lambda n: build_arena(n), 2, 32),
-]
+RANGED = [entry for entry in INTEGER_ENTRY_POINTS if entry[2] is not None]
 
 
-@pytest.mark.parametrize("call, least, largest", [entry[1:] for entry in INTEGER_RANGES],
-                         ids=[entry[0] for entry in INTEGER_RANGES])
+@pytest.mark.parametrize("call, least, largest", [entry[1:] for entry in RANGED],
+                         ids=[entry[0] for entry in RANGED])
 def test_integer_parameters_are_refused_outside_their_range(call, least, largest):
+    # hos_x(0.1, 0) answered 1.0, moment_x3 1e99 at order 200, and fock.mean_power made one
+    # ladder pass per unit of k, so 10**30 never returned
     call(least)
     call(largest)
     for bad in (least - 1, largest + 1, largest + 2, 10**30):  # an order must be even too
