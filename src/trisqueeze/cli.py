@@ -44,7 +44,7 @@ def _parse_range(text: str) -> np.ndarray:
     span = (end - start) / step + 1e-12
     if not span < MAX_RANGE_POINTS:  # also refuses a span that overflows to inf
         raise InvalidParameterError(f"range has more than {MAX_RANGE_POINTS} points, got {text!r}")
-    count = int(math.floor(span)) + 1
+    count = math.floor(span) + 1
     return start + step * np.arange(count)
 
 
@@ -62,28 +62,28 @@ def _parse_real_triple(text: str) -> np.ndarray:
     values = _parse_complex_triple(text)
     if np.any(values.imag != 0):
         raise InvalidParameterError(f"expected real values, got {text!r}")
-    return values.real.astype(float)
+    return values.real
 
 
 def _table(header, columns, fmt) -> str:
     # columns (zip(*rows) of a table's rows) are sequences of cells of equal length, a float64
     # array counting as floats
     if fmt == "json":  # every cell is an int, str, bool or float (np.float64 is one)
-        rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+        rows = zip(*columns)
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
     return "\n".join(map(",".join, [header, *zip(*map(_column_text, columns))])) + "\n"
 
 
-def _column_text(column) -> list:
+def _column_text(column):
     # 12 significant digits for a float (np.float64 included), %s for any other cell.  A column
     # of floats is formatted once per distinct bit pattern, which np.unique finds in its int64
     # view: on the floats themselves it would merge 0.0 with -0.0, and it imports numpy.ma
     kinds = () if isinstance(column, np.ndarray) else set(map(type, column))
     if not all(issubclass(kind, float) for kind in kinds):
         return [("%.12g" if isinstance(cell, float) else "%s") % cell for cell in column]
-    distinct, index = np.unique(np.asarray(column, dtype=float).view(np.int64), return_inverse=True)
+    distinct, index = np.unique(np.asarray(column).view(np.int64), return_inverse=True)
     text = np.array(["%.12g" % value for value in distinct.view(float).tolist()], dtype=object)
-    return text[index].tolist()
+    return text[index]
 
 
 def _write(path: str, text: str):

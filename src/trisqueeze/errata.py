@@ -28,10 +28,10 @@ def _wigner_entry() -> dict:
     betas = np.array([0.25 + 0.1j, -0.15, 0.1 - 0.2j])
     q, p = _quadratures(betas)
 
-    implemented = float(math.pi**3 * wigner(state, q, p))
+    implemented = math.pi**3 * wigner(state, q, p)
     # literal matrix attachment, contracting exponential on q and expanding on p: the maps of
     # strength -s, whose gains are those of s with the q and p rows swapped
-    swapped = float(math.pi**3 * wigner(make_state(-strength, _PROBE_ALPHA), q, p))
+    swapped = math.pi**3 * wigner(make_state(-strength, _PROBE_ALPHA), q, p)
 
     arena = build_arena(_PROBE_CUTOFF)
     ket = evolve(arena, strength, coherent_ket(arena, _PROBE_ALPHA))
@@ -64,18 +64,17 @@ def _gm_entry() -> dict:
     strength = 1.0
     alpha = (1.0, 1.0, 1.0)
     g, m = gm_pair(alpha, strength)
-    product = float((g * m).real)
+    product = (g * m).real
     total = sum(alpha)
-    printed_expansion = (2 / 3) * (2 * total**2) - (4 / 3) * (1 / math.tanh(-4 * strength)) * abs(
-        total
-    ) ** 2
+    printed_expansion = ((2 / 3) * (2 * total**2)
+                         - (4 / 3) * (1 / math.tanh(-4 * strength)) * abs(total) ** 2)
     # plain principal branches of both square roots, product = -2/3
     coll_sum, coll_diff = collective_factors(strength)
     root_sd = complex(np.lib.scimath.sqrt(2 * coll_sum / (3 * coll_diff)))
     root_ds = complex(np.lib.scimath.sqrt(2 * coll_diff / (3 * coll_sum)))
     g_pp = 1j * (root_sd * np.conj(total) - root_ds * total)
     m_pp = 1j * (root_sd * total - root_ds * np.conj(total))
-    principal_product = float((g_pp * m_pp).real)
+    principal_product = (g_pp * m_pp).real
 
     return {
         "id": "E2",

@@ -65,10 +65,9 @@ def check_integer(value, name: str) -> int:
     return int(value)
 
 
-def check_strengths(strengths) -> np.ndarray:
-    """Each of ``strengths``, as given, by :func:`check_strength`: a float array of their shape."""
-    cells = np.asarray(strengths, dtype=object)
-    return np.array([check_strength(s) for s in cells.flat], dtype=float).reshape(cells.shape)
+def check_strengths(cells: np.ndarray) -> np.ndarray:
+    """Each cell of the object array ``cells`` by :func:`check_strength`: a float array, same shape."""
+    return np.array([check_strength(s) for s in cells.flat]).reshape(cells.shape)
 
 
 def check_numbers(values, name: str, kinds: str = "iuf") -> np.ndarray:

@@ -115,7 +115,7 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
             f"{boundary:.3e} of the probability sits on the outermost Fock shell "
             f"(limit {BOUNDARY_MASS_LIMIT:g}); increase the cutoff or reduce the strength"
         )
-    return moved.astype(ket.dtype, copy=False)
+    return moved.astype(ket.dtype)
 
 
 def _check_tail(amp, name: str, cutoff: int) -> None:
@@ -127,9 +127,9 @@ def _check_tail(amp, name: str, cutoff: int) -> None:
 
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
-    alpha = check_amplitudes(alpha, "coherent ket").reshape(-1)
-    if alpha.size != 3:
-        raise InvalidParameterError(f"coherent amplitudes must be one triple, got {alpha.size} values")
+    alpha = check_amplitudes(alpha, "coherent ket")
+    if alpha.shape != (3,):
+        raise InvalidParameterError(f"coherent amplitudes must be one triple, got shape {alpha.shape}")
     factors = []
     n = np.arange(arena.cutoff)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, arena.cutoff)))])
@@ -153,12 +153,12 @@ def _central_moment(quadrature, vec: np.ndarray, order: int) -> float:
     order = check_integer(order, "order")
     if order < 2 or order % 2 or order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"order must be even and in 2..{MAX_MOMENT_ORDER}, got {order}")
-    norm2 = float(np.vdot(vec, vec).real)
-    mean = float(np.vdot(vec, quadrature(vec)).real) / norm2
+    norm2 = np.vdot(vec, vec).real
+    mean = np.vdot(vec, quadrature(vec)).real / norm2
     half = vec
     for _ in range(order // 2):
         half = quadrature(half) - mean * half
-    return float(np.vdot(half, half).real) / norm2
+    return float(np.vdot(half, half).real / norm2)
 
 
 def moment_x3(arena: FockArena, ket: np.ndarray, order: int) -> float:
@@ -217,7 +217,7 @@ def convergence_report(quantity, cutoffs) -> list[dict]:
     for cut in cutoffs:
         value = float(quantity(cut))
         delta = None if previous is None else value - previous
-        shrinking = delta is None or last_delta is None or abs(delta) <= abs(last_delta)
+        shrinking = last_delta is None or abs(delta) <= abs(last_delta)
         rows.append({"cutoff": cut, "value": value, "delta": delta, "shrinking": shrinking})
         previous, last_delta = value, delta
     return rows

@@ -61,8 +61,8 @@ def _mode_sums(x):
 
 
 def _quadratures(amplitudes) -> np.ndarray:
-    # the phase-space points (q, p) = sqrt(2) (Re, Im) of amplitudes (..., 3), as (..., 2, 3)
-    parts = np.ascontiguousarray(amplitudes, dtype=complex)[..., None].view(float)
+    # sqrt(2) (Re, Im) of amplitudes (..., 3) as points (..., 2, 3); [..., None] views any layout
+    parts = np.asarray(amplitudes, dtype=complex)[..., None].view(float)
     return (math.sqrt(2) * parts).swapaxes(-1, -2).copy()
 
 
@@ -123,9 +123,9 @@ def make_state(strength, alpha) -> GaussianState:
             raise InvalidParameterError("empty strength array")
     else:
         strength = check_strength(strength)
-    alpha = check_amplitudes(alpha, "coherent displacement").reshape(-1)
-    if alpha.size != 3:
-        raise InvalidParameterError(f"coherent amplitudes must be one triple, got {alpha.size} values")
+    alpha = check_amplitudes(alpha, "coherent displacement")
+    if alpha.shape != (3,):
+        raise InvalidParameterError(f"coherent amplitudes must be one triple, got shape {alpha.shape}")
     gains = (np.stack([mode_gains(s) for s in strength.flat]).reshape(strength.shape + (2, 3))
              if batched else mode_gains(strength))
     displacement = _quadratures(alpha) @ _MODES
@@ -155,7 +155,7 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     if order > MAX_MOMENT_ORDER:
         raise InvalidParameterError(f"moment order capped at {MAX_MOMENT_ORDER}, got {order}")
     try:  # a moment that is not finite is the coefficients' fault if one of them is not finite
-        coeffs = check_numbers(query.coeffs, "moment coefficients").reshape(6)
+        coeffs = check_numbers(query.coeffs, "moment coefficients")
         return refuse_overflow("moment", state.strength, _moment, state, coeffs, order)
     except (ValueError, NumericError) as error:  # InvalidParameterError is a ValueError
         if isinstance(error, NumericError) and np.isfinite(coeffs).all():

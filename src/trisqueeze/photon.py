@@ -129,7 +129,7 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
 def _wick_table(k: int, ndim: int) -> tuple[np.ndarray, ...]:
     # (j, l1 + l2, r1, r2, w) of every term of the Wick sum of order k (see mean_power_exact) on
     # the leading axis of ndim + 1, r1 and r2 complex and the rest float, as the powers cast them
-    j, l1, l2 = np.indices((k + 1,) * 3).reshape(3, -1)
+    j, l1, l2 = np.indices((k + 1,) * 3)
     r1, r2 = k - j - 2 * l1, k - j - 2 * l2
     j, l1, l2, r1, r2 = (index[(r1 >= 0) & (r2 >= 0)] for index in (j, l1, l2, r1, r2))
     f = np.cumprod([1, *range(1, k + 1)])  # factorials 0..k
@@ -274,6 +274,6 @@ def fig1_scan(re_values, im_values) -> list[tuple[float, float, float, float]]:
         raise InvalidParameterError("empty scan grid")
     x, y = np.meshgrid(re_values, im_values, indexing="ij")
     ones = np.ones_like(x)
-    result = pk(2, np.stack([ones, ones, x + 1j * y], axis=-1), 1.0, path="paper")
+    result = pk(2, np.stack([ones, ones, x + 1j * y], axis=-1), 1.0)
     return list(zip(x.ravel().tolist(), y.ravel().tolist(),
                     result.paper_value.ravel().tolist(), result.exact_value.ravel().tolist()))

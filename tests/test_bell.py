@@ -191,6 +191,8 @@ def test_fig2_scan_validation():
 def test_fig2_scan_takes_a_plain_strength():
     # a 0-d strength ended in "TypeError: 'float' object is not subscriptable"
     assert fig2_scan(0.5, [0.1, 0.2]) == fig2_scan([0.5], [0.1, 0.2])
+    assert fig2_scan(0.5, 0.1) == fig2_scan([0.5], [0.1])  # a 0-d b grid is one point
+    assert max_b3(0.5) == max_b3([0.5])
 
 
 def test_b3_refuses_settings_without_an_axis_per_strength():
@@ -259,6 +261,11 @@ def test_fig2_modes_are_the_integer_pattern_scaled():
         with pytest.raises(NumericError) as refusal:
             fig2_scan([1.2, 0.0], np.append(grid, top))
         assert str(refusal.value) == "wigner exponent overflows double precision at strength 1.2"
+    # past about 1.27e308, b sqrt(2) overflows too, and inf times the pattern's zeros is NaN:
+    # refused by the package, not by numpy's warning.  Today it reads "phase-space points must
+    # be finite", which is wrong for a finite b (CHANGES.md); a fix may answer the NumericError
+    with pytest.raises((InvalidParameterError, NumericError)):
+        fig2_scan([1.2], [1.5e308])
 
 
 def test_fig2_scan_values_equal_b3():

@@ -1,10 +1,10 @@
 """The parameter domain of ``errors.py`` at every public entry point that takes
 a strength, coherent amplitudes or an integer: a strength is a real number,
 checked before the amplitudes, from Python and from the CLI, and an order, a
-power or a cutoff is an integer; points, settings and grids are numbers; a
-source check that no module keeps its own copy of the overflow refusal; a source
-check of the public surface; and that importing the CLI loads every module the
-benchmark tracer wraps."""
+power or a cutoff is an integer; points, settings and grids are numbers; one
+value is answered as a Python float; a source check that no module keeps its
+own copy of the overflow refusal; a source check of the public surface; and
+that importing the CLI loads every module the benchmark tracer wraps."""
 
 import ast
 import math
@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 import trisqueeze
-from trisqueeze import (BellSetting, MomentQuery, b3, build_arena, central_moment, coherent_ket,
-                        convergence_report, displaced_parity, evolve, fig1_scan, fig2_scan,
-                        fig2_setting, gm_pair, hos_x, hos_y, make_state, mean_power,
-                        mean_power_exact, mean_power_paper, moment_x3, pk,
-                        two_mode_baseline_variance, wigner)
+from trisqueeze import (BellSetting, MomentQuery, b3, b3_oracle_check, build_arena,
+                        central_moment, coherent_ket, convergence_report, displaced_parity,
+                        evolve, fig1_scan, fig2_scan, fig2_setting, gm_pair, hos_x, hos_y,
+                        make_state, mean_power, mean_power_exact, mean_power_paper, moment_x3,
+                        pk, two_mode_baseline_variance, wigner)
 from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
@@ -131,11 +131,12 @@ RANGED = [entry for entry in INTEGER_ENTRY_POINTS if entry[2] is not None]
 @pytest.mark.parametrize("call, least, largest", [entry[1:] for entry in RANGED],
                          ids=[entry[0] for entry in RANGED])
 def test_integer_parameters_are_refused_outside_their_range(call, least, largest):
-    # hos_x(0.1, 0) answered 1.0, moment_x3 1e99 at order 200, and fock.mean_power made one
-    # ladder pass per unit of k, so 10**30 never returned
+    # hos_x(0.1, 0) answered 1.0, moment_x3 1e99 at order 200 and the ket's norm at order 0 (an
+    # even order below 2), and fock.mean_power made one ladder pass per unit of k, so 10**30
+    # never returned
     call(least)
     call(largest)
-    for bad in (least - 1, largest + 1, largest + 2, 10**30):  # an order must be even too
+    for bad in (least - 2, least - 1, largest + 1, largest + 2, 10**30):  # an order must be even too
         with pytest.raises(InvalidParameterError):
             call(bad)
 
@@ -165,10 +166,18 @@ MALFORMED = [
     # ValueError, an IndexError or an AttributeError
     ("pk two amplitudes", lambda: pk(2, (1, 1), 0.2)),
     ("one and five point components", lambda: wigner(STATE, [0.1], [0.1] * 5)),
+    ("one q component", lambda: wigner(STATE, [0.1], np.zeros(3))),
+    ("one p component", lambda: wigner(STATE, np.zeros(3), [0.1])),
     ("one-mode settings", lambda: b3(make_state(0.2, (0, 0, 0)), BellSetting((0.3,), (0.1,)))),
+    ("one-mode beta", lambda: b3(STATE, BellSetting((0.3,), (0.1, 0, 0)))),
+    ("one-mode beta prime", lambda: b3(STATE, BellSetting((0.1, 0, 0), (0.3,)))),
     ("empty b grid", lambda: fig2_scan([0.1], [])),
     ("bool fig1 imaginary grid", lambda: fig1_scan([0.1], [True])),
+    ("string fig1 real grid", lambda: fig1_scan(["1"], [0.0])),
     ("ragged strengths", lambda: make_state([[0.1, 0.2], [0.3]], (0, 0, 0))),
+    # np.asarray(strengths) read a bool among floats as 1.0
+    ("bool among fig2 strengths", lambda: fig2_scan([0.1, True], [0.3])),
+    ("bool among max_b3 strengths", lambda: max_b3([0.1, True])),
     ("coherent_ket two triples", lambda: coherent_ket(ARENA, np.zeros((2, 3)))),
     ("five coefficients", lambda: central_moment(STATE, MomentQuery(np.ones(5), 2))),
     ("string coefficients", lambda: central_moment(STATE, MomentQuery(["x"] * 6, 2))),
@@ -192,6 +201,46 @@ def test_malformed_arrays_are_invalid_parameters(call):
 def test_finite_coefficients_that_overflow_stay_numeric_errors():
     with pytest.raises(NumericError, match="moment overflows double precision"):
         central_moment(STATE, MomentQuery([1e200] * 6, 4))
+
+
+# (name, call) of every public function that answers a number, with its values for one input:
+# each is a Python float, as the docstrings say, not np.float64, whose repr differs under numpy 2
+FLOAT_RESULTS = [
+    ("wigner", lambda: [wigner(STATE, np.zeros(3), np.zeros(3))]),
+    ("b3", lambda: [b3(STATE, fig2_setting(0.3))]),
+    ("b3_oracle_check", lambda: b3_oracle_check(0.1, (0.1, 0, 0), fig2_setting(0.3), 6)),
+    ("central_moment", lambda: [central_moment(STATE, MomentQuery(np.ones(6), 2))]),
+    ("central_moment of a numpy order",
+     lambda: [central_moment(STATE, MomentQuery(np.ones(6), np.int64(4)))]),
+    ("hos_x", lambda: [hos_x(0.3, 2)]),
+    ("hos_y", lambda: [hos_y(0.3, 2)]),
+    ("two_mode_baseline_variance", lambda: two_mode_baseline_variance(0.3)),
+    ("mean_power_paper", lambda: [mean_power_paper(2, (1, 0, 0), 0.3)]),
+    ("mean_power_exact", lambda: [mean_power_exact(2, (1, 0, 0), 0.3)]),
+    ("pk", lambda: [getattr(pk(2, (1, 0, 0), 0.3), name)
+                    for name in ("paper_value", "exact_value", "discrepancy", "value")]),
+    ("moment_x3", lambda: [moment_x3(ARENA, KET, 2)]),
+    ("fock.mean_power", lambda: [mean_power(ARENA, KET, 2)]),
+    ("displaced_parity", lambda: [displaced_parity(ARENA, KET, (0.1, 0, 0))]),
+    # rows of floats
+    ("fig1_scan", lambda: [cell for row in fig1_scan([0.1, 0.2], [0.0]) for cell in row]),
+    ("fig2_scan", lambda: [cell for row in fig2_scan([0.1, 0.2], [0.1, 0.2]) for cell in row]),
+    ("max_b3", lambda: [cell for row in max_b3([0.1, -0.2]) for cell in row]),
+]
+
+
+@pytest.mark.parametrize("call", [entry[1] for entry in FLOAT_RESULTS],
+                         ids=[entry[0] for entry in FLOAT_RESULTS])
+def test_one_value_is_a_python_float(call):
+    values = call()
+    assert values and [type(value) for value in values] == [float] * len(values)
+
+
+def test_fig2_setting_holds_complex_amplitudes():
+    # BellSetting's six amplitudes are complex, for one b as for an array of them
+    single, batch = fig2_setting(0.3), fig2_setting([0.3, 0.4])
+    assert [type(value) for value in single.beta + single.beta_prime] == [np.complex128] * 6
+    assert batch.beta.dtype == batch.beta_prime.dtype == np.complex128
 
 
 @pytest.mark.parametrize("argv", [

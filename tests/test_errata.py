@@ -3,6 +3,7 @@ import json
 import pytest
 
 from trisqueeze.cli import run
+from trisqueeze import errata
 from trisqueeze.errata import build_errata
 
 
@@ -36,6 +37,14 @@ def test_collective_transform_entry_evidence(entries):
     evidence = entries[2]["evidence"]
     assert evidence["implemented_vs_oracle"] < 1e-6
     assert evidence["literal_vs_oracle"] > 0.1
+
+
+def test_distances_are_magnitudes_at_any_cutoff(monkeypatch):
+    # at cutoff 14 the implemented Wigner value sits 5.6e-16 below the parity oracle
+    monkeypatch.setattr(errata, "_PROBE_CUTOFF", 14)
+    for entry in build_errata():
+        distances = [value for key, value in entry["evidence"].items() if "_vs_" in key]
+        assert distances and min(distances) >= 0
 
 
 def test_errata_cli_round_trip(tmp_path, capsys):

@@ -134,7 +134,9 @@ def test_evolve_guards():
     with pytest.raises(TruncationError, match="outermost Fock shell"):
         evolve(arena, 3.0, vac)
     evolve(arena, 0.2, vac)  # boundary mass 1.1e-3: below the limit
-    for strength in (1e6, -1e300, 1e308):  # more Taylor steps than MAX_TAYLOR_STEPS
+    # more Taylor steps than MAX_TAYLOR_STEPS; 8008/15 first, where ||K||_1 = 15 s = 8008 is just
+    # past the cap, so that without it the test fails in 1001 steps, not millions
+    for strength in (8008 / 15, 1e6, -1e300, 1e308):
         with pytest.raises(TruncationError, match="too large for the Fock oracle"):
             evolve(arena, strength, vac)
 
@@ -252,7 +254,7 @@ def test_coherent_ket_basics(arena14):
 
 def test_coherent_tail_guard():
     arena = build_arena(8)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"^\|alpha\| = 2 too large for cutoff 8 \(limit 1.414\)$"):
         coherent_ket(arena, [2.0, 0, 0])
 
 
@@ -354,6 +356,12 @@ def test_convergence_report_vacuum_norm():
 
     rows = convergence_report(norm, [2, 4, 6])
     assert all(row["value"] == pytest.approx(1.0, abs=1e-12) for row in rows)
+
+
+def test_convergence_report_compares_sizes_of_deltas():
+    # deltas 1, -2 and 0.5: the second grew in size though it is smaller
+    rows = convergence_report({2: 0.0, 3: 1.0, 4: -1.0, 5: -0.5}.get, [2, 3, 4, 5])
+    assert [row["shrinking"] for row in rows] == [True, True, False, True]
 
 
 def test_convergence_report_vacuum_amplitude():

@@ -268,6 +268,8 @@ def test_wigner_input_validation():
     state = make_state(0.1, [0, 0, 0])
     with pytest.raises(InvalidParameterError):
         wigner(state, np.zeros(2), np.zeros(3))
+    with pytest.raises(InvalidParameterError, match="must be real numbers, got complex128 values$"):
+        wigner(state, np.zeros(3), np.ones(3) * 1j)
 
 
 def test_wigner_rejects_non_finite_points_and_overflow():
@@ -282,6 +284,10 @@ def test_wigner_rejects_non_finite_points_and_overflow():
     assert wigner(large, np.zeros(3), np.zeros(3)) == 1 / math.pi**3
     with pytest.raises(NumericError):
         wigner(large, np.ones(3), np.zeros(3))  # (e^{400} sqrt(3))^2 overflows
+    with pytest.raises(NumericError):  # the mode sums overflow, and TwoSum's inf - inf is NaN
+        wigner(state, [1e308, 1e308, 0], np.zeros(3))
+    with pytest.raises(NumericError, match="overflows double precision at strengths 0.1 to 200$"):
+        wigner(make_state([0.1, 200], [0, 0, 0]), np.ones((2, 3)), np.zeros(3))
 
 
 def _near_mean(rng, state, shape):
@@ -347,6 +353,10 @@ def test_strength_batch_slices_equal_single_states():
         single_maps = circulant_maps(mode_gains(strengths[i]))
         for batch_map, single_map in zip(circulant_maps(batch.gains), single_maps):
             assert np.array_equal(batch_map[i], single_map)
+    # the strengths' shape, here (2, 3), leads on strength and gains (GaussianState's docstring)
+    grid = make_state(strengths[:6].reshape(2, 3), alpha)
+    assert grid.strength.shape == (2, 3) and grid.gains.shape == (2, 3, 2, 3)
+    assert np.array_equal(grid[1, 2].gains, singles[5].gains)
 
 
 def test_wigner_exact_where_the_numeric_determinant_fails():

@@ -127,6 +127,8 @@ def test_paper_route_vacuum_value_and_discrepancy():
     assert exact == pytest.approx(math.sinh(0.6) ** 2, rel=1e-12)
     result = pk(2, [0, 0, 0], strength, path="exact")
     assert result.discrepancy == pytest.approx(abs(result.paper_value - result.exact_value))
+    assert result.discrepancy > 1 and result.value == result.exact_value  # each path reports its own
+    assert pk(2, [0, 0, 0], strength, path="paper").value == result.paper_value
 
 
 def test_paper_route_validation():
@@ -234,6 +236,15 @@ def test_mean_power_paper_single_amplitude_equals_its_grid_element(k):
 
 # float.hex of (paper_value, exact_value) of the calls in test_pk_bits_are_pinned
 PK_BITS_DIGEST = "433526b2629c2620816bf203ade0f5869cb368ee508fbf4682569bb8259ec00e"
+
+
+def test_pk_takes_a_grid_in_any_memory_layout():
+    # a transposed grid is not contiguous: a plain .view(float) of it raised numpy's ValueError
+    grid = (np.arange(12).reshape(3, 4) * (0.1 + 0.05j) + 0.2).T
+    assert not grid.flags.c_contiguous
+    got, want = pk(2, grid, 0.3), pk(2, np.ascontiguousarray(grid), 0.3)
+    assert np.array_equal(got.exact_value, want.exact_value)
+    assert np.array_equal(got.paper_value, want.paper_value)
 
 
 def test_pk_bits_are_pinned():
@@ -411,6 +422,7 @@ def test_pk_refuses_an_overflowing_sum_before_the_closed_route():
 
 
 def test_pk_checks_every_amplitude_of_a_batch():
+    assert pk(2, np.zeros((0, 3)), 0.3).exact_value.shape == (0,)  # an empty batch answers empty
     with pytest.raises(InvalidParameterError, match="mean photon number"):
         pk(2, [[1, 0, 0], [0, 0, 0]], 0.0)  # vacuum: no photons at zero strength
     with pytest.raises(NumericError):
@@ -451,3 +463,5 @@ def test_fig1_scan_near_flat_along_imaginary_axis():
 def test_fig1_scan_rejects_empty_grid():
     with pytest.raises(InvalidParameterError):
         fig1_scan([], [0.0])
+    with pytest.raises(InvalidParameterError):
+        fig1_scan([0.0], [])
