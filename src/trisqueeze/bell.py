@@ -81,7 +81,7 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
         raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        total = _b3(state, _quadratures(points))
+        total = _b3(state, points, _quadratures(points))
     return total if total.ndim else float(total)
 
 
@@ -98,11 +98,11 @@ def _points(setting: BellSetting) -> np.ndarray:
             f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
 
 
-def _b3(state: GaussianState, points: np.ndarray, modes=None) -> np.ndarray:
-    # B(3) from the correlation points (..., 4, 2, 3) in phase space and modes = _mode_sums(points),
-    # formed here when not given; the caller ignores overflow and invalid values
+def _b3(state: GaussianState, given, points: np.ndarray, modes=None) -> np.ndarray:
+    # B(3) from the correlation points (..., 4, 2, 3) in phase space that ``given`` forms and
+    # modes = _mode_sums(points), formed here when not given; the caller ignores over/invalid
     modes = _mode_sums(points) if modes is None else modes
-    return _combination(math.pi**3 * _wigner_modes(state, points, modes))
+    return _combination(math.pi**3 * _wigner_modes(state, points, modes, given))
 
 
 def _fig2_points(b):
@@ -117,7 +117,7 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     Builds one state at ``FIG2_ALPHA`` batched over the strengths.  The
     correlation points of magnitude b project onto the normal modes as
     fl(b sqrt(2)) times one fixed integer pattern, the bits ``_mode_sums``
-    gives them, so neither the b grid (positive, strictly increasing) nor
+    gives them, so neither the b grid (positive, finite, strictly increasing) nor
     a refinement step sums modes.  Grid-brackets the maximum (one strength
     at a time, on the whole grid), then refines it by golden section inside
     the bracketing cell down to a width of 1e-10 (first/grid-lowest
@@ -130,14 +130,14 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     b_values = check_numbers(b_values, "b grid").reshape(-1)
     if b_values.size == 0:
         raise InvalidParameterError("empty scan grid")
-    if not (b_values[0] > 0 and (np.diff(b_values) > 0).all()):
-        raise InvalidParameterError("b grid must be positive and strictly increasing")
+    if not (b_values[0] > 0 and (np.diff(b_values) > 0).all() and b_values[-1] < math.inf):
+        raise InvalidParameterError("b grid must be positive, finite and strictly increasing")
     state = make_state(np.asarray(strengths, dtype=object).reshape(-1), FIG2_ALPHA)
     strengths = state.strength
-    fn = lambda b: _b3(state, *_fig2_points(b))
+    fn = lambda b: _b3(state, b, *_fig2_points(b))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         grid = _fig2_points(b_values)
-        values = np.array([_b3(state[i], *grid) for i in range(strengths.size)])
+        values = np.array([_b3(state[i], b_values, *grid) for i in range(strengths.size)])
         top = np.argmax(values, axis=1)
         grid_best = values[np.arange(strengths.size), top]
         a = b_values[np.maximum(top - 1, 0)]

@@ -208,11 +208,14 @@ def test_b3_refuses_settings_without_an_axis_per_strength():
 
 
 def test_b3_refuses_displacements_that_overflow_without_a_warning():
-    # sqrt(2) beta overflowed outside any np.errstate, and numpy warned first
+    # sqrt(2) beta overflowed outside any np.errstate, and numpy warned first; the settings are
+    # finite, so their overflow is a numeric failure, and a non-finite setting an invalid one
     state = make_state(0.0, (0, 0, 0))
     for setting in (BellSetting((1.7e308, 0, 0), (0, 0, 0)), fig2_setting(1.7e308)):
-        with pytest.raises(InvalidParameterError, match="must be finite"):
+        with pytest.raises(NumericError, match="^wigner exponent overflows double precision at strength 0$"):
             b3(state, setting)
+    with pytest.raises(InvalidParameterError, match="^phase-space points must be finite$"):
+        b3(state, BellSetting((math.inf, 0, 0), (0, 0, 0)))
 
 
 def _bits(values):
@@ -262,9 +265,8 @@ def test_fig2_modes_are_the_integer_pattern_scaled():
             fig2_scan([1.2, 0.0], np.append(grid, top))
         assert str(refusal.value) == "wigner exponent overflows double precision at strength 1.2"
     # past about 1.27e308, b sqrt(2) overflows too, and inf times the pattern's zeros is NaN:
-    # refused by the package, not by numpy's warning.  Today it reads "phase-space points must
-    # be finite", which is wrong for a finite b (CHANGES.md); a fix may answer the NumericError
-    with pytest.raises((InvalidParameterError, NumericError)):
+    # refused by the package, not by numpy's warning, as the overflow it is, since b is finite
+    with pytest.raises(NumericError, match="^wigner exponent overflows double precision at strength 1.2$"):
         fig2_scan([1.2], [1.5e308])
 
 
@@ -279,7 +281,7 @@ def test_fig2_scan_values_equal_b3():
 
 
 @pytest.mark.parametrize("bs", [[0.3, 0.25, 0.2, 0.1], [0.1, 0.2, 0.2, 0.3], [0.0, 0.1],
-                                [-0.1], [0.1, math.nan, 0.3]])
+                                [-0.1], [0.1, math.nan, 0.3], [0.1, math.inf]])
 def test_fig2_scan_rejects_b_grid_not_positive_and_increasing(bs):
     # a descending grid used to skip the refinement silently: (0.2, 0.61869)
     # in place of the ascending grid's maximum

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helpers import normal_order_coefficients
 from trisqueeze import make_state, wigner
 from trisqueeze.cli import _parse_complex_triple, _parse_range, _table, run
 from trisqueeze.errors import InvalidParameterError
@@ -225,10 +226,8 @@ def test_wigner_slice_bytes_are_pinned(fmt, digest, capsys):
     # a complex ket: <X3> is real, and its rounding residue in the imaginary part moves the last bits
     (["oracle-check", "--lambda", "0.2", "--alpha", "0.3j,0.1,0", "--cutoffs", "6,8"],
      "ac20299f8a4ab1e54e3ce00f0e291512e468cc96210fea7ec059d6f1a28d69b1"),
-    # <0|U|0> does not read --alpha: the same bytes.  This pins a known defect (CHANGES.md:
-    # --alpha is silently ignored here); a fix that refuses it is expected to change this row
     (["oracle-check", "--quantity", "vacuum-amp", "--alpha", "0.3,0.2,-0.25", "--cutoffs", "6,8,10"],
-     "aef160a5359e973f7517e1db8c04e29dbcf18306cb99ae97368caaf7ddece211"),
+     "8406f9b6a4c77bc4eaf0f40b483f014bbfe47c79da06cfaeffe1baa81e07489f"),
 ])
 def test_json_bytes_are_pinned(argv, digest, capsys):
     # json.dumps writes every cell as it is (np.float64 through float.__repr__);
@@ -271,6 +270,20 @@ def test_oracle_check_table(capsys):
     assert lines[0] == "cutoff,value,delta,shrinking"
     assert len(lines) == 4
     assert float(lines[-1].split(",")[1]) == pytest.approx(math.exp(-0.8) / 4, abs=1e-3)
+
+
+@pytest.mark.parametrize("strength", [0.2, -0.3])
+def test_oracle_vacuum_amplitude_reads_alpha(strength, capsys):
+    # |<0|U(s)|alpha>| = A e^{-|alpha|^2/2} |exp(alpha^T P alpha/2)|: <0|U(s) is the bra of
+    # U(-s)|0> = A exp(a^dag^T P a^dag/2)|0>, (A, P) the normal-ordered form at -s
+    alpha = np.array([0.3 + 0.1j, 0.2 - 0.2j, -0.25 + 0.05j])
+    assert run(["oracle-check", "--quantity", "vacuum-amp", f"--lambda={strength}",
+                "--alpha", "0.3+0.1j,0.2-0.2j,-0.25+0.05j", "--cutoffs", "14,16",
+                "--format", "json"]) == 0
+    value = json.loads(capsys.readouterr().out)[-1]["value"]
+    prefactor, pair = normal_order_coefficients(-strength)
+    closed = prefactor * math.exp(-np.vdot(alpha, alpha).real / 2) * abs(np.exp(alpha @ pair @ alpha / 2))
+    assert value == pytest.approx(closed, rel=1e-14)
 
 
 def test_gnuplot_script_emission(tmp_path, monkeypatch, capsys):
@@ -453,9 +466,10 @@ def test_numeric_failure_exit_code(capsys):
     (["pk", "--lambda=-354.5", "--path", "paper"], 3),
     (["pk", "--lambda", "354.4", "--path", "paper"], 3),
     # sqrt(2) beta, sqrt(2) alpha and the sum of the amplitudes overflowed
-    # outside any np.errstate, so numpy warned before the one-line message
-    (["bell", "--lambda", "0", "--beta", "1.7e308,0,0"], 2),
-    (["oracle-check", "--quantity", "b3", "--b", "1.7e308"], 2),
+    # outside any np.errstate, so numpy warned before the one-line message;
+    # finite settings whose points overflow are an overflow, not invalid
+    (["bell", "--lambda", "0", "--beta", "1.7e308,0,0"], 3),
+    (["oracle-check", "--quantity", "b3", "--b", "1.7e308"], 3),
     (["wigner", "--lambda", "0", "--alpha", "1.7e308,0,0"], 3),
     (["bell", "--lambda", "0", "--alpha", "1.7e308,0,0"], 3),
     (["pk", "--lambda", "0.3", "--alpha", "1e308,1e308,0"], 3),
@@ -477,6 +491,10 @@ def test_numeric_failure_exit_code(capsys):
     # rows past the moment order cap of 16, and a point whose imaginary part was dropped
     (["moments", "--lambda", "0.1", "--m-max", "9"], 2),
     (["wigner", "--lambda", "0.1", "--q", "1j,0,0"], 2),
+    # a finite b whose points overflow was refused as not finite, with exit 2
+    (["fig2", "--b", "1.5e308:1:1.5e308"], 3),
+    # --b is read by b3 alone; var-x3 printed the bytes it prints without it
+    (["oracle-check", "--quantity", "var-x3", "--b", "99"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for the argv that name files

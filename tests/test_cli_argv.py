@@ -53,7 +53,9 @@ ARGV = st.one_of(
     _command("fig2", ("--lambda", STRENGTH.map(lambda s: f"{s}:1:{s}")),
              ("--b", MAGNITUDES.map(lambda b: f"{b!r}:1:{b!r}"))),
     _command("oracle-check", ("--lambda", STRENGTH), ("--alpha", ALPHA),
-             ("--quantity", st.sampled_from(["var-x3", "vacuum-amp", "parity", "b3"])),
+             ("--quantity", st.sampled_from(["var-x3", "vacuum-amp", "parity"])),
+             ("--cutoffs", st.just("4,6"))),
+    _command("oracle-check", ("--lambda", STRENGTH), ("--alpha", ALPHA), ("--quantity", st.just("b3")),
              ("--b", MAGNITUDES.map(repr)), ("--cutoffs", st.just("4,6"))),
     _command("fig1", ("--re", REAL.map(lambda x: f"{x!r}:1:{x!r}")),
              ("--im", REAL.map(lambda y: f"{y!r}:1:{y!r}"))),

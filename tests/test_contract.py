@@ -3,8 +3,9 @@ a strength, coherent amplitudes or an integer: a strength is a real number,
 checked before the amplitudes, from Python and from the CLI, and an order, a
 power or a cutoff is an integer; points, settings and grids are numbers; one
 value is answered as a Python float; a source check that no module keeps its
-own copy of the overflow refusal; a source check of the public surface; and
-that importing the CLI loads every module the benchmark tracer wraps."""
+own copy of the overflow refusal; one that every cache is one a benchmark pass
+pays for; a source check of the public surface; and that importing the CLI
+loads every module the benchmark tracer wraps."""
 
 import ast
 import math
@@ -290,6 +291,26 @@ def test_overflow_refusal_has_one_owner():
         ("np.errstate", "bell.b3"),
         ("np.errstate", "bell.fig2_scan"),
     }
+
+
+def test_every_cache_is_paid_for_end_to_end():
+    # a cache stays where a benchmark pass pays for it, each site saying what it saves:
+    # photon._wick_table, 40-45 us per build in each of the point pass's 800 pk calls, and
+    # cli._parser, 1.4-2.2 ms per build, three commands a scan or oracle pass (2 cores).  The
+    # printed route's coefficient cache saved about 3 ms of a point pass of about 183 ms, under
+    # that pass's spread, and went: a cache that only a per-call timing keeps does not return
+    names = {"cache", "lru_cache", "cached_property"}
+    named = lambda node: node.name if isinstance(node, ast.alias) else \
+        getattr(node, "attr", getattr(node, "id", None))
+    sites, uses = set(), 0
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            uses += named(node) in names
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                sites |= {f"{path.stem}.{node.name}" for decorator in node.decorator_list
+                          if named(decorator) in names}
+    assert sites == {"photon._wick_table", "cli._parser"}
+    assert uses == len(sites)  # no cache is imported, called or decorated any other way
 
 
 # Names that no other module calls but that stay in src/: each states a result of the

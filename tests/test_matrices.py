@@ -14,7 +14,7 @@ COUPLING = np.ones((3, 3)) - np.eye(3)  # 0 on the diagonal, 1 off it (eigenvalu
 
 
 def hermite(m, x):
-    return _hermite_table(m, x)[m]
+    return _hermite_table(max(m, 1), x)[m]
 
 
 @pytest.mark.parametrize("strength", [0.0, 1e-8, 0.2, 1.0, 10.0, 300.0])
