@@ -81,7 +81,7 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
         raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        total = _b3(state, points, _quadratures(points))
+        total = _b3(state, _mode_sums(_quadratures(points)), ("Bell settings", points))
     return total if total.ndim else float(total)
 
 
@@ -98,17 +98,14 @@ def _points(setting: BellSetting) -> np.ndarray:
             f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
 
 
-def _b3(state: GaussianState, given, points: np.ndarray, modes=None) -> np.ndarray:
-    # B(3) from the correlation points (..., 4, 2, 3) in phase space that ``given`` forms and
-    # modes = _mode_sums(points), formed here when not given; the caller ignores over/invalid
-    modes = _mode_sums(points) if modes is None else modes
-    return _combination(math.pi**3 * _wigner_modes(state, points, modes, given))
+def _b3(state: GaussianState, modes: np.ndarray, given=None) -> np.ndarray:
+    # B(3) from the mode sums (..., 4, 2, 3) of its correlation points, as _wigner_modes takes them
+    return _combination(math.pi**3 * _wigner_modes(state, modes, given))
 
 
-def _fig2_points(b):
-    # the correlation points (..., 4, 2, 3) of fig2_setting(b) in phase space, and their modes
-    scale = b[..., None, None, None]
-    return scale * _FIG2_POINTS, (scale * math.sqrt(2)) * _FIG2_MODES
+def _fig2_modes(b):
+    # the mode sums (..., 4, 2, 3) of the correlation points of fig2_setting(b)
+    return (b[..., None, None, None] * math.sqrt(2)) * _FIG2_MODES
 
 
 def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
@@ -118,7 +115,7 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     correlation points of magnitude b project onto the normal modes as
     fl(b sqrt(2)) times one fixed integer pattern, the bits ``_mode_sums``
     gives them, so neither the b grid (positive, finite, strictly increasing) nor
-    a refinement step sums modes.  Grid-brackets the maximum (one strength
+    a refinement step forms points or sums modes.  Grid-brackets the maximum (one strength
     at a time, on the whole grid), then refines it by golden section inside
     the bracketing cell down to a width of 1e-10 (first/grid-lowest
     maximizer wins ties; the grid point wins when it beats the refined
@@ -134,10 +131,10 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
         raise InvalidParameterError("b grid must be positive, finite and strictly increasing")
     state = make_state(np.asarray(strengths, dtype=object).reshape(-1), FIG2_ALPHA)
     strengths = state.strength
-    fn = lambda b: _b3(state, b, *_fig2_points(b))
+    fn = lambda b: _b3(state, _fig2_modes(b))  # b is finite, so a non-finite value overflowed
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        grid = _fig2_points(b_values)
-        values = np.array([_b3(state[i], b_values, *grid) for i in range(strengths.size)])
+        grid = _fig2_modes(b_values)
+        values = np.array([_b3(state[i], grid) for i in range(strengths.size)])
         top = np.argmax(values, axis=1)
         grid_best = values[np.arange(strengths.size), top]
         a = b_values[np.maximum(top - 1, 0)]

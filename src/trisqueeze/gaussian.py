@@ -226,23 +226,23 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     if q.ndim + 1 < state.gains.ndim:
         raise InvalidParameterError("points need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        out = _wigner_modes(state, x, _mode_sums(x), x)
+        out = _wigner_modes(state, _mode_sums(x), ("phase-space points", x))
     return out if out.ndim else float(out)
 
 
-def _wigner_modes(state: GaussianState, x: np.ndarray, modes: np.ndarray, given) -> np.ndarray:
-    # W at the points x (..., 2, 3), formed from what the caller was given (points, settings or b
-    # values), and modes = _mode_sums(x), which does not depend on the state; the state axes go in
-    # front of the points' leading axes.  The caller ignores over/invalid.
+def _wigner_modes(state: GaussianState, modes: np.ndarray, given=None) -> np.ndarray:
+    # W at the points whose _mode_sums are ``modes`` (..., 2, 3), the state axes in front of their
+    # leading axes; the caller ignores over/invalid.  A non-finite exponent refuses ``given``, the
+    # caller's (name, values) of its input, by that name if a value is not finite, else overflowed
     lead = state.gains.shape[:-2]
-    gains = state.gains.reshape(lead + (1,) * (x.ndim - state.gains.ndim) + (2, 3))
+    gains = state.gains.reshape(lead + (1,) * (modes.ndim - state.gains.ndim) + (2, 3))
     try:
         t = modes * (gains / _NORMS) - state.displacement
     except ValueError:
-        raise InvalidParameterError(f"points {x.shape[:-2]} do not line up with strengths {lead}") from None
+        raise InvalidParameterError(f"points {modes.shape[:-2]} do not line up with strengths {lead}") from None
     exponent = _total(t * t)
     if not np.isfinite(exponent).all():
-        if not np.isfinite(given).all():
-            raise InvalidParameterError("phase-space points must be finite")
+        if given and not np.isfinite(given[1]).all():
+            raise InvalidParameterError(f"{given[0]} must be finite")
         raise overflow_error("wigner exponent", state.strength)
     return np.exp(-exponent) / math.pi**3

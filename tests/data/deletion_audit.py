@@ -1,4 +1,4 @@
-"""Deletion audit of src/trisqueeze/*.py: the statements and expressions that no test needs.
+"""Deletion audit of src/trisqueeze/*.py: the statements, expressions and arguments no test needs.
 
 Run from the repository root (needs only what the test suite needs):
 
@@ -26,10 +26,15 @@ The expression pass:
 * a ``+`` or ``-`` of a float constant is dropped;
 * ``np.ascontiguousarray`` becomes ``np.asarray``.
 
-An edit that leaves the module as it was, or as an earlier mutant left it, is
-skipped.  The tree is copied to a temporary directory once for each of the two
-jobs, and only the copies are edited; a job puts each mutant in place, runs the
-suite there and puts the module back.  The suite runs with ``-x``, the
+The argument pass: in a call of a function that a module of the package defines at top level
+with a name starting with ``_``, one argument (positional, or a keyword's value) becomes
+``np.zeros_like(<argument>)``; a starred argument and a literal ``None`` are left as they are.
+A survivor is an argument whose values no test can tell apart from zeros.
+
+The passes run in that order.  An edit that leaves the module as it was, or as an earlier
+mutant left it, is skipped.  The tree is copied to a temporary directory once for each of the
+two jobs, and only the copies are edited; a job puts each mutant in place, runs the suite there
+and puts the module back.  The suite runs with ``-x``, the
 by-design acceptance failures deselected and 120 s per run; the mutant
 survives when pytest exits 0.  The unedited copy must pass first.  Each mutant
 gives one JSON line on stdout (module, line, pass, kind, the edited expression
@@ -60,6 +65,7 @@ PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           *(f"--deselect=tests/test_acceptance.py::test_criterion_{name}" for name in BY_DESIGN)]
 SIMPLE = (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Return, ast.Raise, ast.Assert,
           ast.Delete, ast.Break, ast.Continue, ast.Import, ast.ImportFrom)
+PASSES = ("statement", "expression", "argument")
 TRAILING = ("reshape", "ravel", "copy", "astype", "item", "tolist", "swapaxes", "view")
 UNWRAPPED = ("float", "int", "abs", "tuple", "list")
 # nodes that stay one operand wherever they stand; any other argument that replaces a call is
@@ -190,12 +196,33 @@ def _expressions(tree, source):
     return sorted(edits, key=lambda edit: edit[2:4])
 
 
-def _mutants(path):
+def _private_functions(paths) -> set:
+    # the names of the functions that the modules define at top level with a leading "_"
+    return {node.name for path in paths for node in ast.parse(path.read_bytes()).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+
+
+def _arguments(tree, source, private):
+    # (line, kind, begin, end, replacement) of the argument pass, in source order
+    edits = []
+    for node in _in_functions(tree):
+        func = getattr(node, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) not in private:
+            continue
+        for arg in [*node.args, *(keyword.value for keyword in node.keywords if keyword.arg)]:
+            if not isinstance(arg, ast.Starred) and not (isinstance(arg, ast.Constant) and arg.value is None):
+                edits.append((arg.lineno, "argument", *source.span(arg),
+                              b"np.zeros_like(" + source.text(arg) + b")"))
+    return sorted(edits, key=lambda edit: edit[2:4])
+
+
+def _mutants(path, private):
     # (line, pass, kind, edited text, replacement, mutated source) of each distinct mutant
     source = _Source(path.read_bytes())
     tree = ast.parse(source.data)
     seen = {source.data}
-    for name, edits in (("statement", _statements(tree, source)), ("expression", _expressions(tree, source))):
+    for name, edits in (("statement", _statements(tree, source)), ("expression", _expressions(tree, source)),
+                        ("argument", _arguments(tree, source, private))):
         for line, kind, begin, end, text in edits:
             mutated = source.data[:begin] + text + source.data[end:]
             if mutated not in seen:
@@ -220,7 +247,9 @@ def _run(tree):
 def main():
     started = time.monotonic()
     paths = sorted((ROOT / PACKAGE).glob("*.py"))
-    mutants = [(path.name, *mutant) for path in paths for mutant in _mutants(path)]
+    private = _private_functions(paths)
+    mutants = [(path.name, *mutant) for path in paths for mutant in _mutants(path, private)]
+    mutants.sort(key=lambda mutant: PASSES.index(mutant[2]))  # pass by pass, each in module order
     print(f"{len(mutants)} mutants of {len(paths)} modules", file=sys.stderr)
 
     ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
@@ -259,7 +288,7 @@ def main():
 
         with ThreadPoolExecutor(len(trees)) as pool:
             list(pool.map(audit, mutants))
-    for pass_ in ("statement", "expression"):
+    for pass_ in PASSES:
         rows = {kind: tally for (name, kind), tally in counts.items() if name == pass_}
         total = {}
         for tally in rows.values():

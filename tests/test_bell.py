@@ -209,12 +209,13 @@ def test_b3_refuses_settings_without_an_axis_per_strength():
 
 def test_b3_refuses_displacements_that_overflow_without_a_warning():
     # sqrt(2) beta overflowed outside any np.errstate, and numpy warned first; the settings are
-    # finite, so their overflow is a numeric failure, and a non-finite setting an invalid one
+    # finite, so their overflow is a numeric failure, and a non-finite setting an invalid one,
+    # named as the settings it is (it was refused as "phase-space points")
     state = make_state(0.0, (0, 0, 0))
     for setting in (BellSetting((1.7e308, 0, 0), (0, 0, 0)), fig2_setting(1.7e308)):
         with pytest.raises(NumericError, match="^wigner exponent overflows double precision at strength 0$"):
             b3(state, setting)
-    with pytest.raises(InvalidParameterError, match="^phase-space points must be finite$"):
+    with pytest.raises(InvalidParameterError, match="^Bell settings must be finite$"):
         b3(state, BellSetting((math.inf, 0, 0), (0, 0, 0)))
 
 
@@ -248,8 +249,7 @@ def test_fig2_modes_are_the_integer_pattern_scaled():
                    [5e-324, 1e-300, 8e307, 1.2e308])
     with np.errstate(over="ignore", invalid="ignore"):
         summed = _mode_sums(bs[:, None, None, None] * bell._FIG2_POINTS)
-        points, modes = bell._fig2_points(bs)
-    assert np.array_equal(_bits(points), _bits(bs[:, None, None, None] * bell._FIG2_POINTS))
+        modes = bell._fig2_modes(bs)
     finite = np.isfinite(summed)
     assert finite.reshape(bs.size, -1).all(axis=1).tolist() == [True] * 66 + [False] * 2
     assert np.array_equal(np.isfinite(modes), finite) and np.isinf(modes[~finite]).all()

@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import normal_order_coefficients
-from trisqueeze import make_state, wigner
+from trisqueeze import b3_oracle_check, fig2_setting, make_state, wigner
 from trisqueeze.cli import _parse_complex_triple, _parse_range, _table, run
 from trisqueeze.errors import InvalidParameterError
 
@@ -286,6 +286,18 @@ def test_oracle_vacuum_amplitude_reads_alpha(strength, capsys):
     assert value == pytest.approx(closed, rel=1e-14)
 
 
+def test_oracle_b3_reads_alpha(capsys):
+    # the b3 quantity is B(3) of the Fock parity at the --alpha ket, which no test told apart
+    # from the vacuum's, at the default b = 0.3, which no test ran
+    alpha = (0.3 + 0.1j, -0.2, 0.25j)
+    assert run(["oracle-check", "--quantity", "b3", "--lambda", "0.2",
+                "--alpha", "0.3+0.1j,-0.2,0.25j", "--cutoffs", "10,12", "--format", "json"]) == 0
+    values = [row["value"] for row in json.loads(capsys.readouterr().out)]
+    assert values == [b3_oracle_check(0.2, alpha, fig2_setting(0.3), cut)[1] for cut in (10, 12)]
+    assert values[-1] != pytest.approx(b3_oracle_check(0.2, (0, 0, 0), fig2_setting(0.3), 12)[1],
+                                       abs=1e-3)
+
+
 def test_gnuplot_script_emission(tmp_path, monkeypatch, capsys):
     # the script plots column 3 of the --out table against column 1
     out = tmp_path / "table.csv"
@@ -397,6 +409,9 @@ def test_numeric_failure_exit_code(capsys):
         # coherent amplitude far beyond the truncation guard
         (["oracle-check", "--quantity", "parity", "--lambda", "0.1", "--alpha", "2,0,0",
           "--cutoffs", "4,6"], "too large for cutoff 4"),
+        # a displacement beyond it, named as the displacement it is
+        (["oracle-check", "--quantity", "b3", "--b", "3", "--cutoffs", "6,8"],
+         "|beta| = 3 too large for cutoff 6 (limit 1.225)"),
         # squeezed weight piles up on the outermost Fock shell
         (["oracle-check", "--quantity", "vacuum-amp", "--lambda", "3", "--cutoffs", "4,6"],
          "outermost Fock shell"),
@@ -412,6 +427,18 @@ def test_numeric_failure_exit_code(capsys):
         assert captured.out == ""
         assert captured.err.startswith("numeric failure") and captured.err.count("\n") == 1
         assert reason in captured.err
+
+
+@pytest.mark.parametrize("argv, line", [
+    # a non-finite setting was refused as "phase-space points must be finite"
+    (["bell", "--lambda", "0.2", "--beta", "inf,0,0"], "error: Bell settings must be finite"),
+    (["wigner", "--lambda", "0.2", "--q", "inf,0,0"], "error: phase-space points must be finite"),
+    (["pk", "--path", "paper", "--lambda", "1e-18"],
+     "error: closed route undefined at strength 1e-18; use the exact route"),
+])
+def test_refusal_names_what_was_given(argv, line, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", line + "\n")
 
 
 @pytest.mark.parametrize("argv, code", [

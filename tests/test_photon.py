@@ -405,6 +405,12 @@ def test_pk_closed_route_singular_where_coll_diff_rounds_to_zero():
         pk(2, [1, 1, 1], 1e-300, path="paper")
     with pytest.raises(InvalidParameterError, match="closed route undefined"):
         gm_pair([1, 0, 0], -1e-300)
+    # the message names the strength given, which only at s = 0 reads as a strength of 0 would
+    for call in (lambda: mean_power_paper(2, (1, 0, 0), 1e-18),
+                 lambda: pk(2, (1, 0, 0), 1e-18, "paper")):
+        with pytest.raises(InvalidParameterError) as refusal:
+            call()
+        assert str(refusal.value) == "closed route undefined at strength 1e-18; use the exact route"
 
 
 def test_pk_refuses_an_overflowing_sum_before_the_closed_route():
