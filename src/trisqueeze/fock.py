@@ -4,8 +4,9 @@ Ground truth for every closed form in the package at small parameters: a
 state is propagated by applying the exponential of the squeeze generator,
 written in the truncated ladder operators, to its ket, so nothing here
 shares code (or derivation steps) with the Gaussian modules.
-A ket is a flat array of cutoff^3 amplitudes, complex or real (``evolve``
-keeps its dtype).  Kronecker ordering is mode1 (x) mode2 (x) mode3; basis index
+A ket is a flat complex128 or float64 array of cutoff^3 amplitudes (``evolve``
+keeps its dtype); every function that reads one raises InvalidParameterError for
+any other.  Kronecker ordering is mode1 (x) mode2 (x) mode3; basis index
 of the number state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3, so a ladder
 operator of mode i shifts the flat index by its stride (cutoff^2, cutoff, 1).
 """
@@ -83,11 +84,18 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     |strength|(6c-9) >= ||K||_2.  Scaled Taylor sums (Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)): ceil(||K||_1/TAYLOR_THETA) steps e^{K/steps} of 1-norm rho.
     Each term past the k-th shrinks by rho/(k+1) or more, so once k+1 > rho the tail is at
-    most ||term_k|| rho/(k+1-rho); a step stops when that is below 2^-53 of its sum.  Raises
-    TruncationError past MAX_TAYLOR_STEPS, or with over BOUNDARY_MASS_LIMIT of the probability on
-    the outermost shell, a limit measured, not proven, that bounds no value's relative error.
+    most ||term_k|| rho/(k+1-rho); a step stops when that is below 2^-53 of its sum.  A term
+    is six products, +w t[m + o] and -w t[m - o] for each pair's weights w and offset o, each
+    in its own row of one buffer, and one np.add.reduce sums the rows from +0 in the order of
+    slice-by-slice updates (a_i a_j, then a_i^dag a_j^dag, pair by pair): the same sums, so
+    the same bits, and a sum from +0 is never -0, so the sign of a zero product cannot show.
+    Raises InvalidParameterError for a ket that is not a 1-D float64 or complex128 array of
+    arena.dim amplitudes, and TruncationError past MAX_TAYLOR_STEPS, or with over
+    BOUNDARY_MASS_LIMIT of the probability on the outermost shell, a limit measured, not
+    proven, that bounds no value's relative error.
     """
     strength = check_strength(strength)
+    _check_ket(arena, ket)
     norm1 = abs(strength) * (6 * arena.cutoff - 9)
     if norm1 > MAX_TAYLOR_STEPS * TAYLOR_THETA:
         raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
@@ -95,20 +103,24 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     rho, scale = norm1 / steps, strength / steps
     real = not ket.imag.any()  # K is real: a real ket stays real, in real arithmetic
     moved = ket.real if real else ket
-    pairs = [(off, w.astype(np.result_type(w, moved))) for off, w in arena.pairs]  # cast once
+    products = np.zeros((6, arena.dim), moved.dtype)  # entries no pair reaches stay 0
+    term, total = np.empty_like(moved), moved.copy()
+    plan = []  # (weights, slice of the term, product row it fills), weights cast once
+    for (off, w), up, down in zip(arena.pairs, products[::2], products[1::2]):
+        w = w.astype(moved.dtype)
+        plan += [(w, term[off:], up[:-off]), (-w, term[:-off], down[off:])]
     # np.linalg.norm of a 1-D array by its own operations, so the same bits, without its dispatch
     norm = lambda x: math.sqrt(x.dot(x) if real else x.real.dot(x.real) + x.imag.dot(x.imag))
     for _ in range(steps):
-        term, total, k = moved, moved.copy(), 0
+        term[...], k = total, 0
         while k + 1 <= rho or norm(term) * rho > (k + 1 - rho) * 2.0**-53 * norm(total):
             k += 1
-            applied = np.zeros(term.shape, term.dtype)
-            for off, w in pairs:
-                applied[:-off] += w * term[off:]
-                applied[off:] -= w * term[:-off]
-            term = applied * (scale / k)
+            for w, source, row in plan:
+                np.multiply(w, source, out=row)
+            np.add.reduce(products, out=term)  # row by row, from the identity +0
+            term *= scale / k
             total += term
-        moved = total
+    moved = total
     weights = (np.abs(moved) ** 2).reshape((arena.cutoff,) * 3)
     total = weights.sum()
     boundary = (total - weights[:-1, :-1, :-1].sum()) / total
@@ -125,6 +137,16 @@ def _check_tail(amp, name: str, cutoff: int) -> None:
     if abs(amp) > (limit := math.sqrt(cutoff) / 2):
         raise TruncationError(f"|{name}| = {abs(amp):.4g} too large for cutoff {cutoff} "
                               f"(limit {limit:.4g})")
+
+
+def _check_ket(arena: FockArena, ket) -> None:
+    # the one ket rule of the engine; mean_power's ket meets it in ladder.  evolve's term buffer
+    # would broadcast a length-1 ket, and numpy alone answers a list or a (6, 36) array
+    array = isinstance(ket, np.ndarray)
+    if not (array and ket.dtype in (np.float64, np.complex128) and ket.shape == (arena.dim,)):
+        got = f"{ket.dtype} of shape {ket.shape}" if array else type(ket).__name__
+        raise InvalidParameterError(
+            f"ket must be a 1-D float64 or complex128 array of {arena.dim} amplitudes, got {got}")
 
 
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
@@ -144,6 +166,7 @@ def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
 
 def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
     """sum_i (down_i a_i + up_i a_i^dag) vec; one coefficient per mode, or one for all."""
+    _check_ket(arena, vec)
     out = np.zeros(arena.dim, dtype=complex)
     for (stride, w), d, u in zip(arena.lowering, np.broadcast_to(down, 3), np.broadcast_to(up, 3)):
         out[:-stride] += d * w * vec[stride:]
@@ -165,6 +188,7 @@ def _central_moment(quadrature, vec: np.ndarray, order: int) -> float:
 
 def moment_x3(arena: FockArena, ket: np.ndarray, order: int) -> float:
     """Central moment <(X3 - <X3>)^order> of (Q1+Q2+Q3)/sqrt(6) = sum_i (a_i + a_i^dag)/sqrt(12)."""
+    _check_ket(arena, ket)
     return _central_moment(lambda v: ladder(arena, v, _ROOT12, _ROOT12), ket, order)
 
 
@@ -187,6 +211,7 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
     of the Hermitian i(beta a^dag - beta* a), and moves its mode; the parity is
     then read off the diagonal signs.
     """
+    _check_ket(arena, ket)
     betas = check_amplitudes(betas, "displaced parity", "displacements")
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)

@@ -2,10 +2,11 @@
 a strength, coherent amplitudes or an integer: a strength is a real number,
 checked before the amplitudes, from Python and from the CLI, and an order, a
 power or a cutoff is an integer; points, settings and grids are numbers; one
-value is answered as a Python float; a source check that no module keeps its
-own copy of the overflow refusal; one that every cache is one a benchmark pass
-pays for; a source check of the public surface; and that importing the CLI
-loads every module the benchmark tracer wraps."""
+value is answered as a Python float; one rule for every ket the Fock engine
+reads; a source check that no module keeps its own copy of the overflow refusal;
+one that every cache is one a benchmark pass pays for; a source check of the
+public surface; and that importing the CLI loads every module the benchmark
+tracer wraps."""
 
 import ast
 import math
@@ -27,6 +28,7 @@ from trisqueeze import (BellSetting, MomentQuery, b3, b3_oracle_check, build_are
 from trisqueeze.bell import max_b3
 from trisqueeze.cli import run
 from trisqueeze.errors import InvalidParameterError, NumericError, check_strength
+from trisqueeze.fock import ladder
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "trisqueeze"
@@ -205,6 +207,37 @@ MALFORMED = [
 def test_malformed_arrays_are_invalid_parameters(call):
     with pytest.raises(InvalidParameterError):
         call()
+
+
+# (name, call(ket)) of every function that reads a ket
+KET_READERS = [
+    ("evolve", lambda ket: evolve(ARENA, 0.1, ket)),
+    ("ladder", lambda ket: ladder(ARENA, ket, 1.0)),
+    ("moment_x3", lambda ket: moment_x3(ARENA, ket, 2)),
+    ("fock.mean_power", lambda ket: mean_power(ARENA, ket, 2)),
+    ("displaced_parity", lambda ket: displaced_parity(ARENA, ket, (0.1, 0, 0))),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [entry[1] for entry in KET_READERS],
+                         ids=[entry[0] for entry in KET_READERS])
+def test_kets_share_one_rule(call):
+    # a wrong-length ket raised numpy's ValueError, an int ket UFuncTypeError in evolve, a list
+    # was answered by mean_power and raised AttributeError in evolve, and displaced_parity
+    # answered a (6, 36) array; evolve's term buffer would have taken a length-1 ket broadcast
+    call(KET)
+    call(KET.real)  # float64, and strided
+    for bad, got in ((KET[:-1], "complex128 of shape (215,)"),
+                     (KET[:1], "complex128 of shape (1,)"),
+                     (KET.reshape(6, 36), "complex128 of shape (6, 36)"),
+                     (np.ones(216, np.int64), "int64 of shape (216,)"),
+                     (KET.astype(np.complex64), "complex64 of shape (216,)"),
+                     (list(KET), "list"), (None, "NoneType")):
+        with pytest.raises(InvalidParameterError) as refusal:
+            call(bad)
+        assert str(refusal.value) == \
+            f"ket must be a 1-D float64 or complex128 array of 216 amplitudes, got {got}"
 
 
 def test_finite_coefficients_that_overflow_stay_numeric_errors():

@@ -206,17 +206,26 @@ def _evolve_reference(arena, strength, ket):
 
 @pytest.mark.parametrize("cutoff", [6, 10, 14, 20])
 def test_evolve_is_bit_identical_to_the_reference_loop(monkeypatch, cutoff):
-    # pair weights cast to the ket's dtype once and the norms without numpy's dispatch change
-    # no bit, signed zeros included, so each ket also takes the same number of Taylor terms
+    # each term is the sum of six product rows, taken row by row from +0 in the reference's order
+    # (a_i a_j, then -a_i^dag a_j^dag, pair by pair), and the norms skip numpy's dispatch: no bit
+    # changes, signed zeros included, so each ket also takes the same number of Taylor terms.  A
+    # sum from +0 is never -0, so no zero's sign tells the reference's subtractions from the
+    # rows' negated weights.  The last ket is -0 from its middle amplitude up: one term at
+    # strength 1e-10 turns the middle -0s to +0 only if each sum starts from +0, not from row 0
     from trisqueeze import FIG2_ALPHA
     from trisqueeze import fock as fock_module
+    from trisqueeze.errata import _PROBE_ALPHA
 
     monkeypatch.setattr(fock_module, "BOUNDARY_MASS_LIMIT", 1.0)
     arena = build_arena(cutoff)
     vacuum = np.zeros(arena.dim)
     vacuum[0] = 1.0
-    for ket in (coherent_ket(arena, FIG2_ALPHA), vacuum):
-        for strength in (0.2, -0.3, 0.7):
+    signed = vacuum.copy()
+    signed[arena.dim // 2:] = -0.0
+    for ket, strengths in ((coherent_ket(arena, FIG2_ALPHA), (0.2, -0.3, 0.7)),
+                           (coherent_ket(arena, _PROBE_ALPHA), (0.2, -0.3, 0.7)),
+                           (vacuum, (0.2, -0.3, 0.7)), (signed, (1e-10,))):
+        for strength in strengths:
             got, expected = evolve(arena, strength, ket), _evolve_reference(arena, strength, ket)
             assert got.dtype == expected.dtype == ket.dtype
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
