@@ -4,11 +4,11 @@ Ground truth for every closed form in the package at small parameters: a
 state is propagated by applying the exponential of the squeeze generator,
 written in the truncated ladder operators, to its ket, so nothing here
 shares code (or derivation steps) with the Gaussian modules.
-A ket is a flat complex128 or float64 array of cutoff^3 amplitudes (``evolve``
-keeps its dtype); every function that reads one raises InvalidParameterError for
-any other.  Kronecker ordering is mode1 (x) mode2 (x) mode3; basis index
-of the number state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3, so a ladder
-operator of mode i shifts the flat index by its stride (cutoff^2, cutoff, 1).
+A ket is a flat complex128 or float64 array of cutoff^3 amplitudes (``evolve`` keeps its
+dtype); each reader raises InvalidParameterError for any other, and all but ``ladder`` for
+one with a NaN or inf amplitude or norm 0.  Kronecker ordering is mode1 (x) mode2 (x)
+mode3; basis index of the number state |n1 n2 n3> is (n1*cutoff + n2)*cutoff + n3, so a
+ladder operator of mode i shifts the flat index by its stride (cutoff^2, cutoff, 1).
 """
 
 import math
@@ -89,13 +89,13 @@ def evolve(arena: FockArena, strength: float, ket: np.ndarray) -> np.ndarray:
     in its own row of one buffer, and one np.add.reduce sums the rows from +0 in the order of
     slice-by-slice updates (a_i a_j, then a_i^dag a_j^dag, pair by pair): the same sums, so
     the same bits, and a sum from +0 is never -0, so the sign of a zero product cannot show.
-    Raises InvalidParameterError for a ket that is not a 1-D float64 or complex128 array of
-    arena.dim amplitudes, and TruncationError past MAX_TAYLOR_STEPS, or with over
-    BOUNDARY_MASS_LIMIT of the probability on the outermost shell, a limit measured, not
-    proven, that bounds no value's relative error.
+    Raises InvalidParameterError for a ket that is not a finite, nonzero 1-D float64 or
+    complex128 array of arena.dim amplitudes, and TruncationError past MAX_TAYLOR_STEPS, or
+    with over BOUNDARY_MASS_LIMIT of the probability on the outermost shell, a limit
+    measured, not proven, that bounds no value's relative error.
     """
     strength = check_strength(strength)
-    _check_ket(arena, ket)
+    _norm2(arena, ket)  # before the Taylor terms, in which an inf amplitude meets 0 * inf
     norm1 = abs(strength) * (6 * arena.cutoff - 9)
     if norm1 > MAX_TAYLOR_STEPS * TAYLOR_THETA:
         raise TruncationError(f"strength {strength:g} is too large for the Fock oracle")
@@ -149,6 +149,14 @@ def _check_ket(arena: FockArena, ket) -> None:
             f"ket must be a 1-D float64 or complex128 array of {arena.dim} amplitudes, got {got}")
 
 
+def _norm2(arena: FockArena, ket) -> float:
+    # the ket rule and a squared norm to divide by: a NaN, inf or zero ket would answer NaN
+    _check_ket(arena, ket)
+    if not 0 < (norm2 := np.vdot(ket, ket).real) < math.inf:
+        raise InvalidParameterError(f"ket must be finite and nonzero, got squared norm {norm2:g}")
+    return norm2
+
+
 def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
     """Normalized truncated product coherent state |alpha1 alpha2 alpha3>."""
     alpha = check_amplitudes(alpha, "coherent ket")
@@ -188,7 +196,7 @@ def _central_moment(quadrature, vec: np.ndarray, order: int) -> float:
 
 def moment_x3(arena: FockArena, ket: np.ndarray, order: int) -> float:
     """Central moment <(X3 - <X3>)^order> of (Q1+Q2+Q3)/sqrt(6) = sum_i (a_i + a_i^dag)/sqrt(12)."""
-    _check_ket(arena, ket)
+    _norm2(arena, ket)
     return _central_moment(lambda v: ladder(arena, v, _ROOT12, _ROOT12), ket, order)
 
 
@@ -197,10 +205,10 @@ def mean_power(arena: FockArena, ket: np.ndarray, k: int) -> float:
     k = check_integer(k, "k")
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"k must be in 1..{MAX_POWER}, got {k}")
-    vec = ket
+    vec, norm2 = ket, _norm2(arena, ket)
     for _ in range(k):
         vec = ladder(arena, vec, 1 / math.sqrt(3))
-    return float(np.vdot(vec, vec).real / np.vdot(ket, ket).real)
+    return float(np.vdot(vec, vec).real / norm2)
 
 
 def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.ndarray:
@@ -211,7 +219,7 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
     of the Hermitian i(beta a^dag - beta* a), and moves its mode; the parity is
     then read off the diagonal signs.
     """
-    _check_ket(arena, ket)
+    norm2 = _norm2(arena, ket)
     betas = check_amplitudes(betas, "displaced parity", "displacements")
     c = arena.cutoff
     lower = np.diag(np.sqrt(np.arange(1.0, c)), 1)
@@ -220,7 +228,7 @@ def displaced_parity(arena: FockArena, ket: np.ndarray, betas) -> float | np.nda
         _check_tail(beta, "beta", c)
         eps, vecs = np.linalg.eigh(1j * (beta * lower.T - np.conj(beta) * lower))
         inverse[beta] = (vecs * np.exp(1j * eps)) @ vecs.conj().T
-    values, norm2 = [], np.vdot(ket, ket).real
+    values = []
     for triple in betas.reshape(-1, 3):
         moved = ket  # as np.tensordot(D, cube, (1, mode)) would: mode in front, the rest in order
         for beta, axes in zip(triple, ((0, 1, 2), (1, 0, 2), (2, 1, 0))):  # of the last product

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import normal_order_coefficients
-from trisqueeze import b3_oracle_check, fig2_setting, make_state, wigner
+from trisqueeze import b3_oracle_check, cli, fig2_setting, make_state, wigner
 from trisqueeze.cli import _parse_complex_triple, _parse_range, _table, run
 from trisqueeze.errors import InvalidParameterError
 
@@ -382,9 +383,8 @@ def test_help_and_usage_bytes_are_pinned(argv, digest, monkeypatch, capsys):
 
 
 def test_parser_reuse_leaks_no_state(monkeypatch, capsys):
-    # the parser is built once per process: each answer equals that of a parser built for it
-    from trisqueeze import cli
-
+    # a command's parser is built once per process: each answer equals that of a parser built
+    # for it.  -h names no command first, so it builds the full parser, uncached
     monkeypatch.setenv("COLUMNS", "80")
     sequence = [["fig1", "--bogus"], ["-h"], ["pk", "--lambda", "0.3"],
                 ["oracle-check", "--lambda", "nan"], ["fig1", "--re=-1:1:1", "--im=0:1:0"]]
@@ -393,15 +393,89 @@ def test_parser_reuse_leaks_no_state(monkeypatch, capsys):
         code = run(argv)
         return (code, *capsys.readouterr())
 
-    cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     reused = [answer(argv) for argv in sequence]
-    assert cli._parser.cache_info().misses == 1
+    assert cli._command_parser.cache_info().misses == 3  # fig1, pk and oracle-check
     fresh = []
     for argv in sequence:
-        cli._parser.cache_clear()
+        cli._command_parser.cache_clear()
         fresh.append(answer(argv))
     assert [code for code, _, _ in reused] == [2, 0, 0, 2, 0]
     assert reused == fresh
+
+
+def _full_subparser(name):
+    # what the full parser hands the rest of an argv that starts with this command name
+    return next(action.choices[name] for action in cli._parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_parser_prints_as_the_full_parser(name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    direct, routed = cli._command_parser(name), _full_subparser(name)
+    assert direct.format_usage() == routed.format_usage()
+    assert direct.format_help() == routed.format_help()
+
+
+def _parsed(parser, argv, capsys):
+    # the parsed arguments, or the refusal or exit, and what the parser printed
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except (InvalidParameterError, SystemExit) as exc:
+        outcome = (type(exc), str(exc))
+    return outcome, capsys.readouterr()
+
+
+def _rows(test):
+    # the parameter rows of a test parametrized above
+    return next(mark.args[1] for mark in test.pytestmark if mark.name == "parametrize")
+
+
+ROUTED = [
+    *(argv for argv, _ in _rows(test_help_and_usage_bytes_are_pinned)
+      if argv and argv[0] in cli._COMMANDS),
+    *(argv for pair in _rows(test_values_starting_with_a_dash) for argv in pair),
+    # one valid argv per command
+    ["moments", "--lambda", "0.2", "--m-max", "3", "--format", "json"],
+    ["pk", "--k", "3", "--lambda", "0.1", "--alpha", "1,0,0", "--path", "paper"],
+    ["fig1", "--re", "0:1:0", "--im=-1:1:1", "--out", "p2.csv", "--gnuplot", "p2.gp"],
+    ["wigner", "--lambda", "0.2", "--q1=-1:1:1", "--p", "0,1,0"],
+    ["bell", "--lambda", "0.3", "--beta-prime", "0.1,0,0"],
+    ["fig2", "--lambda", "0:0.5:1", "--b", "0.1:0.1:0.3"],
+    ["oracle-check", "--quantity", "b3", "--b", "0.3", "--cutoffs", "6,8"],
+    ["errata", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTED)
+def test_command_parser_parses_as_the_full_parser(argv, monkeypatch, capsys):
+    # the same arguments, refusal or help text, but for the name of the command it came from
+    monkeypatch.setenv("COLUMNS", "80")
+    routed, printed = _parsed(cli._parser(), argv, capsys)
+    if isinstance(routed, dict):
+        assert routed.pop("command") == argv[0]
+    assert _parsed(cli._command_parser(argv[0]), argv[1:], capsys) == (routed, printed)
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built, init = [], cli._Parser.__init__
+
+    def counted(parser, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli._command_parser.cache_clear()
+    argv = ["fig2", "--lambda", "0:1:0", "--b", "0.1:0.1:0.2"]
+    for _ in range(2):
+        assert run(argv) == 0
+    monkeypatch.setattr(sys, "argv", ["trisqueeze", *argv])
+    assert run() == 0  # as the installed script calls it
+    assert built == ["trisqueeze fig2"]
+    assert run(["-h"]) == 0
+    assert built[1:] == ["trisqueeze", *(f"trisqueeze {name}" for name in cli._COMMANDS)]
+    capsys.readouterr()
 
 
 def test_numeric_failure_exit_code(capsys):

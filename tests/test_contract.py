@@ -240,6 +240,22 @@ def test_kets_share_one_rule(call):
             f"ket must be a 1-D float64 or complex128 array of 216 amplitudes, got {got}"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [entry[1] for entry in KET_READERS if entry[0] != "ladder"],
+                         ids=[entry[0] for entry in KET_READERS if entry[0] != "ladder"])
+def test_kets_that_cannot_be_normalised_are_refused(call):
+    # each answered NaN, or met numpy's RuntimeWarning from 0 * inf or 0 / 0 on the way
+    for value, ket in ((math.nan, KET), (math.inf, KET), (math.nan, KET.real), (-math.inf, KET.real)):
+        bad = ket.copy()
+        bad[7] = value
+        with pytest.raises(InvalidParameterError, match="^ket must be finite and nonzero"):
+            call(bad)
+    for dtype in (complex, float):
+        with pytest.raises(InvalidParameterError, match=r"got squared norm 0$"):
+            call(np.zeros(216, dtype))
+    assert not ladder(ARENA, np.zeros(216), 1.0).any()  # a zero vector is ladder's to answer
+
+
 def test_finite_coefficients_that_overflow_stay_numeric_errors():
     with pytest.raises(NumericError, match="moment overflows double precision"):
         central_moment(STATE, MomentQuery([1e200] * 6, 4))
@@ -337,7 +353,9 @@ def test_overflow_refusal_has_one_owner():
 def test_every_cache_is_paid_for_end_to_end():
     # a cache stays where a benchmark pass pays for it, each site saying what it saves:
     # photon._wick_table, 40-45 us per build in each of the point pass's 800 pk calls, and
-    # cli._parser, 1.4-2.2 ms per build, three commands a scan or oracle pass (2 cores).  The
+    # cli._command_parser, whose cold build costs about 0.4 ms: an oracle pass parses
+    # oracle-check twice, the second time in 0.13 ms against 0.50 ms rebuilt (medians of 21
+    # fresh interpreters, one core).  No pass builds the full parser, which is not cached.  The
     # printed route's coefficient cache saved about 3 ms of a point pass of about 183 ms, under
     # that pass's spread, and went: a cache that only a per-call timing keeps does not return
     names = {"cache", "lru_cache", "cached_property"}
@@ -350,7 +368,7 @@ def test_every_cache_is_paid_for_end_to_end():
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 sites |= {f"{path.stem}.{node.name}" for decorator in node.decorator_list
                           if named(decorator) in names}
-    assert sites == {"photon._wick_table", "cli._parser"}
+    assert sites == {"photon._wick_table", "cli._command_parser"}
     assert uses == len(sites)  # no cache is imported, called or decorated any other way
 
 
