@@ -108,7 +108,7 @@ def _fig2_modes(b):
     return (b[..., None, None, None] * math.sqrt(2)) * _FIG2_MODES
 
 
-def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
+def fig2_scan(strengths, b_values) -> tuple[np.ndarray, ...]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
     Builds one state at ``FIG2_ALPHA`` batched over the strengths.  The
@@ -119,10 +119,10 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     at a time, on the whole grid), then refines it by golden section inside
     the bracketing cell down to a width of 1e-10 (first/grid-lowest
     maximizer wins ties; the grid point wins when it beats the refined
-    point), all strengths in lockstep, one evaluation per step; a row whose
-    bracket is narrow enough keeps its values, so every row equals a scan
-    of its strength alone, and each value is ``b3(state, fig2_setting(b))``
-    bit for bit.  Returns rows (strength, b_star, b3_max).
+    point), all strengths in lockstep, one evaluation per step; a strength whose
+    bracket is narrow enough keeps its values, so each strength's entries equal
+    a scan of it alone, and each value is ``b3(state, fig2_setting(b))``
+    bit for bit.  Returns the columns (strength, b_star, b3_max), float64 arrays.
     """
     b_values = check_numbers(b_values, "b grid").reshape(-1)
     if b_values.size == 0:
@@ -157,7 +157,7 @@ def fig2_scan(strengths, b_values) -> list[tuple[float, float, float]]:
     use_grid = grid_best > best  # grid point beat the refined interior point
     b_star = np.where(use_grid, b_values[top], b_star)
     best = np.where(use_grid, grid_best, best)
-    return [(float(s), float(x), float(v)) for s, x, v in zip(strengths, b_star, best)]
+    return strengths, b_star, best
 
 
 def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -> tuple:
@@ -178,7 +178,7 @@ def b3_oracle_check(strength: float, alpha, setting: BellSetting, cutoff: int) -
     return analytic, oracle if oracle.ndim else float(oracle)
 
 
-def max_b3(strengths) -> list[tuple[float, float, float, float]]:
+def max_b3(strengths) -> tuple[np.ndarray, ...]:
     """Per strength: the largest B(3) over symmetric settings about the mean amplitude.
 
     The settings are beta = mu + (a, a, a) and beta' = mu + (b, b, b), mu the
@@ -203,9 +203,9 @@ def max_b3(strengths) -> list[tuple[float, float, float, float]]:
 
     R = (sqrt(3)/2) sqrt(L/(2 + e^{-6s})).  It is 2 at s = 0 (u* = 0) and
     tends to 3 (with b -> -2a) as the squeezing grows.  (a, b) and (-a, -b)
-    give the same B; rows take a >= 0.  The reported maximum is ``b3`` of one
+    give the same B; a >= 0 is reported.  The reported maximum is ``b3`` of one
     state batched over the strengths at alpha = 0, mu = 0, at these settings.
-    Returns rows (strength, a, b, b3_max).
+    Returns the columns (strength, a, b, b3_max), float64 arrays.
     """
     state = make_state(np.asarray(strengths, dtype=object).reshape(-1), (0, 0, 0))
     strengths = state.strength
@@ -217,4 +217,4 @@ def max_b3(strengths) -> list[tuple[float, float, float, float]]:
     b = a - plane
     axis = np.where(strengths < 0, 1j, 1)[:, None] * np.ones(3)
     best = b3(state, BellSetting(beta=a[:, None] * axis, beta_prime=b[:, None] * axis))
-    return [(float(s), float(x), float(y), float(v)) for s, x, y, v in zip(strengths, a, b, best)]
+    return strengths, a, b, best

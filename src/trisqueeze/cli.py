@@ -1,12 +1,11 @@
 """Command-line front end: scans and reports as CSV or JSON.
 
 CSV prints every float with 12 significant digits, uses LF line endings and
-has a header row.  A table is handed over as columns; a column of floats (a
-float64 array, or cells that are all floats) is formatted once per distinct
-bit pattern, and any other column cell by cell.  Identical invocations
-produce byte-identical output.  Each command returns its whole output as
-text; ``run`` writes it once, after the command has answered, so a refused
-command writes no file.
+has a header row.  A table is handed over as columns; a float64 array column
+is formatted once per distinct bit pattern, and any other column cell by
+cell.  Identical invocations produce byte-identical output.  Each command
+returns its whole output as text; ``run`` writes it once, after the command
+has answered, so a refused command writes no file.
 A command's parser is built on first use and kept; an argv not led by a command builds all.
 Exit codes: 0 success, 2 invalid arguments or an output that cannot be
 written (an --out or --gnuplot path, a closed stdout), 3 numeric/truncation
@@ -66,8 +65,7 @@ def _parse_real_triple(text: str) -> np.ndarray:
 
 
 def _table(header, columns, fmt) -> str:
-    # columns (zip(*rows) of a table's rows) are sequences of cells of equal length, a float64
-    # array counting as floats
+    # columns of equal length: float64 arrays, as the scans return them, or sequences of cells
     if fmt == "json":  # every cell is an int, str, bool or float (np.float64 is one)
         rows = zip(*columns)
         return json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
@@ -75,13 +73,12 @@ def _table(header, columns, fmt) -> str:
 
 
 def _column_text(column):
-    # 12 significant digits for a float (np.float64 included), %s for any other cell.  A column
-    # of floats is formatted once per distinct bit pattern, which np.unique finds in its int64
-    # view: on the floats themselves it would merge 0.0 with -0.0, and it imports numpy.ma
-    kinds = () if isinstance(column, np.ndarray) else set(map(type, column))
-    if not all(issubclass(kind, float) for kind in kinds):
+    # 12 significant digits for a float (np.float64 included), %s for any other cell.  A float64
+    # array is formatted once per distinct bit pattern, which np.unique finds in its int64 view:
+    # on the floats themselves it would merge 0.0 with -0.0, and it imports numpy.ma
+    if not isinstance(column, np.ndarray):
         return [("%.12g" if isinstance(cell, float) else "%s") % cell for cell in column]
-    distinct, index = np.unique(np.asarray(column).view(np.int64), return_inverse=True)
+    distinct, index = np.unique(column.view(np.int64), return_inverse=True)
     text = np.array(["%.12g" % value for value in distinct.view(float).tolist()], dtype=object)
     return text[index]
 
@@ -111,8 +108,8 @@ def _cmd_pk(args):
 
 
 def _cmd_fig1(args):
-    rows = photon.fig1_scan(_parse_range(args.re), _parse_range(args.im))
-    return _table(("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), zip(*rows), args.format)
+    columns = photon.fig1_scan(_parse_range(args.re), _parse_range(args.im))
+    return _table(("re_alpha3", "im_alpha3", "p2_paper", "p2_exact"), columns, args.format)
 
 
 def _cmd_wigner(args):
@@ -142,8 +139,8 @@ def _cmd_bell(args):
 
 
 def _cmd_fig2(args):
-    rows = bell.fig2_scan(_parse_range(args.lam_range), _parse_range(args.b))
-    return _table(("lambda", "b_star", "b3_max"), zip(*rows), args.format)
+    columns = bell.fig2_scan(_parse_range(args.lam_range), _parse_range(args.b))
+    return _table(("lambda", "b_star", "b3_max"), columns, args.format)
 
 
 def _cmd_oracle_check(args):

@@ -6,8 +6,10 @@ the position and momentum quadratures under the three-mode squeeze unitary.
 Both are circulant-symmetric, so each is determined by one diagonal and one
 off-diagonal entry, and both are diagonal on the fixed normal modes: the
 symmetric mode (1,1,1)/sqrt(3) (coupling eigenvalue 2) and the plane
-orthogonal to it (eigenvalue -1).  Every closed form of the package is a
-function of e^{+-s} and e^{+-2s}, evaluated here under one overflow guard.
+orthogonal to it (eigenvalue -1).  It evaluates e^{+-s} and e^{+-2s}, under one
+overflow guard, for the gains of those maps on the normal modes and for the
+collective-mode factors; ``bell.max_b3`` (e^{-2s}, e^{-6s}, e^{-8s}) and
+``gaussian._hos`` (e^{-+4ms}) form their own exponentials.
 """
 
 import math

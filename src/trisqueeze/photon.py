@@ -256,12 +256,12 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
                     discrepancy=None if paper_value is None else abs(paper_value - exact_value))
 
 
-def fig1_scan(re_values, im_values) -> list[tuple[float, float, float, float]]:
+def fig1_scan(re_values, im_values) -> tuple[np.ndarray, ...]:
     """P_2 of the published scan: alpha = (1, 1, x + iy) at unit strength.
 
-    Returns one row (re_alpha3, im_alpha3, p2_paper, p2_exact) per grid
-    point, x outer and y inner, from one :func:`pk` call over the grid; any
-    non-finite value aborts.
+    Returns the columns (re_alpha3, im_alpha3, p2_paper, p2_exact), float64
+    arrays with one entry per grid point, x outer and y inner, from one
+    :func:`pk` call over the grid; any non-finite value aborts.
     """
     re_values = check_numbers(re_values, "scan grid")
     im_values = check_numbers(im_values, "scan grid")
@@ -270,5 +270,4 @@ def fig1_scan(re_values, im_values) -> list[tuple[float, float, float, float]]:
     x, y = np.meshgrid(re_values, im_values, indexing="ij")
     ones = np.ones_like(x)
     result = pk(2, np.stack([ones, ones, x + 1j * y], axis=-1), 1.0)
-    return list(zip(x.ravel().tolist(), y.ravel().tolist(),
-                    result.paper_value.ravel().tolist(), result.exact_value.ravel().tolist()))
+    return x.ravel(), y.ravel(), result.paper_value.ravel(), result.exact_value.ravel()

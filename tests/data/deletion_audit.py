@@ -28,7 +28,9 @@ The expression pass:
 
 The argument pass: in a call of a function that a module of the package defines at top level
 with a name starting with ``_``, one argument (positional, or a keyword's value) becomes
-``np.zeros_like(<argument>)``; a starred argument and a literal ``None`` are left as they are.
+``np.zeros_like(<argument>)``, and so does, one at a time, each element of an argument that is
+a tuple display (kind "tuple element"), since a tuple that mixes a string with an array cannot
+be blinded whole; a starred argument or element and a literal ``None`` are left as they are.
 A survivor is an argument whose values no test can tell apart from zeros.
 
 The passes run in that order.  An edit that leaves the module as it was, or as an earlier
@@ -202,6 +204,11 @@ def _private_functions(paths) -> set:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
 
 
+def _blinded(node) -> bool:
+    # whether the argument pass blinds ``node``: not a starred item or a literal None
+    return not isinstance(node, ast.Starred) and not (isinstance(node, ast.Constant) and node.value is None)
+
+
 def _arguments(tree, source, private):
     # (line, kind, begin, end, replacement) of the argument pass, in source order
     edits = []
@@ -209,10 +216,11 @@ def _arguments(tree, source, private):
         func = getattr(node, "func", None)
         if getattr(func, "id", getattr(func, "attr", None)) not in private:
             continue
-        for arg in [*node.args, *(keyword.value for keyword in node.keywords if keyword.arg)]:
-            if not isinstance(arg, ast.Starred) and not (isinstance(arg, ast.Constant) and arg.value is None):
-                edits.append((arg.lineno, "argument", *source.span(arg),
-                              b"np.zeros_like(" + source.text(arg) + b")"))
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords if keyword.arg)]
+        for arg in filter(_blinded, arguments):
+            elements = filter(_blinded, arg.elts) if isinstance(arg, ast.Tuple) else ()
+            for kind, part in (("argument", arg), *(("tuple element", element) for element in elements)):
+                edits.append((part.lineno, kind, *source.span(part), b"np.zeros_like(" + source.text(part) + b")"))
     return sorted(edits, key=lambda edit: edit[2:4])
 
 

@@ -155,7 +155,7 @@ def test_criterion_06c_printed_squeezed_vacuum_p2():
 
 @pytest.fixture(scope="module")
 def fig1_rows():
-    return tz.fig1_scan(np.arange(-1, 1.0001, 0.05), np.arange(-1, 1.0001, 0.05))
+    return list(zip(*tz.fig1_scan(np.arange(-1, 1.0001, 0.05), np.arange(-1, 1.0001, 0.05))))
 
 
 def test_criterion_07a_fig1_negative_window(fig1_rows):
@@ -224,12 +224,12 @@ def test_criterion_08_wigner(arena14):
 
 @pytest.fixture(scope="module")
 def fig2_rows():
-    return tz.fig2_scan(np.arange(0.0, 1.0001, 0.02), np.arange(0.01, 2.0001, 0.01))
+    return list(zip(*tz.fig2_scan(np.arange(0.0, 1.0001, 0.02), np.arange(0.01, 2.0001, 0.01))))
 
 
 @pytest.fixture(scope="module")
 def plateau_rows():
-    return tz.fig2_scan(np.arange(3.0, 5.0001, 0.25), np.arange(0.01, 2.0001, 0.01))
+    return list(zip(*tz.fig2_scan(np.arange(3.0, 5.0001, 0.25), np.arange(0.01, 2.0001, 0.01))))
 
 
 def test_criterion_09a_bell_local_bound_and_plateau_shape(fig2_rows, plateau_rows):

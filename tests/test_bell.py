@@ -30,6 +30,12 @@ from trisqueeze.gaussian import _mode_sums
 
 DATA = Path(__file__).parent / "data"
 
+
+def _rows(columns):
+    # the scans return one array per column; these tests read them a row per strength
+    return list(zip(*columns))
+
+
 # max B(3) over symmetric settings, found numerically on the two-variable
 # B(a, b) of max_b3's docstring: by BFGS and by Newton steps, which agree to
 # 1e-11 (at s = 1e-3 by BFGS and by Nelder-Mead, where Newton stalled at 2)
@@ -138,7 +144,7 @@ def test_fig2_setting_batch_validation():
 
 
 def test_fig2_scan_rows():
-    rows = fig2_scan([0.0, 0.5], np.arange(0.01, 1.0001, 0.01))
+    rows = _rows(fig2_scan([0.0, 0.5], np.arange(0.01, 1.0001, 0.01)))
     assert len(rows) == 2
     strength0, b0, best0 = rows[0]
     assert strength0 == 0.0
@@ -150,7 +156,7 @@ def test_fig2_scan_rows():
 
 def test_fig2_scan_refinement_beats_grid():
     bs = np.arange(0.05, 1.0001, 0.05)
-    rows = fig2_scan([0.8], bs)
+    rows = _rows(fig2_scan([0.8], bs))
     _, b_star, best = rows[0]
     state = make_state(0.8, FIG2_ALPHA)
     grid_best = max(b3(state, fig2_setting(b)) for b in bs)
@@ -177,8 +183,8 @@ def test_fig2_scan_lockstep_rows_equal_single_strength_scans():
     # are narrower and converge two golden-section steps before the others
     bs = np.array([0.1, 0.2, 0.25, 0.3])
     strengths = [0.0, 0.9, 1.0, 1.2, 2.0]
-    rows = fig2_scan(strengths, bs)
-    assert rows == [fig2_scan([s], bs)[0] for s in strengths]
+    rows = _rows(fig2_scan(strengths, bs))
+    assert rows == [_rows(fig2_scan([s], bs))[0] for s in strengths]
     assert [row[1] in bs for row in rows] == [True, True, False, False, True]
     assert rows[1][1:] == (0.3, b3(make_state(0.9, FIG2_ALPHA), fig2_setting(0.3)))
 
@@ -190,9 +196,9 @@ def test_fig2_scan_validation():
 
 def test_fig2_scan_takes_a_plain_strength():
     # a 0-d strength ended in "TypeError: 'float' object is not subscriptable"
-    assert fig2_scan(0.5, [0.1, 0.2]) == fig2_scan([0.5], [0.1, 0.2])
-    assert fig2_scan(0.5, 0.1) == fig2_scan([0.5], [0.1])  # a 0-d b grid is one point
-    assert max_b3(0.5) == max_b3([0.5])
+    assert _rows(fig2_scan(0.5, [0.1, 0.2])) == _rows(fig2_scan([0.5], [0.1, 0.2]))
+    assert _rows(fig2_scan(0.5, 0.1)) == _rows(fig2_scan([0.5], [0.1]))  # a 0-d b grid is one point
+    assert _rows(max_b3(0.5)) == _rows(max_b3([0.5]))
 
 
 def test_b3_refuses_settings_without_an_axis_per_strength():
@@ -257,7 +263,7 @@ def test_fig2_modes_are_the_integer_pattern_scaled():
     # a scan whose grid reaches those magnitudes answers, or refuses, as it did when every
     # step summed modes: rows pinned by a digest of their float.hex recorded then
     grid = np.sort(bs[:-2])
-    rows = fig2_scan([0.0, -0.4, 1.2, 5.0], grid)
+    rows = _rows(fig2_scan([0.0, -0.4, 1.2, 5.0], grid))
     assert hashlib.sha256(repr([tuple(v.hex() for v in row) for row in rows]).encode()).hexdigest() \
         == "a866a3f94c0e5de3447981a2a20fcdfd3ee70b272523c2232c8dd82c5aac75bb"
     for top in bs[-2:]:
@@ -277,7 +283,7 @@ def test_fig2_scan_values_equal_b3():
     for s in (0.0, -0.4, 1.2, 5.0, -300.0):
         state = make_state(s, FIG2_ALPHA)
         for b in (1e-3, 0.1, 0.3, 1.7):
-            assert fig2_scan([s], [b])[0] == (s, b, b3(state, fig2_setting(b)))
+            assert _rows(fig2_scan([s], [b]))[0] == (s, b, b3(state, fig2_setting(b)))
 
 
 @pytest.mark.parametrize("bs", [[0.3, 0.25, 0.2, 0.1], [0.1, 0.2, 0.2, 0.3], [0.0, 0.1],
@@ -287,7 +293,7 @@ def test_fig2_scan_rejects_b_grid_not_positive_and_increasing(bs):
     # in place of the ascending grid's maximum
     with pytest.raises(InvalidParameterError, match="strictly increasing"):
         fig2_scan([1.2], bs)
-    ((_, b_star, best),) = fig2_scan([1.2], [0.1, 0.2, 0.25, 0.3])
+    ((_, b_star, best),) = _rows(fig2_scan([1.2], [0.1, 0.2, 0.25, 0.3]))
     assert b_star == pytest.approx(0.20914, abs=1e-5) and best == pytest.approx(0.61930, abs=1e-5)
 
 
@@ -315,14 +321,14 @@ def test_oracle_check_regime_guard():
 
 
 def test_max_b3_table():
-    rows = max_b3(list(MAX_B3_TABLE))
+    rows = _rows(max_b3(list(MAX_B3_TABLE)))
     assert [row[0] for row in rows] == list(MAX_B3_TABLE)
     for (_, a, b, value), expected in zip(rows, MAX_B3_TABLE.values()):
         assert value == pytest.approx(expected, abs=1e-9)
         assert 2 < value < 3
         assert a >= 0 > b
-    assert max_b3([0.0]) == [(0.0, 0.0, 0.0, 2.0)]
-    (_, *negative), (_, *positive) = max_b3([-0.5, 0.5])
+    assert _rows(max_b3([0.0])) == [(0.0, 0.0, 0.0, 2.0)]
+    (_, *negative), (_, *positive) = _rows(max_b3([-0.5, 0.5]))
     assert negative == positive  # the same numbers along p, bit for bit
     for bad, error in (([], InvalidParameterError), ([math.nan], InvalidParameterError),
                        ([400.0], NumericError)):
@@ -336,7 +342,7 @@ def test_max_b3_not_beaten_by_random_full_search():
     rng = np.random.default_rng(7)
     for strength in (0.2, 0.5):
         state = make_state(strength, (0, 0, 0))
-        best = max_b3([strength])[0][3]
+        best = _rows(max_b3([strength]))[0][3]
 
         def negative(x):
             z = x.view(complex)
@@ -348,13 +354,13 @@ def test_max_b3_not_beaten_by_random_full_search():
 
 
 def test_max_b3_against_fock_oracle():
-    (_, a, b, value), = max_b3([0.3])
+    (_, a, b, value), = _rows(max_b3([0.3]))
     setting = BellSetting(beta=(a, a, a), beta_prime=(b, b, b))
     analytic, oracle = b3_oracle_check(0.3, (0, 0, 0), setting, cutoff=20)
     assert analytic == value
     assert oracle == pytest.approx(value, abs=1e-10)
     # past b3_oracle_check's strength limit, from the Fock engine directly
-    (_, a, b, value), = max_b3([0.5])
+    (_, a, b, value), = _rows(max_b3([0.5]))
     arena = build_arena(26)
     ket = evolve(arena, 0.5, coherent_ket(arena, (0, 0, 0)))
     corr = displaced_parity(arena, ket, [[a, a, b], [a, b, a], [b, a, a], [b, b, b]])
@@ -365,7 +371,7 @@ def test_max_b3_independent_of_alpha():
     # a coherent amplitude translates the Wigner function: settings shifted
     # by the mean amplitude give the alpha = 0 maximum
     strengths = [-0.5, 0.3, 0.5, 1.0]
-    for strength, a, b, value in max_b3(strengths):
+    for strength, a, b, value in _rows(max_b3(strengths)):
         state = make_state(strength, FIG2_ALPHA)
         centre = mean(state)
         mu = (centre[:3] + 1j * centre[3:]) / math.sqrt(2)
@@ -377,5 +383,5 @@ def test_max_b3_independent_of_alpha():
 def test_max_b3_beats_printed_pattern_on_fig2_rows():
     with open(DATA / "fig2_default.csv", newline="") as handle:
         rows = [(float(row["lambda"]), float(row["b3_max"])) for row in csv.DictReader(handle)]
-    symmetric = max_b3([strength for strength, _ in rows])
+    symmetric = _rows(max_b3([strength for strength, _ in rows]))
     assert all(best[3] >= printed for best, (_, printed) in zip(symmetric, rows))

@@ -495,6 +495,10 @@ def test_numeric_failure_exit_code(capsys):
          "too large for the Fock oracle"),
         (["oracle-check", "--lambda", "1e300", "--cutoffs", "4,6"], "too large for the Fock oracle"),
         (["oracle-check", "--lambda", "1e6", "--cutoffs", "4,6"], "too large for the Fock oracle"),
+        # a moments row is hos_x then hos_y per m: hos_y at m = 6 overflows before m = 9 meets
+        # the order cap, which every hos_x first would report, with exit 2
+        (["moments", "--lambda", "30", "--m-max", "9"],
+         "numeric failure: moment of order 12 overflows double precision at strength 30"),
     ):
         assert run(argv) == 3
         captured = capsys.readouterr()

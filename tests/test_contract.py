@@ -280,10 +280,6 @@ FLOAT_RESULTS = [
     ("moment_x3", lambda: [moment_x3(ARENA, KET, 2)]),
     ("fock.mean_power", lambda: [mean_power(ARENA, KET, 2)]),
     ("displaced_parity", lambda: [displaced_parity(ARENA, KET, (0.1, 0, 0))]),
-    # rows of floats
-    ("fig1_scan", lambda: [cell for row in fig1_scan([0.1, 0.2], [0.0]) for cell in row]),
-    ("fig2_scan", lambda: [cell for row in fig2_scan([0.1, 0.2], [0.1, 0.2]) for cell in row]),
-    ("max_b3", lambda: [cell for row in max_b3([0.1, -0.2]) for cell in row]),
 ]
 
 
@@ -292,6 +288,18 @@ FLOAT_RESULTS = [
 def test_one_value_is_a_python_float(call):
     values = call()
     assert values and [type(value) for value in values] == [float] * len(values)
+
+
+@pytest.mark.parametrize("call, width", [
+    (lambda: fig1_scan([0.1, 0.2], [0.0]), 4),
+    (lambda: fig2_scan([0.1, 0.2], [0.1, 0.2]), 3),
+    (lambda: max_b3([0.1, -0.2]), 4),
+], ids=["fig1_scan", "fig2_scan", "max_b3"])
+def test_scan_returns_float64_columns(call, width):
+    # a scan hands back one float64 array per column, an entry per grid point or strength
+    columns = call()
+    assert [(type(column), column.dtype, column.shape) for column in columns] \
+        == [(np.ndarray, np.float64, (2,))] * width
 
 
 def test_fig2_setting_holds_complex_amplitudes():

@@ -440,7 +440,7 @@ def test_pk_checks_every_amplitude_of_a_batch():
 def test_fig1_scan_equals_point_calls():
     re_values = np.array([-0.9, -0.3, 0.0, 0.45, 1.2])
     im_values = np.array([-0.7, 0.0, 0.25, 0.8])
-    rows = fig1_scan(re_values, im_values)
+    rows = list(zip(*fig1_scan(re_values, im_values)))
     expected = []
     for x in re_values:
         for y in im_values:
@@ -451,7 +451,7 @@ def test_fig1_scan_equals_point_calls():
 
 
 def test_fig1_scan_grid_shape():
-    rows = fig1_scan(np.arange(-1, 1.0001, 0.05), np.arange(-1, 1.0001, 0.05))
+    rows = list(zip(*fig1_scan(np.arange(-1, 1.0001, 0.05), np.arange(-1, 1.0001, 0.05))))
     assert len(rows) == 41 * 41
     xs = sorted({row[0] for row in rows})
     assert xs[0] == pytest.approx(-1.0) and xs[-1] == pytest.approx(1.0)
@@ -461,7 +461,7 @@ def test_fig1_scan_grid_shape():
 def test_fig1_scan_near_flat_along_imaginary_axis():
     # the printed route drifts only weakly with Im(alpha3); the residual
     # drift is real (see the discrepancy report) and stays below 1e-3
-    rows = fig1_scan([0.3], np.arange(-1, 1.0001, 0.25))
+    rows = list(zip(*fig1_scan([0.3], np.arange(-1, 1.0001, 0.25))))
     values = [row[2] for row in rows]
     assert max(values) - min(values) < 1e-3
 
