@@ -6,7 +6,8 @@ is formatted once per distinct bit pattern, and any other column cell by
 cell.  Identical invocations produce byte-identical output.  Each command
 returns its whole output as text; ``run`` writes it once, after the command
 has answered, so a refused command writes no file.
-A command's parser is built on first use and kept; an argv not led by a command builds all.
+One parser declares a command's arguments, built on first use and kept.  The top-level
+parser only names the commands: ``-x fig1 -h`` is refused, naming each token left over.
 Exit codes: 0 success, 2 invalid arguments or an output that cannot be
 written (an --out or --gnuplot path, a closed stdout), 3 numeric/truncation
 failure.  Each refusal is one line on stderr.
@@ -233,22 +234,19 @@ _COMMANDS = {
 }
 
 
-def _arguments(parser, name: str) -> argparse.ArgumentParser:
-    # a command's arguments, --out and --format, and the defaults run reads, on either route
+@functools.cache  # an oracle pass parses oracle-check twice: 0.13 ms cached, 0.5 ms rebuilt
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    # the one parser of a command's arguments, --out and --format, and the defaults run reads
     _, command, plot, arguments = _COMMANDS[name]
+    parser = _Parser(prog=f"trisqueeze {name}")
     for flag, options in (*arguments, *_OUTPUT):
         parser.add_argument(flag, **options)
     parser.set_defaults(fn=command, plot=plot)
     return parser
 
 
-@functools.cache  # an oracle pass parses oracle-check twice: 0.13 ms cached, 0.5 ms rebuilt
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    return _arguments(_Parser(prog=f"trisqueeze {name}"), name)
-
-
 def _parser() -> argparse.ArgumentParser:
-    """Every command, with its help and arguments, for an argv that does not start with one."""
+    """The command names and their help: it declares no arguments, so it only helps or refuses."""
     parser = _Parser(
         prog="trisqueeze",
         description="Three-mode enhanced squeezing: moments, photon statistics, "
@@ -256,13 +254,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, *_) in _COMMANDS.items():
-        _arguments(sub.add_parser(name, help=text), name)
+        sub.add_parser(name, help=text, add_help=False)
     return parser
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:  # the full parser hands a command's subparser the rest of argv; its bytes are the same
+    try:  # only a command's own parser parses its arguments; the top level can only help or refuse
         args = (_command_parser(argv[0]).parse_args(argv[1:]) if argv and argv[0] in _COMMANDS
                 else _parser().parse_args(argv))
         gnuplot = getattr(args, "gnuplot", None)  # fig1, fig2 and wigner have the option

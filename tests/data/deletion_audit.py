@@ -30,14 +30,16 @@ The argument pass: in a call of a function that a module of the package defines 
 with a name starting with ``_``, one argument (positional, or a keyword's value) becomes
 ``np.zeros_like(<argument>)``, and so does, one at a time, each element of an argument that is
 a tuple display (kind "tuple element"), since a tuple that mixes a string with an array cannot
-be blinded whole; a starred argument or element and a literal ``None`` are left as they are.
-A survivor is an argument whose values no test can tell apart from zeros.
+be blinded whole; a string constant becomes ``""`` instead, so that a joined or keyed text
+(a table's header cell) is tested by its words, not refused for its type; a starred argument
+or element and a literal ``None`` are left as they are.  A survivor is an argument whose
+values no test can tell apart from zeros or blanks.
 
 The passes run in that order.  An edit that leaves the module as it was, or as an earlier
 mutant left it, is skipped.  The tree is copied to a temporary directory once for each of the
 two jobs, and only the copies are edited; a job puts each mutant in place, runs the suite there
-and puts the module back.  The suite runs with ``-x``, the
-by-design acceptance failures deselected and 120 s per run; the mutant
+and puts the module back.  The suite runs with ``-x``, the by-design acceptance failures
+(``BY_DESIGN``, read from ``tier1_verdict.py``) deselected and 120 s per run; the mutant
 survives when pytest exits 0.  The unedited copy must pass first.  Each mutant
 gives one JSON line on stdout (module, line, pass, kind, the edited expression
 and its replacement, outcome "survived", "killed" or "timeout", pytest's exit
@@ -58,11 +60,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from tier1_verdict import BY_DESIGN  # this script's directory leads sys.path
+
 ROOT = Path(__file__).resolve().parents[2]
 JOBS, TIMEOUT = 2, 120.0  # suites run at once, and seconds per run
 PACKAGE = Path("src") / "trisqueeze"
-BY_DESIGN = ("06c_printed_squeezed_vacuum_p2", "07b_fig1_positive_flanks", "07c_fig1_im_invariance",
-             "09b_bell_violation_band", "09d_bell_plateau_exceeds_two")
 PYTEST = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
           *(f"--deselect=tests/test_acceptance.py::test_criterion_{name}" for name in BY_DESIGN)]
 SIMPLE = (ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Return, ast.Raise, ast.Assert,
@@ -220,7 +222,9 @@ def _arguments(tree, source, private):
         for arg in filter(_blinded, arguments):
             elements = filter(_blinded, arg.elts) if isinstance(arg, ast.Tuple) else ()
             for kind, part in (("argument", arg), *(("tuple element", element) for element in elements)):
-                edits.append((part.lineno, kind, *source.span(part), b"np.zeros_like(" + source.text(part) + b")"))
+                text = b'""' if isinstance(part, ast.Constant) and isinstance(part.value, str) \
+                    else b"np.zeros_like(" + source.text(part) + b")"
+                edits.append((part.lineno, kind, *source.span(part), text))
     return sorted(edits, key=lambda edit: edit[2:4])
 
 

@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import json
 import math
@@ -374,8 +373,8 @@ def test_help_exits_zero(capsys):
     (["errata", "-h"], "4ff33290248ea174a88b3ae5d934504ec89a05b49f69bc7c8d07779b5f46d1d5"),
 ])
 def test_help_and_usage_bytes_are_pinned(argv, digest, monkeypatch, capsys):
-    # (exit code, stdout, stderr) as the parser printed them when it built every command's
-    # arguments on each call; COLUMNS fixes argparse's wrapping width
+    # (exit code, stdout, stderr): a command's own parser prints its help, usage and errors, and
+    # the top-level parser, which declares no command's arguments, its own.  COLUMNS fixes wrapping
     monkeypatch.setenv("COLUMNS", "80")
     code = run(argv)
     captured = capsys.readouterr()
@@ -384,7 +383,7 @@ def test_help_and_usage_bytes_are_pinned(argv, digest, monkeypatch, capsys):
 
 def test_parser_reuse_leaks_no_state(monkeypatch, capsys):
     # a command's parser is built once per process: each answer equals that of a parser built
-    # for it.  -h names no command first, so it builds the full parser, uncached
+    # for it.  -h names no command first, so it builds the top-level parser, uncached
     monkeypatch.setenv("COLUMNS", "80")
     sequence = [["fig1", "--bogus"], ["-h"], ["pk", "--lambda", "0.3"],
                 ["oracle-check", "--lambda", "nan"], ["fig1", "--re=-1:1:1", "--im=0:1:0"]]
@@ -404,58 +403,27 @@ def test_parser_reuse_leaks_no_state(monkeypatch, capsys):
     assert reused == fresh
 
 
-def _full_subparser(name):
-    # what the full parser hands the rest of an argv that starts with this command name
-    return next(action.choices[name] for action in cli._parser()._actions
-                if isinstance(action, argparse._SubParsersAction))
-
-
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
-def test_command_parser_prints_as_the_full_parser(name, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    direct, routed = cli._command_parser(name), _full_subparser(name)
-    assert direct.format_usage() == routed.format_usage()
-    assert direct.format_help() == routed.format_help()
-
-
-def _parsed(parser, argv, capsys):
-    # the parsed arguments, or the refusal or exit, and what the parser printed
-    try:
-        outcome = vars(parser.parse_args(argv))
-    except (InvalidParameterError, SystemExit) as exc:
-        outcome = (type(exc), str(exc))
-    return outcome, capsys.readouterr()
-
-
-def _rows(test):
-    # the parameter rows of a test parametrized above
-    return next(mark.args[1] for mark in test.pytestmark if mark.name == "parametrize")
-
-
-ROUTED = [
-    *(argv for argv, _ in _rows(test_help_and_usage_bytes_are_pinned)
-      if argv and argv[0] in cli._COMMANDS),
-    *(argv for pair in _rows(test_values_starting_with_a_dash) for argv in pair),
-    # one valid argv per command
-    ["moments", "--lambda", "0.2", "--m-max", "3", "--format", "json"],
-    ["pk", "--k", "3", "--lambda", "0.1", "--alpha", "1,0,0", "--path", "paper"],
-    ["fig1", "--re", "0:1:0", "--im=-1:1:1", "--out", "p2.csv", "--gnuplot", "p2.gp"],
-    ["wigner", "--lambda", "0.2", "--q1=-1:1:1", "--p", "0,1,0"],
-    ["bell", "--lambda", "0.3", "--beta-prime", "0.1,0,0"],
-    ["fig2", "--lambda", "0:0.5:1", "--b", "0.1:0.1:0.3"],
-    ["oracle-check", "--quantity", "b3", "--b", "0.3", "--cutoffs", "6,8"],
-    ["errata", "--format", "json"],
-]
-
-
-@pytest.mark.parametrize("argv", ROUTED)
-def test_command_parser_parses_as_the_full_parser(argv, monkeypatch, capsys):
-    # the same arguments, refusal or help text, but for the name of the command it came from
-    monkeypatch.setenv("COLUMNS", "80")
-    routed, printed = _parsed(cli._parser(), argv, capsys)
-    if isinstance(routed, dict):
-        assert routed.pop("command") == argv[0]
-    assert _parsed(cli._command_parser(argv[0]), argv[1:], capsys) == (routed, printed)
+@pytest.mark.parametrize("argv, line", [
+    ([], "error: the following arguments are required: command"),
+    (["-h"], None),
+    (["--help"], None),
+    (["nosuch"], "error: argument command: invalid choice: 'nosuch'"),
+    (["-1"], "error: argument command: invalid choice: '-1'"),
+    (["--"], "error: the following arguments are required: command"),
+    (["--", "fig1", "--re", "0:1:0"], "error: argument command: invalid choice: '--'"),
+    (["--bogus", "fig2"], "error: unrecognized arguments: --bogus"),
+    # the top-level parser declares no command's arguments: what fig1 leaves is refused too
+    (["-x", "fig1", "-h"], "error: unrecognized arguments: -x -h"),
+    (["-x", "fig1", "--re", "nope"], "error: unrecognized arguments: -x --re nope"),
+])
+def test_top_level_parser_only_helps_or_refuses(argv, line, capsys):
+    code = run(argv)
+    out, err = capsys.readouterr()
+    if line is None:
+        assert (code, out, err) == (0, cli._parser().format_help(), "")
+    else:  # the list of choices after an invalid one is worded as each Python version words it
+        assert (code, out) == (2, "") and err.endswith("\n") and err.count("\n") == 1
+        assert err.partition(" (choose from ")[0].rstrip("\n") == line
 
 
 def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):

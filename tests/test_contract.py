@@ -363,7 +363,7 @@ def test_every_cache_is_paid_for_end_to_end():
     # photon._wick_table, 40-45 us per build in each of the point pass's 800 pk calls, and
     # cli._command_parser, whose cold build costs about 0.4 ms: an oracle pass parses
     # oracle-check twice, the second time in 0.13 ms against 0.50 ms rebuilt (medians of 21
-    # fresh interpreters, one core).  No pass builds the full parser, which is not cached.  The
+    # fresh interpreters, one core).  No pass builds the top-level parser, which is not cached.  The
     # printed route's coefficient cache saved about 3 ms of a point pass of about 183 ms, under
     # that pass's spread, and went: a cache that only a per-call timing keeps does not return
     names = {"cache", "lru_cache", "cached_property"}

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from trisqueeze import (
     InvalidParameterError,
@@ -471,3 +472,47 @@ def test_fig1_scan_rejects_empty_grid():
         fig1_scan([], [0.0])
     with pytest.raises(InvalidParameterError):
         fig1_scan([0.0], [])
+
+
+# ---------------------------------------------------------------------------
+# hermite
+# ---------------------------------------------------------------------------
+
+def hermite(m, x):
+    return _hermite_table(max(m, 1), x)[m]
+
+
+def test_hermite_base_cases():
+    assert hermite(0, 0.3) == pytest.approx(1.0)
+    assert hermite(1, 0.3) == pytest.approx(0.6)
+    assert hermite(2, 0.0) == pytest.approx(-2.0)
+    x = 0.37
+    assert hermite(2, x) == pytest.approx(4 * x * x - 2)
+
+
+def test_hermite_complex_and_array():
+    z = 0.4 + 0.9j
+    assert hermite(3, z) == pytest.approx(8 * z**3 - 12 * z)
+    xs = np.linspace(-1, 1, 5)
+    assert_allclose(hermite(2, xs), 4 * xs**2 - 2, rtol=1e-14)
+
+
+def test_hermite_derivative_identity():
+    # d/dx H_3 at x=1 equals 2*3*H_2(1) = 12, checked by central differences
+    h = 1e-6
+    numeric = (hermite(3, 1 + h) - hermite(3, 1 - h)) / (2 * h)
+    assert numeric == pytest.approx(2 * 3 * hermite(2, 1.0), abs=1e-6)
+    assert 2 * 3 * hermite(2, 1.0) == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_hermite_generating_function(m):
+    # H_m(x) = d^m/dt^m exp(2xt - t^2) at t=0; the derivative is extracted
+    # numerically from samples on a small circle around t=0
+    x = 0.6
+    radius, samples = 0.5, 128
+    angles = 2 * np.pi * np.arange(samples) / samples
+    ts = radius * np.exp(1j * angles)
+    values = np.exp(2 * x * ts - ts**2)
+    derivative = math.factorial(m) * np.mean(values * np.exp(-1j * m * angles)).real / radius**m
+    assert derivative == pytest.approx(float(hermite(m, x)), rel=1e-10, abs=1e-6)
