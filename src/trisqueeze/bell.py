@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_numbers, check_strength
+from .errors import InvalidParameterError, check_numbers, check_strength, overflow_error
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
-from .gaussian import GaussianState, _mode_sums, _quadratures, _wigner_modes, make_state
+from .gaussian import _NORMS, GaussianState, _mode_sums, _quadratures, _rows, _wigner_modes, make_state
 
 __all__ = [
     "BellSetting",
@@ -62,7 +62,8 @@ _FIG2_POINTS = _quadratures(np.where(_PRIMED, *_FIG2_UNIT[::-1]))
 # The integer pattern of _mode_sums on those points.  Each entry of b * _FIG2_POINTS is 0 or
 # +-c, c = fl(b sqrt(2)), so every sum in _mode_sums is exact or rounds once, to fl(k c) for
 # the small integer k here, and its TwoSum error is 0: _mode_sums(b * _FIG2_POINTS) is
-# c * _FIG2_MODES, up to the sign of zero, which the squares of the Wigner exponent drop
+# c * _FIG2_MODES, up to the sign of zero, which the squares of the Wigner exponent drop.
+# Its p half is zero (the settings are real) and so is its first point, the origin (b1, b2, b3')
 _FIG2_MODES = _mode_sums(_FIG2_POINTS / math.sqrt(2))
 
 
@@ -75,13 +76,14 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
 
     ``beta`` and ``beta_prime`` have shape (..., 3); the leading axes
     broadcast, and the result has their shape (a float for one setting).
-    The four correlations of every setting come from one call of the fig2_scan kernel.
+    The four correlations of every setting come from one call of the Wigner kernel.
     """
     points = _points(setting)
     if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
         raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        total = _b3(state, _mode_sums(_quadratures(points)), ("Bell settings", points))
+        modes = _mode_sums(_quadratures(points))  # (..., 4, 2, 3), as _wigner_modes takes them
+        total = _combination(math.pi**3 * _wigner_modes(state, modes, ("Bell settings", points)))
     return total if total.ndim else float(total)
 
 
@@ -98,14 +100,24 @@ def _points(setting: BellSetting) -> np.ndarray:
             f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
 
 
-def _b3(state: GaussianState, modes: np.ndarray, given=None) -> np.ndarray:
-    # B(3) from the mode sums (..., 4, 2, 3) of its correlation points, as _wigner_modes takes them
-    return _combination(math.pi**3 * _wigner_modes(state, modes, given))
-
-
-def _fig2_modes(b):
-    # the mode sums (..., 4, 2, 3) of the correlation points of fig2_setting(b)
-    return (b[..., None, None, None] * math.sqrt(2)) * _FIG2_MODES
+def _fig2_b3(state: GaussianState, origin, b: np.ndarray) -> np.ndarray:
+    # b3(state, fig2_setting(b)) bit for bit, strengths (S,) and finite b (S or 1, ...), from the q half
+    # of the last three points: the origin's correlation, the same at every b, is the caller's, and
+    # the p rows are 0, FIG2_ALPHA being real.  Points and modes lead; the sums keep _rows' and
+    # _combination's order, and corr is pi^3 (exp(-E) / pi^3) as b3 forms it
+    lead = (1,) * b.ndim
+    t = (b * math.sqrt(2)) * _FIG2_MODES[1:, 0].reshape((3, 3) + lead) \
+        * (state.gains[:, 0] / _NORMS).T.reshape((3, -1) + lead[1:])
+    t -= state.displacement[0].reshape((3,) + lead)  # in place: fresh grid-sized arrays page-fault
+    t *= t  # a zero entry's square is the displacement's, 0 times a finite gain being 0
+    exponent = t[:, 0] + t[:, 1]
+    exponent += t[:, 2]
+    if not np.isfinite(exponent).all():  # b is finite, so it overflowed: name the first strength that did
+        raise overflow_error("wigner exponent", state.strength[np.nonzero(~np.isfinite(exponent))[1].min()])
+    corr = np.exp(np.negative(exponent, out=exponent), out=exponent)
+    corr /= math.pi**3
+    corr *= math.pi**3
+    return ((origin + corr[0]) + corr[1]) - corr[2]
 
 
 def fig2_scan(strengths, b_values) -> tuple[np.ndarray, ...]:
@@ -115,8 +127,10 @@ def fig2_scan(strengths, b_values) -> tuple[np.ndarray, ...]:
     correlation points of magnitude b project onto the normal modes as
     fl(b sqrt(2)) times one fixed integer pattern, the bits ``_mode_sums``
     gives them, so neither the b grid (positive, finite, strictly increasing) nor
-    a refinement step forms points or sums modes.  Grid-brackets the maximum (one strength
-    at a time, on the whole grid), then refines it by golden section inside
+    a refinement step forms points or sums modes, and only the q half of the three points
+    off the origin is evaluated per b; an exponent that overflows is refused at the first
+    strength, in scan order, where it does.  Grid-brackets the maximum (every strength
+    on the whole grid, in one call), then refines it by golden section inside
     the bracketing cell down to a width of 1e-10 (first/grid-lowest
     maximizer wins ties; the grid point wins when it beats the refined
     point), all strengths in lockstep, one evaluation per step; a strength whose
@@ -131,10 +145,10 @@ def fig2_scan(strengths, b_values) -> tuple[np.ndarray, ...]:
         raise InvalidParameterError("b grid must be positive, finite and strictly increasing")
     state = make_state(np.asarray(strengths, dtype=object).reshape(-1), FIG2_ALPHA)
     strengths = state.strength
-    fn = lambda b: _b3(state, _fig2_modes(b))  # b is finite, so a non-finite value overflowed
+    origin = math.pi**3 * (np.exp(-_rows(state.displacement[0])) / math.pi**3)  # (b1, b2, b3')'s, at any b
+    fn = lambda b: _fig2_b3(state, origin, b)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
-        grid = _fig2_modes(b_values)
-        values = np.array([_b3(state[i], grid) for i in range(strengths.size)])
+        values = fn(b_values[None])  # (strengths, grid) in one call
         top = np.argmax(values, axis=1)
         grid_best = values[np.arange(strengths.size), top]
         a = b_values[np.maximum(top - 1, 0)]

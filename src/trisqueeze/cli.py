@@ -116,16 +116,13 @@ def _cmd_fig1(args):
 def _cmd_wigner(args):
     state = gaussian.make_state(args.lam, _parse_complex_triple(args.alpha))
     q, p = _parse_real_triple(args.q), _parse_real_triple(args.p)
-    if args.q1 or args.p1:
-        q1 = _parse_range(args.q1 or "0:1:0")
-        p1 = _parse_range(args.p1 or "0:1:0")
-        # one row per grid point, q1 outer and p1 inner
-        grid = np.stack(np.meshgrid(q1, p1, indexing="ij"), axis=-1).reshape(-1, 2)
-        q, p = np.tile(q, (len(grid), 1)), np.tile(p, (len(grid), 1))
-        q[:, 0] = grid[:, 0]
-        p[:, 0] = grid[:, 1]
-        values = gaussian.wigner(state, q, p)
-        return _table(("q1", "p1", "w"), (grid[:, 0], grid[:, 1], values), args.format)
+    if args.q1 or args.p1:  # an axis without a range stays at the first component of --q or --p
+        q1, p1 = (_parse_range(text) if text else x[:1] for text, x in ((args.q1, q), (args.p1, p)))
+        q, p = np.tile(q, (q1.size, 1)), np.tile(p, (p1.size, 1))
+        q[:, 0], p[:, 0] = q1, p1
+        # q (n_q1, 1, 3) against p (1, n_p1, 3): one row per grid point, q1 outer and p1 inner
+        values = gaussian.wigner(state, q[:, None], p[None]).ravel()
+        return _table(("q1", "p1", "w"), (q1.repeat(p1.size), np.tile(p1, q1.size), values), args.format)
     if args.gnuplot:
         raise InvalidParameterError("--gnuplot needs a slice (--q1 or --p1)")
     return _table(("q1", "q2", "q3", "p1", "p2", "p3", "w"),

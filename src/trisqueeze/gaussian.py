@@ -66,10 +66,10 @@ def _quadratures(amplitudes) -> np.ndarray:
     return (math.sqrt(2) * parts).swapaxes(-1, -2).copy()
 
 
-def _total(squares):
-    # the six entries of a (..., 2, 3) array, summed in a fixed order
-    rows = (squares[..., 0] + squares[..., 1]) + squares[..., 2]
-    return rows[..., 0] + rows[..., 1]
+def _rows(t):
+    # the sum of the squares of t over its last axis, in a fixed order
+    t = t * t
+    return (t[..., 0] + t[..., 1]) + t[..., 2]
 
 
 @dataclass(frozen=True)
@@ -209,40 +209,49 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
     stretched modes up to |s| = 354.
 
     Every step is elementwise, so a batch of points gives bit for bit the
-    values of one call per point.  The strength axes of a batched state line
-    up with the first leading axes of the points.  Points that are not
-    real numbers, or not finite, raise InvalidParameterError; an exponent
-    that overflows double precision raises NumericError.
+    values of one call per point; q and p of unequal shapes are each summed
+    at their own shape and only E's q row + p row broadcasts.  The strength
+    axes of a batched state line up with the first leading axes of the
+    points.  Points that are not real numbers, or not finite, raise
+    InvalidParameterError; an exponent that overflows raises NumericError.
     """
     q = check_numbers(q, "phase-space points")
     p = check_numbers(p, "phase-space points")
     if q.shape[-1:] != (3,) or p.shape[-1:] != (3,):
         raise InvalidParameterError("q and p must have 3 components each")
     try:
-        q, p = (q, p) if q.shape == p.shape else np.broadcast_arrays(q, p)
+        shape = q.shape if q.shape == p.shape else np.broadcast_shapes(q.shape, p.shape)
     except ValueError:
         raise InvalidParameterError(f"q {q.shape} and p {p.shape} do not broadcast") from None
-    x = np.concatenate([q, p], axis=-1).reshape(q.shape[:-1] + (2, 3))
-    if q.ndim + 1 < state.gains.ndim:
+    if len(shape) + 1 < state.gains.ndim:
         raise InvalidParameterError("points need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
-        out = _wigner_modes(state, _mode_sums(x), ("phase-space points", x))
+        modes = (_mode_sums(np.concatenate([q, p], axis=-1).reshape(shape[:-1] + (2, 3)))
+                 if q.shape == p.shape else (_mode_sums(q), _mode_sums(p)))
+        out = _wigner_modes(state, modes, ("phase-space points", q, p))
     return out if out.ndim else float(out)
 
 
-def _wigner_modes(state: GaussianState, modes: np.ndarray, given=None) -> np.ndarray:
-    # W at the points whose _mode_sums are ``modes`` (..., 2, 3), the state axes in front of their
+def _wigner_modes(state: GaussianState, modes, given) -> np.ndarray:
+    # W at the points whose _mode_sums are ``modes`` (..., 2, 3), or at the broadcast of the pair
+    # ``modes`` of q's and p's (..., 3), each half at its own shape; the state axes in front of their
     # leading axes; the caller ignores over/invalid.  A non-finite exponent refuses ``given``, the
-    # caller's (name, values) of its input, by that name if a value is not finite, else overflowed
+    # caller's (name, *values) of its input, by that name if a value is not finite, else overflowed
     lead = state.gains.shape[:-2]
-    gains = state.gains.reshape(lead + (1,) * (modes.ndim - state.gains.ndim) + (2, 3))
+    pair = isinstance(modes, tuple)
+    points = np.broadcast_shapes(*(m.shape for m in modes))[:-1] if pair else modes.shape[:-2]
+    scale = (state.gains / _NORMS).reshape(lead + (1,) * (len(points) - len(lead)) + (2, 3))
     try:
-        t = modes * (gains / _NORMS) - state.displacement
+        if pair:
+            exponent = (_rows(modes[0] * scale[..., 0, :] - state.displacement[0])
+                        + _rows(modes[1] * scale[..., 1, :] - state.displacement[1]))
+        else:
+            exponent = _rows(modes * scale - state.displacement)
+            exponent = exponent[..., 0] + exponent[..., 1]
     except ValueError:
-        raise InvalidParameterError(f"points {modes.shape[:-2]} do not line up with strengths {lead}") from None
-    exponent = _total(t * t)
+        raise InvalidParameterError(f"points {points} do not line up with strengths {lead}") from None
     if not np.isfinite(exponent).all():
-        if given and not np.isfinite(given[1]).all():
+        if not all(np.isfinite(values).all() for values in given[1:]):
             raise InvalidParameterError(f"{given[0]} must be finite")
         raise overflow_error("wigner exponent", state.strength)
     return np.exp(-exponent) / math.pi**3

@@ -120,23 +120,24 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
 
 @functools.cache
 def _wick_table(k: int, ndim: int) -> tuple[np.ndarray, ...]:
-    # (j, l1 + l2, r1, r2, w) of every term of the Wick sum of order k (see mean_power_exact) on
-    # the leading axis of ndim + 1, r1 and r2 complex and the rest float, as the powers cast them;
-    # cached, since a build costs 40-45 us (2 cores) in each of the point workload's 800 pk calls
+    # (j, r1, r2, w) of each term of the Wick sum of order k (see mean_power_exact) and the exponents
+    # 0..k on the leading axis of ndim + 1, as the powers cast them, and each term's l1 + l2 indexing
+    # those; cached, since a build costs 40-45 us (2 cores) in each of the point workload's 800 pk calls
     j, l1, l2 = np.indices((k + 1,) * 3)
     r1, r2 = k - j - 2 * l1, k - j - 2 * l2
     j, l1, l2, r1, r2 = (index[(r1 >= 0) & (r2 >= 0)] for index in (j, l1, l2, r1, r2))
     f = np.cumprod([1, *range(1, k + 1)])  # factorials 0..k
     w = (f[k] ** 2 // (f[j] * f[l1] * f[l2] * 2 ** (l1 + l2) * f[r1] * f[r2])).astype(float)
-    terms = j.astype(float), (l1 + l2).astype(float), r1.astype(complex), r2.astype(complex), w
-    return tuple(part.reshape(-1, *(1,) * ndim) for part in terms)
+    terms = j.astype(float), r1.astype(complex), r2.astype(complex), w, np.arange(k + 1.0)
+    return *(part.reshape(-1, *(1,) * ndim) for part in terms), l1 + l2
 
 
 def _wick_sum(k: int, beta: np.ndarray, n, m) -> np.ndarray:
     # the Wick sum of order k for means ``beta`` and pair moments ``n``, ``m`` (scalars or of
-    # beta's shape); a running sum adds the terms in order, for one amplitude as for a grid
-    j, l12, r1, r2, w = _wick_table(k, beta.ndim)
-    return np.add.accumulate(w * n**j * m**l12 * beta.conj() ** r1 * beta**r2)[-1].real
+    # beta's shape); a running sum adds the terms in order, for one amplitude as for a grid.  m's
+    # k + 1 powers are formed once: m < 0 at s > 0, where numpy's pow takes a 20 times slower loop
+    j, r1, r2, w, exponents, l12 = _wick_table(k, beta.ndim)
+    return np.add.accumulate(w * n**j * (m**exponents)[l12] * beta.conj() ** r1 * beta**r2)[-1].real
 
 
 def _collective_mean(triples: np.ndarray, factors: tuple) -> tuple[np.ndarray, float, float]:

@@ -248,14 +248,14 @@ def test_fig2_setting_is_the_unit_pattern_scaled_bit_for_bit():
 
 def test_fig2_modes_are_the_integer_pattern_scaled():
     # each entry of b * _FIG2_POINTS is 0 or +-c, c = fl(b sqrt(2)), so every sum of _mode_sums
-    # on those points is exact or rounds once, to fl(k c): the scan's c * _FIG2_MODES are its
-    # bits (== ignores the sign of zero, which the Wigner exponent squares away).  Where 2c or
-    # 3c overflows, both are non-finite (TwoSum's inf - inf gives NaN, the pattern inf)
+    # on those points is exact or rounds once, to fl(k c): the c * _FIG2_MODES that the scan's
+    # kernel forms are its bits (== ignores the sign of zero, which the Wigner exponent squares
+    # away).  Where 2c or 3c overflows, both are non-finite (TwoSum's inf - inf gives NaN, the pattern inf)
     bs = np.append(np.exp(np.random.default_rng(43).uniform(-20, 20, size=64)),
                    [5e-324, 1e-300, 8e307, 1.2e308])
     with np.errstate(over="ignore", invalid="ignore"):
         summed = _mode_sums(bs[:, None, None, None] * bell._FIG2_POINTS)
-        modes = bell._fig2_modes(bs)
+        modes = (bs[:, None, None, None] * math.sqrt(2)) * bell._FIG2_MODES
     finite = np.isfinite(summed)
     assert finite.reshape(bs.size, -1).all(axis=1).tolist() == [True] * 66 + [False] * 2
     assert np.array_equal(np.isfinite(modes), finite) and np.isinf(modes[~finite]).all()
@@ -266,14 +266,26 @@ def test_fig2_modes_are_the_integer_pattern_scaled():
     rows = _rows(fig2_scan([0.0, -0.4, 1.2, 5.0], grid))
     assert hashlib.sha256(repr([tuple(v.hex() for v in row) for row in rows]).encode()).hexdigest() \
         == "a866a3f94c0e5de3447981a2a20fcdfd3ee70b272523c2232c8dd82c5aac75bb"
-    for top in bs[-2:]:
-        with pytest.raises(NumericError) as refusal:
-            fig2_scan([1.2, 0.0], np.append(grid, top))
-        assert str(refusal.value) == "wigner exponent overflows double precision at strength 1.2"
+    for top in bs[-2:]:  # the first strength in scan order is named, whichever overflows too
+        for strengths, named in (([1.2, 0.0], "1.2"), ([0.0, 1.2], "0")):
+            with pytest.raises(NumericError) as refusal:
+                fig2_scan(strengths, np.append(grid, top))
+            assert str(refusal.value) == f"wigner exponent overflows double precision at strength {named}"
     # past about 1.27e308, b sqrt(2) overflows too, and inf times the pattern's zeros is NaN:
     # refused by the package, not by numpy's warning, as the overflow it is, since b is finite
     with pytest.raises(NumericError, match="^wigner exponent overflows double precision at strength 1.2$"):
         fig2_scan([1.2], [1.5e308])
+
+
+def test_fig2_kernel_moves_only_the_q_half_off_the_origin():
+    # the scan's kernel evaluates only the q half of the last three correlation points: the p
+    # half is zero (the settings are real) and the first point (b1, b2, b3') is the origin, so
+    # those rows are the displacement's squares at every b; six q entries move with b.  The p
+    # rows it drops are 0, since FIG2_ALPHA is real and so is its displacement
+    q_half, p_half = bell._FIG2_MODES[:, 0], bell._FIG2_MODES[:, 1]
+    assert not p_half.any() and not q_half[0].any()
+    assert np.count_nonzero(q_half) == 6
+    assert not make_state([0.0, 1.2], FIG2_ALPHA).displacement[1].any()
 
 
 def test_fig2_scan_values_equal_b3():

@@ -117,6 +117,22 @@ def test_grids_print_one_row_per_point(argv, first_column, capsys):
     assert [line.split(",")[0] for line in capsys.readouterr().out.split("\n")[1:-1]] == first_column
 
 
+@pytest.mark.parametrize("axis", ["--q1=-1:1:1", "--p1=-1:1:1"])
+def test_one_axis_slice_keeps_the_other_axis_at_its_first_component(axis, capsys):
+    # the axis without a range was set to 0: --p 0.5,0,0 --q1=-1:1:1 printed p1 = 0 and, at
+    # q1 = -1, 0.00982410062946, the value at p = 0, not the point's 0.00737987783262
+    assert run(["wigner", "--lambda", "0.2", "--q", "0.25,0.1,0", "--p", "0.5,0,0", axis]) == 0
+    state = make_state(0.2, [0, 0, 0])
+    expected = ["q1,p1,w"]
+    for v in (-1.0, 0.0, 1.0):
+        q1, p1 = (v, 0.5) if axis.startswith("--q1") else (0.25, v)
+        value = wigner(state, [q1, 0.1, 0], [p1, 0, 0])
+        expected.append(",".join(f"{x:.12g}" for x in (q1, p1, value)))
+    assert capsys.readouterr().out.split("\n") == expected + [""]
+    assert run(["wigner", "--lambda", "0.2", "--p", "0.5,0,0", "--q1=-1:1:1"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "-1,0.5,0.00737987783262"
+
+
 def test_wigner_slice_equals_point_values(tmp_path):
     # the slice is one batched call; each row must print the value of a
     # single-point call, rows ordered q1 outer and p1 inner

@@ -340,6 +340,64 @@ def test_wigner_on_strength_batch_equals_single_states():
         wigner(batch, np.zeros(3), np.zeros(3))  # no leading axis for the strengths
 
 
+def _wigner_bits(state, q, p):
+    return np.asarray(wigner(state, q, p)).view(np.int64)
+
+
+def _cut(x, shape):
+    # x (..., 3) cut down to ``shape``: its first index on each axis that ``shape`` lacks or has as 1
+    x = x[(0,) * (x.ndim - len(shape))]
+    return x[tuple(slice(None) if n > 1 else slice(0, 1) for n in shape)]
+
+
+@pytest.mark.parametrize("q_shape, p_shape", [
+    ((4, 1, 3), (1, 5, 3)), ((1, 5, 3), (4, 1, 3)), ((3,), (5, 3)), ((5, 3), (3,)), ((2, 1, 3), (3, 3)),
+])
+def test_wigner_on_unequal_shapes_equals_the_broadcast_points(q_shape, p_shape):
+    # q and p of different shapes are summed each at its own shape, and only the q row + p row
+    # of the exponent broadcasts; the values are those of the broadcast points bit for bit
+    rng = np.random.default_rng(29)
+    alpha = [0.3 - 0.2j, 0.1j, -0.4]
+    for strength in (-0.6, 0.0, 0.45, 3.0, 6.0):
+        state = make_state(strength, alpha)
+        # near the mean, where W does not vanish at the large strengths
+        q, p = _near_mean(rng, state, np.broadcast_shapes(q_shape, p_shape)[:-1])
+        q, p = _cut(q, q_shape), _cut(p, p_shape)
+        assert np.array_equal(_wigner_bits(state, q, p), _wigner_bits(state, *np.broadcast_arrays(q, p)))
+    # a batched state: its strength axis lines up with the first axis of the broadcast points
+    strengths = np.array([-0.6, 0.0, 0.45, 3.0])
+    batch = make_state(strengths, alpha)
+    for q_shape, p_shape in (((4, 1, 3), (1, 5, 3)), ((4, 5, 3), (5, 3)), ((1, 5, 3), (4, 1, 3)),
+                             ((3,), (4, 5, 3)), ((4, 1, 3), (5, 3))):
+        q, p = rng.normal(size=q_shape) * 0.5, rng.normal(size=p_shape) * 0.5
+        assert np.array_equal(_wigner_bits(batch, q, p), _wigner_bits(batch, *np.broadcast_arrays(q, p)))
+        values, (wide_q, wide_p) = wigner(batch, q, p), np.broadcast_arrays(q, p)
+        for i, s in enumerate(strengths):
+            assert np.array_equal(values[i], wigner(make_state(float(s), alpha), wide_q[i], wide_p[i]))
+
+
+def test_wigner_on_unequal_shapes_refuses_as_on_equal_ones():
+    state = make_state(0.1, [0, 0, 0])
+    q, p = np.zeros((4, 1, 3)), np.zeros((1, 5, 3))
+    for half in (0, 1):
+        bad = [q.copy(), p.copy()]
+        bad[half][0, 0, 1] = np.nan
+        with pytest.raises(InvalidParameterError, match="^phase-space points must be finite$"):
+            wigner(state, *bad)
+    with pytest.raises(InvalidParameterError, match=r"^q \(4, 3\) and p \(5, 3\) do not broadcast$"):
+        wigner(state, np.zeros((4, 3)), np.zeros((5, 3)))
+    batch = make_state([0.1, 0.2, 0.3], [0, 0, 0])
+    for q_shape in ((3,), (5, 3)):  # the second, equal shapes, for the same message
+        with pytest.raises(InvalidParameterError, match=r"^points \(5,\) do not line up with strengths \(3,\)$"):
+            wigner(batch, np.zeros(q_shape), np.zeros((5, 3)))
+    with pytest.raises(InvalidParameterError, match="^points need a leading axis for each strength axis"):
+        wigner(make_state(np.zeros((2, 3)), [0, 0, 0]), np.zeros(3), np.zeros((1, 3)))
+    # e^{400} stretches the symmetric mode of q at s = 200 and of p at s = -200
+    for s, q, p in ((200, np.ones((2, 1, 3)), np.zeros((1, 4, 3))), (-200, np.zeros((2, 1, 3)), np.ones((1, 4, 3)))):
+        with pytest.raises(NumericError, match=f"^wigner exponent overflows double precision at strength {s}$"):
+            wigner(make_state(s, [0, 0, 0]), q, p)
+
+
 def test_strength_batch_slices_equal_single_states():
     # fig2_scan builds one batch and scans each strength on its slice
     strengths = np.concatenate([[-0.6, 3.0, 5.0, 6.0, 6.4630967461221465, 200.0], np.arange(51) * 0.02])
