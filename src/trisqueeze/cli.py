@@ -1,4 +1,4 @@
-"""Command-line front end: scans and reports as CSV or JSON.
+"""Command-line front end: scans and reports as CSV or JSON, the errata report as JSON only.
 
 CSV prints every float with 12 significant digits, uses LF line endings and
 has a header row.  A table is handed over as columns; a float64 array column
@@ -176,6 +176,8 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_errata(args):
+    if args.format == "csv":
+        raise InvalidParameterError("errata writes JSON only, not --format csv")
     return json.dumps(errata.build_errata(), indent=2) + "\n"
 
 
@@ -198,7 +200,7 @@ class _Parser(argparse.ArgumentParser):
 _LAMBDA = ("--lambda", dict(dest="lam", type=float, required=True))
 _GNUPLOT = ("--gnuplot", dict(help="also write a gnuplot script to this path"))
 _OUTPUT = (("--out", dict(help="output file (default: stdout)")),
-           ("--format", dict(choices=("csv", "json"), default="csv")))
+           ("--format", dict(choices=("csv", "json"))))  # None writes CSV; errata refuses a csv asked for
 # name: (help, command, gnuplot title, arguments before --out and --format)
 _COMMANDS = {
     "moments": ("closed-form even moments of the collective quadratures", _cmd_moments, None, (

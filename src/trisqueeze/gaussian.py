@@ -93,10 +93,6 @@ class GaussianState:
     gains: np.ndarray
     displacement: np.ndarray
 
-    def __getitem__(self, index) -> "GaussianState":
-        """Index ``index`` of the strength axes of a batched state."""
-        return GaussianState(self.strength[index], self.gains[index], self.displacement)
-
 
 @dataclass(frozen=True)
 class MomentQuery:

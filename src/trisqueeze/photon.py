@@ -52,24 +52,20 @@ class PkResult:
         return self.exact_value if self.path == "exact" else self.paper_value
 
 
-def _triples(alpha, strength: float, what: str) -> tuple[np.ndarray, bool, tuple]:
-    """The amplitude triples ``alpha`` (..., 3), with at least one axis, whether it was one
-    triple, and the collective factors; checks the strength, then the amplitudes.
-
-    The routes sum each triple in their overflow scope: a sum that overflows makes every value
-    formed from it non-finite, so the scope refuses it, and :func:`_gm` does so before the closed
-    route's singularity.  A single triple runs through the same array arithmetic as a grid of
-    them, so its values equal that grid point's bit for bit; results for it are handed back as
-    plain numbers by :func:`_plain`.
+def _answer(what: str, alpha, strength: float, compute, *args):
+    """``compute(triples, strength, factors, *args)`` in one overflow scope, for the amplitude
+    triples ``alpha`` (..., 3), given at least one axis, and the collective factors; checks the
+    strength, then the amplitudes, naming ``what`` in a refusal.  A sum that overflows makes every
+    value formed from it non-finite, so the scope refuses it, and :func:`_gm` does so before the
+    closed route's singularity.  A single triple runs through the same array arithmetic as a grid
+    of them, so its values equal that grid point's bit for bit, handed back as Python numbers.
     """
     strength = check_strength(strength)
     alpha = check_amplitudes(alpha, what)
     single = alpha.ndim == 1
-    return (alpha[None] if single else alpha), single, collective_factors(strength)
-
-
-def _plain(values: np.ndarray, single: bool):
-    return values.item() if single else values
+    values = refuse_overflow(what, strength, compute, alpha[None] if single else alpha, strength,
+                             collective_factors(strength), *args)
+    return [value.item() for value in values] if single else values
 
 
 def _gm(triples: np.ndarray, strength: float, factors: tuple) -> np.ndarray:
@@ -99,10 +95,8 @@ def gm_pair(alpha, strength: float) -> tuple:
     tanh/coth formulas, which a plain principal-branch pair does not.
     Broadcasts over the leading axes of ``alpha``.
     """
-    what = "closed-route amplitude pair"
-    triples, single, factors = _triples(alpha, strength, what)
-    g, m = refuse_overflow(what, strength, _gm, triples, strength, factors)
-    return _plain(g, single), _plain(m, single)
+    g, m = _answer("closed-route amplitude pair", alpha, strength, _gm)
+    return g, m
 
 
 def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
@@ -111,7 +105,7 @@ def mean_power_paper(k: int, alpha, strength: float) -> float | np.ndarray:
     A value that overflows raises NumericError.  Broadcasts over the leading
     axes of ``alpha``.
     """
-    return _mean_power("paper", k, alpha, strength)
+    return _mean_power(_printed, k, alpha, strength)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +142,12 @@ def _collective_mean(triples: np.ndarray, factors: tuple) -> tuple[np.ndarray, f
     return c * amp - t * np.conj(amp), c, t
 
 
+def _exact(triples: np.ndarray, strength: float, factors: tuple, k: int) -> list:
+    # <A^dag^k A^k> by the Wick sum, as _printed's one row; the caller refuses non-finite values
+    beta, c, t = _collective_mean(triples, factors)
+    return [_wick_sum(k, beta, t * t, -c * t)]
+
+
 def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
     """<A^dag^k A^k> from the exact Heisenberg map of the collective mode.
 
@@ -166,7 +166,7 @@ def mean_power_exact(k: int, alpha, strength: float) -> float | np.ndarray:
     and grid rank.  Exact at every strength including zero; a value that
     overflows raises NumericError.  Broadcasts over the leading axes of ``alpha``.
     """
-    return _mean_power("exact", k, alpha, strength)
+    return _mean_power(_exact, k, alpha, strength)
 
 
 def _hermite_table(m: int, x) -> np.ndarray:
@@ -179,12 +179,9 @@ def _hermite_table(m: int, x) -> np.ndarray:
     return table
 
 
-def _powers(path: str, orders: tuple, triples: np.ndarray, strength: float, factors: tuple):
-    # <A^dag^k A^k> on one route, a row per k of ``orders``; the caller refuses non-finite values
-    if path == "exact":
-        beta, c, t = _collective_mean(triples, factors)
-        return [_wick_sum(k, beta, t * t, -c * t) for k in orders]
-    # the published k-sums, whose imaginary part is rounding alone and dropped: the branch-locked
+def _printed(triples: np.ndarray, strength: float, factors: tuple, *orders: int) -> list:
+    # <A^dag^k A^k> by the published k-sums, a row per k of ``orders``; the caller refuses
+    # non-finite values.  Their imaginary part is rounding alone and dropped: the branch-locked
     # pair has m = conj(g) for s > 0 and m = -conj(g) for s < 0, so H_j(g/2) H_j(m/2) is
     # |H_j(g/2)|^2 times 1 or (-1)^j (H_j is real and of parity j), and with the sign of
     # (-2 coll_diff)^n every term has the sign of s^k: nothing cancels to leave a residue
@@ -201,14 +198,12 @@ def _powers(path: str, orders: tuple, triples: np.ndarray, strength: float, fact
     return powers
 
 
-def _mean_power(path: str, k: int, alpha, strength: float) -> float | np.ndarray:
+def _mean_power(route, k: int, alpha, strength: float) -> float | np.ndarray:
+    # <A^dag^k A^k> by ``route``, _printed or _exact
     k = check_integer(k, "power k")
     if not 1 <= k <= MAX_POWER:
         raise InvalidParameterError(f"power k must be in 1..{MAX_POWER}, got {k}")
-    what = "photon-number moment"
-    triples, single, factors = _triples(alpha, strength, what)
-    (value,) = refuse_overflow(what, strength, _powers, path, (k,), triples, strength, factors)
-    return _plain(value, single)
+    return _answer("photon-number moment", alpha, strength, route, k)[0]
 
 
 def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
@@ -227,11 +222,9 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
         raise InvalidParameterError(f"P_k needs 2 <= k <= {MAX_POWER}, got {k}")
     if path not in ("paper", "exact"):
         raise InvalidParameterError(f"path must be 'paper' or 'exact', got {path!r}")
-    what = f"P_{k}"
-    triples, single, factors = _triples(alpha, strength, what)
-    closed = factors[1] != 0 or path == "paper"  # _gm refuses coll_diff = 0 for path "paper"
-    def statistics():
-        # the exact route, then the printed one where ``closed``.  A Wick term has degree 2k in
+    def statistics(triples, strength, factors):
+        # the exact route, then the printed one unless it is singular (coll_diff = 0) and not
+        # asked for; asked for, _gm refuses it there.  A Wick term has degree 2k in
         # (beta, sqrt(n), sqrt(m)); dividing beta by sqrt(N) and n, m by N, N = <A^dag A> =
         # |beta|^2 + t^2, gives P_k + 1 with no unscaled square for tiny amplitudes to underflow
         beta, c, t = _collective_mean(triples, factors)
@@ -246,13 +239,13 @@ def pk(k: int, alpha, strength: float, path: str = "exact") -> PkResult:
             root = np.where(small, np.abs(beta), root)
         scaled_t = t / root
         exact = _wick_sum(k, beta / root, scaled_t**2, (-c / root) * scaled_t) - 1
-        if not closed:
+        if factors[1] == 0 and path == "exact":
             return (exact,)
-        mean_photon, power = _powers("paper", (1, k), triples, strength, factors)
+        mean_photon, power = _printed(triples, strength, factors, 1, k)
         return exact, power / mean_photon**k - 1
 
-    exact, *paper = refuse_overflow(what, strength, statistics)  # both routes, one scope
-    paper_value, exact_value = _plain(paper[0], single) if paper else None, _plain(exact, single)
+    exact_value, *paper = _answer(f"P_{k}", alpha, strength, statistics)  # both routes, one scope
+    paper_value = paper[0] if paper else None
     return PkResult(k=k, paper_value=paper_value, exact_value=exact_value, path=path,
                     discrepancy=None if paper_value is None else abs(paper_value - exact_value))
 

@@ -11,6 +11,7 @@ from helpers import mean
 from trisqueeze import (
     FIG2_ALPHA,
     BellSetting,
+    GaussianState,
     InvalidParameterError,
     NumericError,
     b3,
@@ -210,7 +211,8 @@ def test_b3_refuses_settings_without_an_axis_per_strength():
             b3(batch, fig2_setting(0.3))
     batch = make_state(np.array([0.1, 0.2, 0.3, 0.4]), FIG2_ALPHA)
     values = b3(batch, fig2_setting(np.full(4, 0.3)))
-    assert values.tolist() == [b3(batch[i], fig2_setting(0.3)) for i in range(4)]
+    slices = [GaussianState(batch.strength[i], batch.gains[i], batch.displacement) for i in range(4)]
+    assert values.tolist() == [b3(state, fig2_setting(0.3)) for state in slices]
 
 
 def test_b3_refuses_displacements_that_overflow_without_a_warning():

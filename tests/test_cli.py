@@ -254,6 +254,15 @@ def test_json_bytes_are_pinned(argv, digest, capsys):
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
+def test_errata_writes_json_without_format(capsys):
+    # errata's report is JSON: with no --format it prints the bytes of --format json, pinned above;
+    # --format csv is refused (the exit-code table below)
+    assert run(["errata", "--format", "json"]) == 0
+    pinned = capsys.readouterr()
+    assert run(["errata"]) == 0
+    assert capsys.readouterr() == pinned
+
+
 @pytest.mark.parametrize("command", ["fig1", "fig2"])
 def test_default_scan_matches_golden_file(command, tmp_path):
     # tests/data holds the default-grid output captured before the scans
@@ -584,6 +593,8 @@ def test_refusal_names_what_was_given(argv, line, capsys):
     (["fig2", "--b", "1.5e308:1:1.5e308"], 3),
     # --b is read by b3 alone; var-x3 printed the bytes it prints without it
     (["oracle-check", "--quantity", "var-x3", "--b", "99"], 2),
+    # errata writes JSON only; --format csv printed the JSON report and exited 0
+    (["errata", "--format", "csv"], 2),
 ])
 def test_non_finite_results_exit_with_message(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # for the argv that name files

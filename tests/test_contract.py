@@ -262,7 +262,8 @@ def test_finite_coefficients_that_overflow_stay_numeric_errors():
 
 
 # (name, call) of every public function that answers a number, with its values for one input:
-# each is a Python float, as the docstrings say, not np.float64, whose repr differs under numpy 2
+# each is a Python float, as the docstrings say, not np.float64, whose repr differs under numpy 2;
+# gm_pair's (G, M) are Python complex numbers, not np.complex128
 FLOAT_RESULTS = [
     ("wigner", lambda: [wigner(STATE, np.zeros(3), np.zeros(3))]),
     ("b3", lambda: [b3(STATE, fig2_setting(0.3))]),
@@ -273,6 +274,7 @@ FLOAT_RESULTS = [
     ("hos_x", lambda: [hos_x(0.3, 2)]),
     ("hos_y", lambda: [hos_y(0.3, 2)]),
     ("two_mode_baseline_variance", lambda: two_mode_baseline_variance(0.3)),
+    ("gm_pair", lambda: list(gm_pair((1, 0, 0), 0.3))),
     ("mean_power_paper", lambda: [mean_power_paper(2, (1, 0, 0), 0.3)]),
     ("mean_power_exact", lambda: [mean_power_exact(2, (1, 0, 0), 0.3)]),
     ("pk", lambda: [getattr(pk(2, (1, 0, 0), 0.3), name)
@@ -283,11 +285,11 @@ FLOAT_RESULTS = [
 ]
 
 
-@pytest.mark.parametrize("call", [entry[1] for entry in FLOAT_RESULTS],
-                         ids=[entry[0] for entry in FLOAT_RESULTS])
-def test_one_value_is_a_python_float(call):
+@pytest.mark.parametrize("name, call", FLOAT_RESULTS, ids=[entry[0] for entry in FLOAT_RESULTS])
+def test_one_value_is_a_python_float(name, call):
     values = call()
-    assert values and [type(value) for value in values] == [float] * len(values)
+    kind = complex if name == "gm_pair" else float
+    assert values and [type(value) for value in values] == [kind] * len(values)
 
 
 @pytest.mark.parametrize("call, width", [

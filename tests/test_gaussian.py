@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from helpers import (circulant_maps, cov, double_factorial, mean, normal_order_coefficients,
                      wigner_normalization, x3_query, y3_query)
 from trisqueeze import (
+    GaussianState,
     InvalidParameterError,
     MomentQuery,
     NumericError,
@@ -330,7 +331,8 @@ def test_wigner_on_strength_batch_equals_single_states():
         single = make_state(float(s), alpha)
         assert values[i].tolist() == [wigner(single, q[i, j], p[j]) for j in range(5)]
     # near the mean, where W does not vanish at the large strengths
-    q, p = _near_mean(rng, batch[:, None], (5,))
+    column = GaussianState(batch.strength[:, None], batch.gains[:, None], batch.displacement)
+    q, p = _near_mean(rng, column, (5,))
     values = wigner(batch, q, p)
     assert (values > 1e-6).all()
     for i, s in enumerate(strengths):
@@ -399,22 +401,21 @@ def test_wigner_on_unequal_shapes_refuses_as_on_equal_ones():
 
 
 def test_strength_batch_slices_equal_single_states():
-    # fig2_scan builds one batch and scans each strength on its slice
     strengths = np.concatenate([[-0.6, 3.0, 5.0, 6.0, 6.4630967461221465, 200.0], np.arange(51) * 0.02])
     alpha = [0.4, 0.5 - 0.1j, 0.6]
     batch = make_state(strengths, alpha)
     singles = [make_state(s, alpha) for s in strengths]
     for i, single in enumerate(singles):
-        part = batch[i]
-        for name in ("strength", "gains", "displacement"):
-            assert np.array_equal(getattr(part, name), getattr(single, name))
+        assert np.array_equal(batch.strength[i], single.strength)
+        assert np.array_equal(batch.gains[i], single.gains)
+        assert np.array_equal(batch.displacement, single.displacement)
         single_maps = circulant_maps(mode_gains(strengths[i]))
         for batch_map, single_map in zip(circulant_maps(batch.gains), single_maps):
             assert np.array_equal(batch_map[i], single_map)
     # the strengths' shape, here (2, 3), leads on strength and gains (GaussianState's docstring)
     grid = make_state(strengths[:6].reshape(2, 3), alpha)
     assert grid.strength.shape == (2, 3) and grid.gains.shape == (2, 3, 2, 3)
-    assert np.array_equal(grid[1, 2].gains, singles[5].gains)
+    assert np.array_equal(grid.gains[1, 2], singles[5].gains)
 
 
 def test_wigner_exact_where_the_numeric_determinant_fails():
