@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, check_numbers, check_strength, overflow_error
+from .errors import InvalidParameterError, check_numbers, check_strength, check_strengths, overflow_error
 from .fock import build_arena, coherent_ket, displaced_parity, evolve
 from .gaussian import _NORMS, GaussianState, _mode_sums, _quadratures, _rows, _wigner_modes, make_state
+from .matrices import mode_gains
 
 __all__ = [
     "BellSetting",
@@ -65,6 +66,10 @@ _FIG2_POINTS = _quadratures(np.where(_PRIMED, *_FIG2_UNIT[::-1]))
 # c * _FIG2_MODES, up to the sign of zero, which the squares of the Wigner exponent drop.
 # Its p half is zero (the settings are real) and so is its first point, the origin (b1, b2, b3')
 _FIG2_MODES = _mode_sums(_FIG2_POINTS / math.sqrt(2))
+# FIG2_ALPHA on the normal modes, and the correlation at the origin (b1, b2, b3') for every b and
+# strength: pi^3 (exp(-E) / pi^3) as b3 forms it, E the squares of the displacement's q half
+_FIG2_DISPLACEMENT = make_state(0.0, FIG2_ALPHA).displacement
+_FIG2_ORIGIN = math.pi**3 * (np.exp(-_rows(_FIG2_DISPLACEMENT[0])) / math.pi**3)
 
 
 def _combination(corr):
@@ -79,8 +84,6 @@ def b3(state: GaussianState, setting: BellSetting) -> float | np.ndarray:
     The four correlations of every setting come from one call of the Wigner kernel.
     """
     points = _points(setting)
-    if points.ndim < state.gains.ndim:  # the four correlation points are not a strength axis
-        raise InvalidParameterError("settings need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         modes = _mode_sums(_quadratures(points))  # (..., 4, 2, 3), as _wigner_modes takes them
         total = _combination(math.pi**3 * _wigner_modes(state, modes, ("Bell settings", points)))
@@ -100,53 +103,49 @@ def _points(setting: BellSetting) -> np.ndarray:
             f"beta {beta.shape} and beta_prime {beta_prime.shape} do not broadcast") from None
 
 
-def _fig2_b3(state: GaussianState, origin, b: np.ndarray) -> np.ndarray:
-    # b3(state, fig2_setting(b)) bit for bit, strengths (S,) and finite b (S or 1, ...), from the q half
-    # of the last three points: the origin's correlation, the same at every b, is the caller's, and
-    # the p rows are 0, FIG2_ALPHA being real.  Points and modes lead; the sums keep _rows' and
-    # _combination's order, and corr is pi^3 (exp(-E) / pi^3) as b3 forms it
+def _fig2_b3(strengths: np.ndarray, gains: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # b3(make_state(strengths[i], FIG2_ALPHA), fig2_setting(b[i])) bit for bit, gains (S, 2, 3) and
+    # finite b (S or 1, ...), from the q half of the last three points (the p rows are 0, FIG2_ALPHA
+    # being real); points and modes lead, and the sums keep _rows' and _combination's order
     lead = (1,) * b.ndim
     t = (b * math.sqrt(2)) * _FIG2_MODES[1:, 0].reshape((3, 3) + lead) \
-        * (state.gains[:, 0] / _NORMS).T.reshape((3, -1) + lead[1:])
-    t -= state.displacement[0].reshape((3,) + lead)  # in place: fresh grid-sized arrays page-fault
+        * (gains[:, 0] / _NORMS).T.reshape((3, -1) + lead[1:])
+    t -= _FIG2_DISPLACEMENT[0].reshape((3,) + lead)  # in place: fresh grid-sized arrays page-fault
     t *= t  # a zero entry's square is the displacement's, 0 times a finite gain being 0
     exponent = t[:, 0] + t[:, 1]
     exponent += t[:, 2]
     if not np.isfinite(exponent).all():  # b is finite, so it overflowed: name the first strength that did
-        raise overflow_error("wigner exponent", state.strength[np.nonzero(~np.isfinite(exponent))[1].min()])
+        raise overflow_error("wigner exponent", strengths[np.nonzero(~np.isfinite(exponent))[1].min()])
     corr = np.exp(np.negative(exponent, out=exponent), out=exponent)
     corr /= math.pi**3
     corr *= math.pi**3
-    return ((origin + corr[0]) + corr[1]) - corr[2]
+    return ((_FIG2_ORIGIN + corr[0]) + corr[1]) - corr[2]
 
 
 def fig2_scan(strengths, b_values) -> tuple[np.ndarray, ...]:
     """Per strength: the displacement magnitude maximizing B(3) and the maximum.
 
-    Builds one state at ``FIG2_ALPHA`` batched over the strengths.  The
-    correlation points of magnitude b project onto the normal modes as
-    fl(b sqrt(2)) times one fixed integer pattern, the bits ``_mode_sums``
-    gives them, so neither the b grid (positive, finite, strictly increasing) nor
-    a refinement step forms points or sums modes, and only the q half of the three points
-    off the origin is evaluated per b; an exponent that overflows is refused at the first
-    strength, in scan order, where it does.  Grid-brackets the maximum (every strength
-    on the whole grid, in one call), then refines it by golden section inside
-    the bracketing cell down to a width of 1e-10 (first/grid-lowest
-    maximizer wins ties; the grid point wins when it beats the refined
-    point), all strengths in lockstep, one evaluation per step; a strength whose
-    bracket is narrow enough keeps its values, so each strength's entries equal
-    a scan of it alone, and each value is ``b3(state, fig2_setting(b))``
-    bit for bit.  Returns the columns (strength, b_star, b3_max), float64 arrays.
+    Each value is ``b3(make_state(strength, FIG2_ALPHA), fig2_setting(b))`` bit for bit, from the
+    strength's gains alone (``matrices.mode_gains``).  The correlation points of magnitude b
+    project onto the normal modes as fl(b sqrt(2)) times one fixed integer pattern, the bits
+    ``_mode_sums`` gives them, so neither the b grid (positive, finite, strictly increasing) nor a
+    refinement step forms points or sums modes, and only the q half of the three points off the
+    origin is evaluated per b; an exponent that overflows is refused at the first strength, in
+    scan order, where it does.  Grid-brackets the maximum (every strength on the whole grid, in
+    one call), then refines it by golden section inside the bracketing cell down to a width of
+    1e-10 (first/grid-lowest maximizer wins ties; the grid point wins when it beats the refined
+    point), all strengths in lockstep, one evaluation per step; a strength whose bracket is
+    narrow enough keeps its values, so each strength's entries equal a scan of it alone.
+    Returns the columns (strength, b_star, b3_max), float64 arrays.
     """
     b_values = check_numbers(b_values, "b grid").reshape(-1)
     if b_values.size == 0:
         raise InvalidParameterError("empty scan grid")
     if not (b_values[0] > 0 and (np.diff(b_values) > 0).all() and b_values[-1] < math.inf):
         raise InvalidParameterError("b grid must be positive, finite and strictly increasing")
-    state = make_state(np.asarray(strengths, dtype=object).reshape(-1), FIG2_ALPHA)
-    strengths = state.strength
-    origin = math.pi**3 * (np.exp(-_rows(state.displacement[0])) / math.pi**3)  # (b1, b2, b3')'s, at any b
-    fn = lambda b: _fig2_b3(state, origin, b)
+    strengths = check_strengths(strengths)
+    gains = np.stack([mode_gains(s) for s in strengths])
+    fn = lambda b: _fig2_b3(strengths, gains, b)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused
         values = fn(b_values[None])  # (strengths, grid) in one call
         top = np.argmax(values, axis=1)
@@ -217,12 +216,12 @@ def max_b3(strengths) -> tuple[np.ndarray, ...]:
 
     R = (sqrt(3)/2) sqrt(L/(2 + e^{-6s})).  It is 2 at s = 0 (u* = 0) and
     tends to 3 (with b -> -2a) as the squeezing grows.  (a, b) and (-a, -b)
-    give the same B; a >= 0 is reported.  The reported maximum is ``b3`` of one
-    state batched over the strengths at alpha = 0, mu = 0, at these settings.
+    give the same B; a >= 0 is reported.  The reported maximum is ``b3`` of
+    each strength's state at alpha = 0, mu = 0, at these settings.
     Returns the columns (strength, a, b, b3_max), float64 arrays.
     """
-    state = make_state(np.asarray(strengths, dtype=object).reshape(-1), (0, 0, 0))
-    strengths = state.strength
+    strengths = check_strengths(strengths)
+    states = [make_state(s, (0, 0, 0)) for s in strengths]  # gains that overflow are refused first
     s = np.abs(strengths)
     log_ratio = 6 * s + np.log1p(np.expm1(-6 * s) / 3)  # L, accurate as s -> 0
     radius = math.sqrt(3) / 2 * np.sqrt(log_ratio / (2 + np.exp(-6 * s)))
@@ -230,5 +229,6 @@ def max_b3(strengths) -> tuple[np.ndarray, ...]:
     a = (plane - symmetric) / 3
     b = a - plane
     axis = np.where(strengths < 0, 1j, 1)[:, None] * np.ones(3)
-    best = b3(state, BellSetting(beta=a[:, None] * axis, beta_prime=b[:, None] * axis))
+    best = np.array([b3(state, BellSetting(beta=beta, beta_prime=beta_prime))
+                     for state, beta, beta_prime in zip(states, a[:, None] * axis, b[:, None] * axis)])
     return strengths, a, b, best

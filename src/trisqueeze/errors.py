@@ -2,19 +2,19 @@
 
 Each entry point checks the shapes and ranges of its own arguments with these rules.  A
 squeezing strength is a finite int or float, not a bool, and an int past the double range is
-not finite (:func:`check_strength`; each of an array by :func:`check_strengths`), checked
-before the amplitudes by the entry point that takes it, not by the helpers under it.  An
-order, a power or a cutoff is a Python or numpy int, not a bool (:func:`check_integer`); a
-power k is at most MAX_POWER and a moment order at most MAX_MOMENT_ORDER.  Phase-space points,
-scan grids and moment coefficients are arrays of ints or floats, and Bell settings may hold
-complex numbers too, never bools or strings (:func:`check_numbers`).  Coherent amplitudes and
-displacements are finite triples, shape (..., 3), of such numbers, complex allowed; a real or
-imaginary part above 7e307 in size raises NumericError, since sqrt(6) times it, the largest
-displacement on a normal mode, must stay finite (:func:`check_amplitudes`).  A result that is
-not finite raises NumericError "<what> overflows double precision at strength <s>"
-(:func:`refuse_overflow`, :func:`overflow_error`).  Each class carries its CLI exit code and
-stderr prefix: 2 and "error" for InvalidParameterError (argparse failures too), 3 and
-"numeric failure" for NumericError.
+not finite (:func:`check_strength`); a state holds one, and only the scans take an array of
+them (:func:`check_strengths`).  It is checked before the amplitudes by the entry point that
+takes it, not by the helpers under it.  An order, a power or a cutoff is a Python or numpy int,
+not a bool (:func:`check_integer`); a power k is at most MAX_POWER and a moment order at most
+MAX_MOMENT_ORDER.  Phase-space points, scan grids and moment coefficients are arrays of ints or
+floats, and Bell settings may hold complex numbers too, never bools or strings
+(:func:`check_numbers`).  Coherent amplitudes and displacements are finite triples, shape
+(..., 3), of such numbers, complex allowed; a real or imaginary part above 7e307 in size raises
+NumericError, since sqrt(6) times it, the largest displacement on a normal mode, must stay
+finite (:func:`check_amplitudes`).  A result that is not finite raises NumericError "<what>
+overflows double precision at strength <s>" (:func:`refuse_overflow`, :func:`overflow_error`).
+Each class carries its CLI exit code and stderr prefix: 2 and "error" for InvalidParameterError
+(argparse failures too), 3 and "numeric failure" for NumericError.
 """
 
 import math
@@ -45,10 +45,17 @@ class TruncationError(NumericError):
     the outermost occupation shell)."""
 
 
+def _shown(value) -> str:
+    # a refused value on one line: a scalar by its repr, an array or a sequence by type and size
+    if isinstance(value, (list, tuple)):
+        return f"{type(value).__name__} of length {len(value)}"
+    return f"{value.dtype} of shape {value.shape}" if isinstance(value, np.ndarray) else repr(value)
+
+
 def check_strength(strength) -> float:
     """``strength`` as a float: a Python or numpy int or float, and finite (a bool is refused)."""
     if isinstance(strength, bool) or not isinstance(strength, (int, float, np.integer, np.floating)):
-        raise InvalidParameterError(f"squeezing strength must be a real number, got {strength!r}")
+        raise InvalidParameterError(f"squeezing strength must be a real number, got {_shown(strength)}")
     try:
         s = float(strength)
     except OverflowError:  # an int past the double range
@@ -61,13 +68,17 @@ def check_strength(strength) -> float:
 def check_integer(value, name: str) -> int:
     """``value`` as an int: a Python or numpy int (a bool is refused); ``name`` says what it is."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        raise InvalidParameterError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
 
 
-def check_strengths(cells: np.ndarray) -> np.ndarray:
-    """Each cell of the object array ``cells`` by :func:`check_strength`: a float array, same shape."""
-    return np.array([check_strength(s) for s in cells.flat]).reshape(cells.shape)
+def check_strengths(strengths) -> np.ndarray:
+    """``strengths``, one or any (nested) sequence or array of them, as a flat float array; each
+    cell by :func:`check_strength`, so no bool or string reads as a float; an empty one is refused."""
+    cells = np.asarray(strengths, dtype=object).reshape(-1)
+    if not cells.size:
+        raise InvalidParameterError("empty strength array")
+    return np.array([check_strength(s) for s in cells])
 
 
 def check_numbers(values, name: str, kinds: str = "iuf") -> np.ndarray:
@@ -98,9 +109,7 @@ def check_amplitudes(values, what: str, name: str = "coherent amplitudes") -> np
 
 
 def overflow_error(what: str, strength) -> NumericError:
-    at = f"strength {strength:g}" if np.ndim(strength) == 0 else \
-        f"strengths {np.min(strength):g} to {np.max(strength):g}"
-    return NumericError(f"{what} overflows double precision at {at}")
+    return NumericError(f"{what} overflows double precision at strength {strength:g}")
 
 
 def refuse_overflow(what: str, strength, compute, *args):

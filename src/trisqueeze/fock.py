@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import (MAX_MOMENT_ORDER, MAX_POWER, InvalidParameterError, TruncationError,
-                     check_amplitudes, check_integer, check_strength)
+                     check_amplitudes, check_integer, check_numbers, check_strength)
 
 __all__ = [
     "FockArena",
@@ -175,6 +175,9 @@ def coherent_ket(arena: FockArena, alpha) -> np.ndarray:
 def ladder(arena: FockArena, vec: np.ndarray, down, up=0.0) -> np.ndarray:
     """sum_i (down_i a_i + up_i a_i^dag) vec; one coefficient per mode, or one for all."""
     _check_ket(arena, vec)
+    for c in (check_numbers(x, "ladder coefficients", "iufc") for x in (down, up)):  # validation only
+        if c.shape not in ((), (3,)) or not np.isfinite(c).all():
+            raise InvalidParameterError("ladder coefficients must be finite, one number or three")
     out = np.zeros(arena.dim, dtype=complex)
     for (stride, w), d, u in zip(arena.lowering, np.broadcast_to(down, 3), np.broadcast_to(up, 3)):
         out[:-stride] += d * w * vec[stride:]

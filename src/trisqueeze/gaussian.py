@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MAX_MOMENT_ORDER, InvalidParameterError, NumericError, check_amplitudes,
-                     check_integer, check_numbers, check_strength, check_strengths,
-                     overflow_error, refuse_overflow)
+                     check_integer, check_numbers, check_strength, overflow_error, refuse_overflow)
 from .matrices import _exponentials, mode_gains
 
 __all__ = [
@@ -74,22 +73,18 @@ def _rows(t):
 
 @dataclass(frozen=True)
 class GaussianState:
-    """The squeezed coherent state on the normal modes of the coupling matrix.
-
-    A state made from an array of strengths carries that array's shape as
-    leading axes on ``strength`` and ``gains``; slice i of each is the field
-    of the state made from strength i alone.
+    """The squeezed coherent state of one strength on the normal modes of the coupling matrix.
 
     Attributes
     ----------
-    strength : squeezing strength of the three-mode unitary
+    strength : squeezing strength of the three-mode unitary, a float
     gains : (2, 3) eigenvalues of p_map (row 0) and q_map (row 1) on the
         normal modes, symmetric mode first (``matrices.mode_gains``)
     displacement : (2, 3) sqrt(2) (Re alpha, Im alpha) on the normal modes,
         the (a, b) of :func:`wigner`; the gains act on the point, not on it
     """
 
-    strength: float | np.ndarray
+    strength: float
     gains: np.ndarray
     displacement: np.ndarray
 
@@ -103,29 +98,15 @@ class MomentQuery:
 
 
 def make_state(strength, alpha) -> GaussianState:
-    """Squeezed coherent state for ``strength`` and amplitudes ``alpha`` (3 complex).
+    """Squeezed coherent state for one ``strength`` and amplitudes ``alpha`` (3 complex).
 
-    An array of strengths gives one state batched over them (see
-    :class:`GaussianState`), which :func:`wigner` and ``bell.b3`` evaluate
-    in one call.  Its gains are built strength by strength with the scalar
-    code and stacked, so every slice holds the same bits as a
-    single-strength state.  ``errors`` checks each strength, then the amplitudes.
+    ``errors`` checks the strength, which must be a number, not an array, then the amplitudes.
     """
-    # the rank of an object array, which a ragged list has too; a float skips the cost
-    batched = not isinstance(strength, (int, float)) and (cells := np.asarray(strength, dtype=object)).ndim
-    if batched:
-        strength = check_strengths(cells)
-        if not strength.size:
-            raise InvalidParameterError("empty strength array")
-    else:
-        strength = check_strength(strength)
+    strength = check_strength(strength)
     alpha = check_amplitudes(alpha, "coherent displacement")
     if alpha.shape != (3,):
         raise InvalidParameterError(f"coherent amplitudes must be one triple, got shape {alpha.shape}")
-    gains = (np.stack([mode_gains(s) for s in strength.flat]).reshape(strength.shape + (2, 3))
-             if batched else mode_gains(strength))
-    displacement = _quadratures(alpha) @ _MODES
-    return GaussianState(strength=strength, gains=gains, displacement=displacement)
+    return GaussianState(strength, mode_gains(strength), _quadratures(alpha) @ _MODES)
 
 
 def _moment(state: GaussianState, coeffs: np.ndarray, order: int) -> float:
@@ -143,8 +124,6 @@ def central_moment(state: GaussianState, query: MomentQuery) -> float:
     of the normal-mode variances, so nothing cancels.  A moment that
     overflows double precision raises NumericError.
     """
-    if state.gains.ndim > 2:
-        raise InvalidParameterError("central_moment takes a state of one strength, not a batch")
     order = check_integer(query.order, "moment order")
     if order < 2 or order % 2:
         raise InvalidParameterError(f"moment order must be even and >= 2, got {order}")
@@ -206,10 +185,9 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
 
     Every step is elementwise, so a batch of points gives bit for bit the
     values of one call per point; q and p of unequal shapes are each summed
-    at their own shape and only E's q row + p row broadcasts.  The strength
-    axes of a batched state line up with the first leading axes of the
-    points.  Points that are not real numbers, or not finite, raise
-    InvalidParameterError; an exponent that overflows raises NumericError.
+    at their own shape and only E's q row + p row broadcasts.  Points that are
+    not real numbers, or not finite, raise InvalidParameterError; an exponent
+    that overflows raises NumericError.
     """
     q = check_numbers(q, "phase-space points")
     p = check_numbers(p, "phase-space points")
@@ -219,8 +197,6 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
         shape = q.shape if q.shape == p.shape else np.broadcast_shapes(q.shape, p.shape)
     except ValueError:
         raise InvalidParameterError(f"q {q.shape} and p {p.shape} do not broadcast") from None
-    if len(shape) + 1 < state.gains.ndim:
-        raise InvalidParameterError("points need a leading axis for each strength axis of the state")
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are refused below
         modes = (_mode_sums(np.concatenate([q, p], axis=-1).reshape(shape[:-1] + (2, 3)))
                  if q.shape == p.shape else (_mode_sums(q), _mode_sums(p)))
@@ -230,22 +206,16 @@ def wigner(state: GaussianState, q, p) -> float | np.ndarray:
 
 def _wigner_modes(state: GaussianState, modes, given) -> np.ndarray:
     # W at the points whose _mode_sums are ``modes`` (..., 2, 3), or at the broadcast of the pair
-    # ``modes`` of q's and p's (..., 3), each half at its own shape; the state axes in front of their
-    # leading axes; the caller ignores over/invalid.  A non-finite exponent refuses ``given``, the
-    # caller's (name, *values) of its input, by that name if a value is not finite, else overflowed
-    lead = state.gains.shape[:-2]
-    pair = isinstance(modes, tuple)
-    points = np.broadcast_shapes(*(m.shape for m in modes))[:-1] if pair else modes.shape[:-2]
-    scale = (state.gains / _NORMS).reshape(lead + (1,) * (len(points) - len(lead)) + (2, 3))
-    try:
-        if pair:
-            exponent = (_rows(modes[0] * scale[..., 0, :] - state.displacement[0])
-                        + _rows(modes[1] * scale[..., 1, :] - state.displacement[1]))
-        else:
-            exponent = _rows(modes * scale - state.displacement)
-            exponent = exponent[..., 0] + exponent[..., 1]
-    except ValueError:
-        raise InvalidParameterError(f"points {points} do not line up with strengths {lead}") from None
+    # ``modes`` of q's and p's (..., 3), each half at its own shape; the caller ignores
+    # over/invalid.  A non-finite exponent refuses ``given``, the caller's (name, *values) of its
+    # input, by that name if a value is not finite, else as overflowed
+    scale = state.gains / _NORMS
+    if isinstance(modes, tuple):
+        exponent = (_rows(modes[0] * scale[0] - state.displacement[0])
+                    + _rows(modes[1] * scale[1] - state.displacement[1]))
+    else:
+        exponent = _rows(modes * scale - state.displacement)
+        exponent = exponent[..., 0] + exponent[..., 1]
     if not np.isfinite(exponent).all():
         if not all(np.isfinite(values).all() for values in given[1:]):
             raise InvalidParameterError(f"{given[0]} must be finite")

@@ -44,15 +44,15 @@ def double_factorial(n: int) -> int:
 
 def mean(state) -> np.ndarray:
     """Phase-space mean (q1, q2, q3, p1, p2, p3) of ``state``, from its gains and displacement."""
-    on_modes = state.displacement * state.gains[..., ::-1, :]  # (q, p) on the normal modes
-    return (on_modes @ _MODES.T).reshape(state.gains.shape[:-2] + (6,))
+    on_modes = state.displacement * state.gains[::-1]  # (q, p) on the normal modes
+    return (on_modes @ _MODES.T).reshape(6)
 
 
 def cov(state) -> np.ndarray:
     """6x6 covariance of ``state``; q and p blocks never mix, det(cov) = (1/2)**6."""
-    blocks = (_MODES * state.gains[..., ::-1, None, :] ** 2) @ _MODES.T / 2  # q block, p block
-    out = np.zeros(state.gains.shape[:-2] + (6, 6))
-    out[..., :3, :3], out[..., 3:, 3:] = blocks[..., 0, :, :], blocks[..., 1, :, :]
+    blocks = (_MODES * state.gains[::-1, None, :] ** 2) @ _MODES.T / 2  # q block, p block
+    out = np.zeros((6, 6))
+    out[:3, :3], out[3:, 3:] = blocks
     return out
 
 

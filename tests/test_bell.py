@@ -11,7 +11,6 @@ from helpers import mean
 from trisqueeze import (
     FIG2_ALPHA,
     BellSetting,
-    GaussianState,
     InvalidParameterError,
     NumericError,
     b3,
@@ -164,19 +163,6 @@ def test_fig2_scan_refinement_beats_grid():
     assert best >= grid_best - 1e-12
 
 
-def test_b3_on_strength_batch_equals_single_states():
-    # the strength axis of a batched state lines up with the first leading
-    # axis of the settings; every value equals the single-strength state's
-    strengths = np.array([0.0, 0.35, 1.2, -0.4])
-    batch = make_state(strengths, FIG2_ALPHA)
-    bs = np.array([[0.1, 0.7], [0.2, 0.3], [0.05, 1.9], [0.6, 0.6]])
-    values = b3(batch, fig2_setting(bs))
-    assert values.shape == (4, 2)
-    for i, s in enumerate(strengths):
-        single = make_state(float(s), FIG2_ALPHA)
-        assert values[i].tolist() == [b3(single, fig2_setting(b)) for b in bs[i]]
-
-
 def test_fig2_scan_lockstep_rows_equal_single_strength_scans():
     # on this b grid the maximum sits on the first grid point (strengths 0
     # and 2), on the last (0.9, 1.0) and inside (1.2); the grid point beats
@@ -200,19 +186,6 @@ def test_fig2_scan_takes_a_plain_strength():
     assert _rows(fig2_scan(0.5, [0.1, 0.2])) == _rows(fig2_scan([0.5], [0.1, 0.2]))
     assert _rows(fig2_scan(0.5, 0.1)) == _rows(fig2_scan([0.5], [0.1]))  # a 0-d b grid is one point
     assert _rows(max_b3(0.5)) == _rows(max_b3([0.5]))
-
-
-def test_b3_refuses_settings_without_an_axis_per_strength():
-    # the four correlation points are no strength axis: four strengths and one
-    # setting gave one float that mixed the four states' correlations
-    for strengths in ([0.1, 0.2, 0.3, 0.4], [0.1, 0.2]):
-        batch = make_state(np.array(strengths), FIG2_ALPHA)
-        with pytest.raises(InvalidParameterError, match="leading axis for each strength axis"):
-            b3(batch, fig2_setting(0.3))
-    batch = make_state(np.array([0.1, 0.2, 0.3, 0.4]), FIG2_ALPHA)
-    values = b3(batch, fig2_setting(np.full(4, 0.3)))
-    slices = [GaussianState(batch.strength[i], batch.gains[i], batch.displacement) for i in range(4)]
-    assert values.tolist() == [b3(state, fig2_setting(0.3)) for state in slices]
 
 
 def test_b3_refuses_displacements_that_overflow_without_a_warning():
@@ -287,7 +260,7 @@ def test_fig2_kernel_moves_only_the_q_half_off_the_origin():
     q_half, p_half = bell._FIG2_MODES[:, 0], bell._FIG2_MODES[:, 1]
     assert not p_half.any() and not q_half[0].any()
     assert np.count_nonzero(q_half) == 6
-    assert not make_state([0.0, 1.2], FIG2_ALPHA).displacement[1].any()
+    assert not make_state(0.0, FIG2_ALPHA).displacement[1].any()
 
 
 def test_fig2_scan_values_equal_b3():

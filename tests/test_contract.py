@@ -100,11 +100,13 @@ def test_entry_points_share_one_domain(name, inputs, call):
 def test_strength_is_a_python_or_numpy_real():
     for real in (2, np.int64(2), np.uint8(2), 2.0, np.float32(2), np.float64(2)):
         assert check_strength(real) == 2.0
-    assert make_state(np.arange(3), (0, 0, 0)).strength.tolist() == [0.0, 1.0, 2.0]
-    # np.array(strengths, dtype=float) read [True] and ["0.3"] as floats
-    for strengths in ([True], ["0.3"], [0.1, 0.3j], [0.1, None]):
-        with pytest.raises(InvalidParameterError, match="must be a real number"):
-            make_state(strengths, (0, 0, 0))
+    # the scans take an array of strengths; np.array(strengths, dtype=float) read [True] and
+    # ["0.3"] as floats
+    for scan in (lambda strengths: fig2_scan(strengths, [0.3]), max_b3):
+        assert scan(np.arange(3))[0].tolist() == [0.0, 1.0, 2.0]
+        for strengths in ([True], ["0.3"], [0.1, 0.3j], [0.1, None]):
+            with pytest.raises(InvalidParameterError, match="must be a real number"):
+                scan(strengths)
 
 
 STATE = make_state(0.1, (0.1, 0, 0))
@@ -136,6 +138,22 @@ def test_integer_parameters_share_one_type_rule(call):
             call(bad)
 
 
+@pytest.mark.parametrize("bad, got", [(np.arange(100), "int64 of shape (100,)"),
+                                      (list(range(100)), "list of length 100")])
+def test_a_refused_array_is_named_on_one_line(bad, got):
+    # a strength or an order was quoted by its repr: hos_x(np.arange(100.), 1) raised an 8-line
+    # message and pk(np.arange(100), ...) a 6-line one; a scalar keeps its repr (got '0.3' above)
+    for name, inputs, call in ENTRY_POINTS:
+        if inputs != "a" and name not in ("fig2_scan", "max_b3"):  # the scans take arrays
+            with pytest.raises(InvalidParameterError) as refusal:
+                call(bad, (0.1, 0.2j, 0))
+            assert str(refusal.value) == f"squeezing strength must be a real number, got {got}"
+    for _, call, *_ in INTEGER_ENTRY_POINTS:
+        with pytest.raises(InvalidParameterError) as refusal:
+            call(bad)
+        assert "\n" not in str(refusal.value) and str(refusal.value).endswith(f" must be an integer, got {got}")
+
+
 RANGED = [entry for entry in INTEGER_ENTRY_POINTS if entry[2] is not None]
 
 
@@ -152,7 +170,6 @@ def test_integer_parameters_are_refused_outside_their_range(call, least, largest
             call(bad)
 
 
-BATCH = make_state([0.1, 0.2, 0.3], (0, 0, 0))
 # (name, call) of malformed arrays that numpy refused with a bare ValueError or TypeError, or
 # that central_moment took for an overflow or read as real numbers; np.asarray(..., dtype=float
 # or complex) read the strings and bools of points, settings and grids as numbers (wigner gave
@@ -169,8 +186,6 @@ MALFORMED = [
     ("ragged amplitudes", lambda: make_state(0.3, [[0, 0, 0], [0, 0]])),
     ("wigner leading axes", lambda: wigner(STATE, np.zeros((2, 3)), np.zeros((3, 3)))),
     ("b3 leading axes", lambda: b3(STATE, BellSetting(np.zeros((2, 3)), np.zeros((3, 3))))),
-    ("wigner strength axes", lambda: wigner(BATCH, np.zeros((2, 3)), np.zeros((2, 3)))),
-    ("b3 strength axes", lambda: b3(BATCH, BellSetting(np.zeros((2, 3)), np.zeros((2, 3))))),
     ("make_state two triples", lambda: make_state(0.3, np.zeros((2, 3)))),
     # each of these got past a shape rule that no other row trips: pk answered P_2 of a pair,
     # b3 0.524 from one value broadcast to all three modes, and the others raised numpy's
@@ -185,7 +200,8 @@ MALFORMED = [
     ("empty b grid", lambda: fig2_scan([0.1], [])),
     ("bool fig1 imaginary grid", lambda: fig1_scan([0.1], [True])),
     ("string fig1 real grid", lambda: fig1_scan(["1"], [0.0])),
-    ("ragged strengths", lambda: make_state([[0.1, 0.2], [0.3]], (0, 0, 0))),
+    ("ragged strengths", lambda: fig2_scan([[0.1, 0.2], [0.3]], [0.3])),
+    ("ragged max_b3 strengths", lambda: max_b3([[0.1, 0.2], [0.3]])),
     # np.asarray(strengths) read a bool among floats as 1.0
     ("bool among fig2 strengths", lambda: fig2_scan([0.1, True], [0.3])),
     ("bool among max_b3 strengths", lambda: max_b3([0.1, True])),
@@ -198,6 +214,11 @@ MALFORMED = [
     ("nan coefficients", lambda: central_moment(make_state(0.3, (0, 0, 0)),
                                                 MomentQuery([math.nan] * 6, 2))),
     ("infinite coefficient", lambda: central_moment(STATE, MomentQuery([math.inf] + [0] * 5, 2))),
+    # ladder raised numpy's ValueError on two coefficients and UFuncTypeError on a string, and
+    # answered a NaN vector for a NaN coefficient
+    ("two ladder coefficients", lambda: ladder(ARENA, KET, [1, 2])),
+    ("string ladder coefficient", lambda: ladder(ARENA, KET, "a")),
+    ("nan ladder coefficient", lambda: ladder(ARENA, KET, math.nan)),
 ]
 
 

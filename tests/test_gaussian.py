@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from helpers import (circulant_maps, cov, double_factorial, mean, normal_order_coefficients,
                      wigner_normalization, x3_query, y3_query)
 from trisqueeze import (
-    GaussianState,
     InvalidParameterError,
     MomentQuery,
     NumericError,
@@ -287,16 +286,14 @@ def test_wigner_rejects_non_finite_points_and_overflow():
         wigner(large, np.ones(3), np.zeros(3))  # (e^{400} sqrt(3))^2 overflows
     with pytest.raises(NumericError):  # the mode sums overflow, and TwoSum's inf - inf is NaN
         wigner(state, [1e308, 1e308, 0], np.zeros(3))
-    with pytest.raises(NumericError, match="overflows double precision at strengths 0.1 to 200$"):
-        wigner(make_state([0.1, 200], [0, 0, 0]), np.ones((2, 3)), np.zeros(3))
 
 
 def _near_mean(rng, state, shape):
     # points a standard normal draw from the mean on every normal mode: the
     # q modes have widths gains[1]/sqrt(2), the p modes gains[0]/sqrt(2)
     modes = np.array([[1, 1, 1], [1, -1, 0], [1, 1, -2]]) / np.sqrt([[3], [2], [6]])
-    z = rng.normal(size=shape + (2, 3)) * state.gains[..., ::-1, :] / math.sqrt(2)
-    return mean(state)[..., :3] + z[..., 0, :] @ modes, mean(state)[..., 3:] + z[..., 1, :] @ modes
+    z = rng.normal(size=shape + (2, 3)) * state.gains[::-1] / math.sqrt(2)
+    return mean(state)[:3] + z[..., 0, :] @ modes, mean(state)[3:] + z[..., 1, :] @ modes
 
 
 def test_wigner_batch_equals_point_calls():
@@ -315,31 +312,6 @@ def test_wigner_batch_equals_point_calls():
         assert batch.shape == (6, 5) and (batch > 1e-6).all()
         for i, j in np.ndindex(6, 5):
             assert batch[i, j] == wigner(state, q[i, j], p[0, j])
-
-
-def test_wigner_on_strength_batch_equals_single_states():
-    rng = np.random.default_rng(23)
-    strengths = np.array([-0.6, 0.0, 0.45, 1.3, 3.0, 5.0, 6.0])
-    alpha = [0.3 - 0.2j, 0.1j, -0.4]
-    batch = make_state(strengths, alpha)
-    assert mean(batch).shape == (7, 6) and cov(batch).shape == (7, 6, 6)
-    q = rng.normal(size=(7, 5, 3))
-    p = rng.normal(size=(5, 3))
-    values = wigner(batch, q, p)
-    assert values.shape == (7, 5)
-    for i, s in enumerate(strengths):
-        single = make_state(float(s), alpha)
-        assert values[i].tolist() == [wigner(single, q[i, j], p[j]) for j in range(5)]
-    # near the mean, where W does not vanish at the large strengths
-    column = GaussianState(batch.strength[:, None], batch.gains[:, None], batch.displacement)
-    q, p = _near_mean(rng, column, (5,))
-    values = wigner(batch, q, p)
-    assert (values > 1e-6).all()
-    for i, s in enumerate(strengths):
-        single = make_state(float(s), alpha)
-        assert values[i].tolist() == [wigner(single, q[i, j], p[i, j]) for j in range(5)]
-    with pytest.raises(InvalidParameterError):
-        wigner(batch, np.zeros(3), np.zeros(3))  # no leading axis for the strengths
 
 
 def _wigner_bits(state, q, p):
@@ -366,16 +338,6 @@ def test_wigner_on_unequal_shapes_equals_the_broadcast_points(q_shape, p_shape):
         q, p = _near_mean(rng, state, np.broadcast_shapes(q_shape, p_shape)[:-1])
         q, p = _cut(q, q_shape), _cut(p, p_shape)
         assert np.array_equal(_wigner_bits(state, q, p), _wigner_bits(state, *np.broadcast_arrays(q, p)))
-    # a batched state: its strength axis lines up with the first axis of the broadcast points
-    strengths = np.array([-0.6, 0.0, 0.45, 3.0])
-    batch = make_state(strengths, alpha)
-    for q_shape, p_shape in (((4, 1, 3), (1, 5, 3)), ((4, 5, 3), (5, 3)), ((1, 5, 3), (4, 1, 3)),
-                             ((3,), (4, 5, 3)), ((4, 1, 3), (5, 3))):
-        q, p = rng.normal(size=q_shape) * 0.5, rng.normal(size=p_shape) * 0.5
-        assert np.array_equal(_wigner_bits(batch, q, p), _wigner_bits(batch, *np.broadcast_arrays(q, p)))
-        values, (wide_q, wide_p) = wigner(batch, q, p), np.broadcast_arrays(q, p)
-        for i, s in enumerate(strengths):
-            assert np.array_equal(values[i], wigner(make_state(float(s), alpha), wide_q[i], wide_p[i]))
 
 
 def test_wigner_on_unequal_shapes_refuses_as_on_equal_ones():
@@ -388,34 +350,10 @@ def test_wigner_on_unequal_shapes_refuses_as_on_equal_ones():
             wigner(state, *bad)
     with pytest.raises(InvalidParameterError, match=r"^q \(4, 3\) and p \(5, 3\) do not broadcast$"):
         wigner(state, np.zeros((4, 3)), np.zeros((5, 3)))
-    batch = make_state([0.1, 0.2, 0.3], [0, 0, 0])
-    for q_shape in ((3,), (5, 3)):  # the second, equal shapes, for the same message
-        with pytest.raises(InvalidParameterError, match=r"^points \(5,\) do not line up with strengths \(3,\)$"):
-            wigner(batch, np.zeros(q_shape), np.zeros((5, 3)))
-    with pytest.raises(InvalidParameterError, match="^points need a leading axis for each strength axis"):
-        wigner(make_state(np.zeros((2, 3)), [0, 0, 0]), np.zeros(3), np.zeros((1, 3)))
     # e^{400} stretches the symmetric mode of q at s = 200 and of p at s = -200
     for s, q, p in ((200, np.ones((2, 1, 3)), np.zeros((1, 4, 3))), (-200, np.zeros((2, 1, 3)), np.ones((1, 4, 3)))):
         with pytest.raises(NumericError, match=f"^wigner exponent overflows double precision at strength {s}$"):
             wigner(make_state(s, [0, 0, 0]), q, p)
-
-
-def test_strength_batch_slices_equal_single_states():
-    strengths = np.concatenate([[-0.6, 3.0, 5.0, 6.0, 6.4630967461221465, 200.0], np.arange(51) * 0.02])
-    alpha = [0.4, 0.5 - 0.1j, 0.6]
-    batch = make_state(strengths, alpha)
-    singles = [make_state(s, alpha) for s in strengths]
-    for i, single in enumerate(singles):
-        assert np.array_equal(batch.strength[i], single.strength)
-        assert np.array_equal(batch.gains[i], single.gains)
-        assert np.array_equal(batch.displacement, single.displacement)
-        single_maps = circulant_maps(mode_gains(strengths[i]))
-        for batch_map, single_map in zip(circulant_maps(batch.gains), single_maps):
-            assert np.array_equal(batch_map[i], single_map)
-    # the strengths' shape, here (2, 3), leads on strength and gains (GaussianState's docstring)
-    grid = make_state(strengths[:6].reshape(2, 3), alpha)
-    assert grid.strength.shape == (2, 3) and grid.gains.shape == (2, 3, 2, 3)
-    assert np.array_equal(grid.gains[1, 2], singles[5].gains)
 
 
 def test_wigner_exact_where_the_numeric_determinant_fails():
@@ -427,11 +365,13 @@ def test_wigner_exact_where_the_numeric_determinant_fails():
 
 
 def test_batched_state_refused_where_one_strength_is_needed():
-    batch = make_state(np.array([0.1, 0.2]), [0.1, 0, 0])
-    with pytest.raises(InvalidParameterError):
-        central_moment(batch, x3_query(2))
-    with pytest.raises(InvalidParameterError):
-        make_state(np.array([]), [0, 0, 0])
+    # a state holds one strength: make_state built a state batched over a list or an array of
+    # them, and refused only an empty array
+    for strengths, got in (([0.1, 0.2], "list of length 2"), (np.array([0.1, 0.2]), "float64 of shape (2,)"),
+                           (np.array([]), "float64 of shape (0,)")):
+        with pytest.raises(InvalidParameterError) as refusal:
+            make_state(strengths, [0.1, 0, 0])
+        assert str(refusal.value) == f"squeezing strength must be a real number, got {got}"
 
 
 # ---------------------------------------------------------------------------
